@@ -38,8 +38,16 @@ bench:
 # skips itself with a warning when the baseline was recorded on a
 # different CPU. After an intentional performance change, refresh the
 # baseline with `make bench-baseline` and commit it.
-GATED_BENCH  = BenchmarkSessionRun$$|BenchmarkConv2DInto$$|BenchmarkDenseInto$$
-GATED_NAMES  = BenchmarkSessionRun,BenchmarkConv2DInto,BenchmarkDenseInto
+# The BenchmarkConvKernels rows are one MobileNet pointwise conv (GEMM) and
+# one depthwise conv at each storage dtype. Each row is held to its own
+# baseline, like the others. The fp16/int8-to-fp32 ratio itself is NOT
+# enforced: the baseline records it (1.0-1.2x, pointwise and depthwise
+# alike; 2x before the kernels were unified), so a reduced-precision row
+# can drift 15% from there before the gate fails, and rows a few seconds
+# apart on a shared host scatter by more than a 1.15x same-run limit would
+# allow.
+GATED_BENCH  = BenchmarkSessionRun$$|BenchmarkConv2DInto$$|BenchmarkDenseInto$$|BenchmarkConvKernels$$/^mobilenet_c128_28x28_1x1s1$$/^gemm|BenchmarkConvKernels$$/^mobilenet_c128_28x28_dw3x3s1$$/^depthwise
+GATED_NAMES  = BenchmarkSessionRun,BenchmarkConv2DInto,BenchmarkDenseInto,BenchmarkConvKernels/mobilenet_c128_28x28_1x1s1,BenchmarkConvKernels/mobilenet_c128_28x28_dw3x3s1
 
 bench-regress:
 	$(GO) test -run '^$$' -bench '$(GATED_BENCH)' -benchmem -benchtime 200x -count 3 ./internal/runtime ./internal/ops | tee bench_regress.out

@@ -240,22 +240,10 @@ func (o *FlattenOp) ExecuteInto(out *tensor.Tensor, ins []*tensor.Tensor) {
 	// without materializing a reshaped view — the shapes differ only in
 	// rank, and the session hot path must not allocate.
 	in := ins[0]
-	if out.DType() == in.DType() {
-		switch out.DType() {
-		case tensor.Float32:
-			copy(out.Data(), in.Data())
-		case tensor.Float16:
-			copy(out.Half(), in.Half())
-		case tensor.Int8:
-			copy(out.Int8Data(), in.Int8Data())
-			out.SetScale(in.Scale())
-		}
-		return
+	if out.DType() == tensor.Int8 && in.DType() == tensor.Int8 {
+		out.SetScale(in.Scale())
 	}
-	n := in.Size()
-	for i := 0; i < n; i++ {
-		out.SetF(i, in.GetF(i))
-	}
+	tensor.CopyRange(out, 0, in, 0, in.Size())
 }
 func (o *FlattenOp) GPUFriendly() bool { return true }
 

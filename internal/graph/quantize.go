@@ -22,8 +22,8 @@ const (
 	// convolutions over fp16 storage (fp32 accumulate).
 	QuantFP16
 	// QuantINT8 additionally runs convolutions through the symmetric int8
-	// GEMM path (per-tensor input scales from calibration, per-channel
-	// weight scales at prepack); non-conv intermediates ride fp16 carriers.
+	// kernels (per-tensor input scales from calibration, per-channel weight
+	// scales at prepack); non-conv intermediates ride fp16 carriers.
 	QuantINT8
 	// QuantAuto prices fp32/fp16/int8 per convolution with the roofline
 	// model and picks the cheapest, casts included; carriers are fp16.
@@ -77,7 +77,7 @@ type QuantizeOptions struct {
 // QuantizeStats reports what the pass did.
 type QuantizeStats struct {
 	FP16Nodes     int // intermediates retagged to binary16 carriers
-	INT8Convs     int // convolutions routed through the int8 GEMM path
+	INT8Convs     int // convolutions computing over int8 storage
 	FP16Convs     int // convolutions computing over fp16 storage
 	CastsInserted int // explicit cast nodes added
 	CastsFused    int // casts avoided by narrowing in the producer's store
@@ -271,6 +271,12 @@ func DTypeConvScale(g *Graph, d *sim.Device) float64 {
 		k := convOp.Kernel
 		if k == ops.KernelAuto {
 			k = ops.DefaultKernel(convOp.W)
+		}
+		if convOp.DType == tensor.Int8 {
+			// The simulated device's int8 path is the quantized GEMM whatever
+			// loop the host runs (see pickConvDType), so the host's depthwise
+			// choice must not move the simulated clock.
+			k = ops.KernelGEMM
 		}
 		f, e, eb, eff := kernelCost(convOp.W, k, tensor.Float32)
 		base += d.AlgoSeconds(f, e, eb, eff)

@@ -23,25 +23,21 @@ type KernelSelection struct {
 	AllowWinograd bool
 }
 
-// candidateKernels returns the kernels the selector may choose for w at
-// storage dtype dt. Winograd has no reduced-precision variant (its
-// transform reassociation compounds badly with narrowed storage); int8
-// always computes through the quantized GEMM path.
-func (sel KernelSelection) candidateKernels(w ops.ConvWorkload, dt tensor.DType) []ops.ConvKernel {
-	if dt == tensor.Int8 {
-		return []ops.ConvKernel{ops.KernelGEMM}
+// kernelAllowed reports whether the selector may run w at storage dtype dt
+// with kernel k. Winograd has no reduced-precision variant (its transform
+// reassociation compounds badly with narrowed storage) and is gated even
+// for fp32; int8 computes through the quantized GEMM or, for depthwise
+// workloads, the int32-accumulating depthwise loop.
+func (sel KernelSelection) kernelAllowed(k ops.ConvKernel, w ops.ConvWorkload, dt tensor.DType) bool {
+	switch {
+	case !ops.KernelSupported(k, w):
+		return false
+	case k == ops.KernelWinograd:
+		return sel.AllowWinograd && dt == tensor.Float32
+	case dt == tensor.Int8:
+		return k == ops.KernelGEMM || k == ops.KernelDepthwise
 	}
-	cands := make([]ops.ConvKernel, 0, 4)
-	for _, k := range ops.ConvKernels {
-		if !ops.KernelSupported(k, w) {
-			continue
-		}
-		if k == ops.KernelWinograd && (!sel.AllowWinograd || dt != tensor.Float32) {
-			continue
-		}
-		cands = append(cands, k)
-	}
-	return cands
+	return true
 }
 
 // dbDType maps a storage dtype to its tuning-record key segment ("" for
@@ -58,24 +54,21 @@ func dbDType(dt tensor.DType) string {
 func (sel KernelSelection) pick(w ops.ConvWorkload, dt tensor.DType) (ops.ConvKernel, float64) {
 	if sel.DB != nil && sel.Device != nil {
 		if name, ok := sel.DB.LookupKernelChoiceDType(sel.Device.Name, w.Key(), dbDType(dt)); ok {
-			if k, ok := ops.ParseConvKernel(name); ok && k != ops.KernelAuto &&
-				ops.KernelSupported(k, w) &&
-				(k != ops.KernelWinograd || (sel.AllowWinograd && dt == tensor.Float32)) &&
-				(dt != tensor.Int8 || k == ops.KernelGEMM) {
+			if k, ok := ops.ParseConvKernel(name); ok && k != ops.KernelAuto && sel.kernelAllowed(k, w, dt) {
 				return k, 0
 			}
 		}
 	}
 	if sel.Device == nil {
-		if dt == tensor.Int8 {
-			return ops.KernelGEMM, 0
-		}
-		return ops.DefaultKernel(w), 0
+		return ops.DefaultKernel(w), 0 // depthwise or GEMM: both run at every dtype
 	}
-	best, bestSec := ops.KernelDirect, 0.0
-	for i, k := range sel.candidateKernels(w, dt) {
+	best, bestSec := ops.KernelAuto, 0.0
+	for _, k := range ops.ConvKernels {
+		if !sel.kernelAllowed(k, w, dt) {
+			continue
+		}
 		sec := sel.Device.AlgoSeconds(kernelCost(w, k, dt))
-		if i == 0 || sec < bestSec {
+		if best == ops.KernelAuto || sec < bestSec {
 			best, bestSec = k, sec
 		}
 	}

@@ -148,3 +148,54 @@ func opMust[T Operator](t *testing.T, n *Node) T {
 	}
 	return op
 }
+
+// TestSelectConvKernelsInt8: an int8 conv runs the quantized GEMM or, on a
+// depthwise workload, the depthwise loop — with a cost model, without one,
+// and under DB records (a record for a kernel int8 has no form of falls
+// back to the cost model). The host's choice must not move the simulated
+// clock: DTypeConvScale prices int8 as the GEMM either way.
+func TestSelectConvKernelsInt8(t *testing.T) {
+	dev := sim.IntelHD505
+	for _, sel := range []KernelSelection{{Device: dev}, {}} {
+		g, c3, cdw, c1 := buildSelectGraph()
+		for _, n := range []*Node{c3, cdw, c1} {
+			opMust[*ConvOp](t, n).DType = tensor.Int8
+		}
+		SelectConvKernels(g, sel)
+		if got := opMust[*ConvOp](t, cdw).Kernel; got != ops.KernelDepthwise {
+			t.Errorf("device=%v: int8 depthwise conv got %v, want depthwise", sel.Device != nil, got)
+		}
+		for _, n := range []*Node{c3, c1} {
+			if got := opMust[*ConvOp](t, n).Kernel; got != ops.KernelGEMM {
+				t.Errorf("device=%v: int8 dense conv %s got %v, want gemm", sel.Device != nil, n.Name, got)
+			}
+		}
+		if sel.Device != nil {
+			selected := DTypeConvScale(g, dev)
+			opMust[*ConvOp](t, cdw).Kernel = ops.KernelGEMM
+			if all := DTypeConvScale(g, dev); all != selected {
+				t.Errorf("DTypeConvScale %v with the int8 depthwise loop selected, %v with the GEMM: host choice moved the simulated clock", selected, all)
+			}
+		}
+	}
+
+	g, c3, cdw, _ := buildSelectGraph()
+	db := autotvm.NewDB("")
+	for _, n := range []*Node{c3, cdw} {
+		op := opMust[*ConvOp](t, n)
+		op.DType = tensor.Int8
+		db.StoreKernelChoiceDType(dev.Name, op.W.Key(), "int8", "direct", 1.0)
+	}
+	SelectConvKernels(g, KernelSelection{Device: dev, DB: db})
+	if got := opMust[*ConvOp](t, c3).Kernel; got != ops.KernelGEMM {
+		t.Errorf("int8 conv honoured a direct DB record: got %v, want gemm", got)
+	}
+	if got := opMust[*ConvOp](t, cdw).Kernel; got != ops.KernelDepthwise {
+		t.Errorf("int8 depthwise conv with a direct DB record got %v, want the cost model's depthwise", got)
+	}
+	db.StoreKernelChoiceDType(dev.Name, opMust[*ConvOp](t, cdw).W.Key(), "int8", "gemm", 1.0)
+	SelectConvKernels(g, KernelSelection{Device: dev, DB: db})
+	if got := opMust[*ConvOp](t, cdw).Kernel; got != ops.KernelGEMM {
+		t.Errorf("int8 depthwise conv ignored a gemm DB record: got %v", got)
+	}
+}

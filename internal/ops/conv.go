@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"unigpu/internal/tensor"
 )
@@ -26,34 +27,110 @@ func Conv2D(in, weight, bias *tensor.Tensor, w ConvWorkload) *tensor.Tensor {
 // Taps still accumulate in ascending (ci, ky, kx) order, which keeps the
 // result bit-identical to the naive per-tap-branching loop.
 func Conv2DInto(out, in, weight, bias *tensor.Tensor, w ConvWorkload) {
-	conv2DDirectInto(out, in, weight, bias, nil, w, false)
+	convDirect(&convSink[float32, float32]{out: out.Data(), bias: biasData(bias), act: w.FusedActivation},
+		in.Data(), weight.Data(), w)
 }
 
-// conv2DDirectInto is the direct kernel with the full fused epilogue:
-// bias, an optional residual row (res, same shape as out) and the fused
-// activation, applied per element in convEpilogue order.
-func conv2DDirectInto(out, in, weight, bias *tensor.Tensor, rd []float32, w ConvWorkload, postAct bool) {
-	oh, ow := w.OutH(), w.OutW()
-	g := max(1, w.Groups)
-	cinPerG := w.CIn / g
-	coutPerG := w.COut / g
-
-	ind := in.Data()
-	wd := weight.Data()
-	od := out.Data()
-	var bd []float32
-	if bias != nil {
-		bd = bias.Data()
+func biasData(bias *tensor.Tensor) []float32 {
+	if bias == nil {
+		return nil
 	}
+	return bias.Data()
+}
+
+type (
+	// convElem is a storage element a conv kernel reads: float32 values,
+	// binary16 bit patterns (uint16 is never anything else in this
+	// package) or int8 codes. Kernels written once over all three tell
+	// binary16 apart by unsafe.Sizeof(x) == 2 where an element x is widened
+	// or narrowed: a constant in each instantiation, so the untaken side
+	// compiles away. The test is spelled out at each site rather than
+	// wrapped in a generic helper because a generic callee, even inlined,
+	// costs its caller a dictionary nil check per call, which a
+	// three-instruction tap loop notices.
+	convElem interface{ float32 | uint16 | int8 }
+	// convOut is a conv output element: float32, or binary16 bits narrowed
+	// once at the store.
+	convOut interface{ float32 | uint16 }
+)
+
+// narrow is the one store-side conversion: round-to-nearest-even to
+// binary16 bits, or the value unchanged.
+func narrow[O convOut](v float32) O {
+	var o O
+	if unsafe.Sizeof(o) == 2 {
+		return O(tensor.F16Encode(v))
+	}
+	return O(v)
+}
+
+// convSink is where every conv kernel's finished accumulators go: the
+// output and fused-residual storage, whose element types are the kernels'
+// only view of their dtypes, and what the epilogue needs. Keep it within
+// 128 bytes: the kernels' parallelFor closures capture it by value, which
+// is what keeps a conv call from costing one more heap object.
+type convSink[O convOut, R convElem] struct {
+	out     []O
+	res     []R       // fused residual, indexed like out; nil for none
+	bias    []float32 // per output channel; nil for none
+	wscale  []float32 // int8 kernels only: per-output-channel weight scales
+	inScale float32   // int8 kernels only: the input tensor's scale
+	act     Activation
+	postAct bool // residual is added after the activation, not before
+}
+
+// convEpilogue finishes one conv output element: the optional fused
+// residual row rd (indexed like the output) is added before the activation
+// for the ResNet conv→add→relu pattern, or after it (postAct) for the
+// Darknet conv(+act)→add pattern. The per-element operation order matches
+// the unfused AddInto/activation kernels exactly, so fusing is
+// bit-preserving. It is a free function over the sink's fields, with the
+// narrowing store written out at each call site, because that is the shape
+// the inliner accepts (it sits just under the budget: check -gcflags=-m
+// after touching it), so neither half costs fp32 a call.
+func convEpilogue[R convElem](v float32, rd []R, oi int, a Activation, postAct bool) float32 {
+	var r float32
+	if rd != nil {
+		x := rd[oi]
+		if r = float32(x); unsafe.Sizeof(x) == 2 {
+			r = tensor.F16Decode(uint16(x))
+		}
+		if !postAct {
+			v += r
+		}
+	}
+	v = applyActivation(v, a)
+	if rd != nil && postAct {
+		v += r
+	}
+	return v
+}
+
+// dequant returns what turns channel co's int32 accumulator into a real
+// value: v*scale + bias.
+func (s *convSink[O, R]) dequant(co int) (scale, bias float32) {
+	if s.bias != nil {
+		bias = s.bias[co]
+	}
+	return s.inScale * s.wscale[co], bias
+}
+
+// convDirect is the boundary-hoisted direct loop for fp32 and fp16
+// storage. wd holds OIHW float32 weights (rounded through binary16 at plan
+// time for fp16, so only the input taps decode here).
+func convDirect[S convElem, O convOut, R convElem](sink *convSink[O, R], ind []S, wd []float32, w ConvWorkload) {
+	oh, ow := w.OutH(), w.OutW()
+	_, cinPerG, coutPerG, _ := w.gemmDims()
+	held := *sink // closures take the sink by value: the caller's stays on its stack
 
 	parallelFor(w.N*w.COut, func(job int) {
+		s := held
 		n := job / w.COut
 		co := job % w.COut
-		grp := co / coutPerG
-		ciBase := grp * cinPerG
+		ciBase := co / coutPerG * cinPerG
 		var b float32
-		if bd != nil {
-			b = bd[co]
+		if s.bias != nil {
+			b = s.bias[co]
 		}
 		for y := 0; y < oh; y++ {
 			iy0 := y*w.StrideH - w.PadH
@@ -69,12 +146,17 @@ func conv2DDirectInto(out, in, weight, bias *tensor.Tensor, rd []float32, w Conv
 						iRow := iBase + (iy0+ky)*w.W
 						wRow := wBase + ky*w.KW
 						for kx := kx0; kx < kx1; kx++ {
-							sum += ind[iRow+kx] * wd[wRow+kx]
+							e := ind[iRow+kx]
+							f := float32(e)
+							if unsafe.Sizeof(e) == 2 {
+								f = tensor.F16Decode(uint16(e))
+							}
+							sum += f * wd[wRow+kx]
 						}
 					}
 				}
 				oi := ((n*w.COut+co)*oh+y)*ow + x
-				od[oi] = convEpilogue(sum, rd, oi, w.FusedActivation, postAct)
+				s.out[oi] = narrow[O](convEpilogue(sum, s.res, oi, s.act, s.postAct))
 			}
 		}
 	})
@@ -106,23 +188,6 @@ func applyActivation(v float32, a Activation) float32 {
 		if v < 0 {
 			return LeakyAlpha * v
 		}
-	}
-	return v
-}
-
-// convEpilogue finishes one conv output element: the optional fused
-// residual row rd (indexed like the output) is added before the activation
-// for the ResNet conv→add→relu pattern, or after it (postAct) for the
-// Darknet conv(+act)→add pattern. The per-element operation order matches
-// the unfused AddInto/activation kernels exactly, so fusing is
-// bit-preserving.
-func convEpilogue(v float32, rd []float32, oi int, a Activation, postAct bool) float32 {
-	if rd != nil && !postAct {
-		v += rd[oi]
-	}
-	v = applyActivation(v, a)
-	if rd != nil && postAct {
-		v += rd[oi]
 	}
 	return v
 }
@@ -182,14 +247,23 @@ func DenseActInto(out, in, weight, bias *tensor.Tensor, act Activation) {
 		bd = bias.Data()
 	}
 	if !allFloat32(out, in, weight) {
+		// Reduced-precision operands (in practice the fp16 weight matrix a
+		// quantized graph carries) are widened a run at a time; the products
+		// still accumulate in ascending i from the bias.
 		parallelFor(n*o, func(job int) {
 			ni, oi := job/o, job%o
 			var sum float32
 			if bd != nil {
 				sum = bd[oi]
 			}
-			for i := 0; i < k; i++ {
-				sum += in.GetF(ni*k+i) * weight.GetF(oi*k+i)
+			var xs, ws [typedRun]float32
+			for i := 0; i < k; i += typedRun {
+				c := min(typedRun, k-i)
+				in.LoadF(xs[:c], ni*k+i)
+				weight.LoadF(ws[:c], oi*k+i)
+				for j, x := range xs[:c] {
+					sum += x * ws[j]
+				}
 			}
 			out.SetF(ni*o+oi, applyActivation(sum, act))
 		})

@@ -55,8 +55,8 @@ func BenchmarkConvKernels(b *testing.B) {
 
 		// Per-dtype rows: the same workload over fp16 and int8 storage
 		// (fp32 accumulation), input conversion and weight packing outside
-		// the timed loop as the runtime runs them. Winograd is fp32-only,
-		// int8 is GEMM-only, so each dtype benches its selected kernel.
+		// the timed loop as the runtime runs them. Winograd is fp32-only and
+		// int8 has no direct form, so each dtype benches its default kernel.
 		for _, dt := range []tensor.DType{tensor.Float16, tensor.Int8} {
 			p := PrepareConvDType(w, KernelAuto, weight, dt)
 			scratch := make([]float32, p.ScratchElems())

@@ -13,8 +13,8 @@ import (
 
 // allFloat32 reports whether every tensor carries fp32 storage — the
 // precondition for the raw-slice fast paths below. Reduced-precision
-// operands take the dtype-aware loops instead (same arithmetic, widened
-// on load, narrowed on store).
+// operands take the run-at-a-time loops instead (same arithmetic, widened
+// on load, narrowed on store; see typedRun).
 func allFloat32(ts ...*tensor.Tensor) bool {
 	for _, t := range ts {
 		if t != nil && t.DType() != tensor.Float32 {
@@ -23,6 +23,16 @@ func allFloat32(ts ...*tensor.Tensor) bool {
 	}
 	return true
 }
+
+// typedRun is how many elements the reduced-precision paths widen at a
+// time into a stack buffer: LoadF a run, apply the fp32 kernel's
+// arithmetic to it in the fp32 kernel's order, StoreF it. The results are
+// those of a GetF/SetF loop without its per-element dtype switch and
+// calls. The activations and the add are one-stage chains of
+// fusedElementwiseTypedInto. (Where a kernel has its own loop it is
+// written out: handing the buffer to a callback would move it to the
+// heap.)
+const typedRun = 256
 
 // ReLU applies max(0, x) elementwise.
 func ReLU(in *tensor.Tensor) *tensor.Tensor {
@@ -34,14 +44,7 @@ func ReLU(in *tensor.Tensor) *tensor.Tensor {
 // ReLUInto applies max(0, x) into out (which may alias in).
 func ReLUInto(out, in *tensor.Tensor) {
 	if !allFloat32(out, in) {
-		n := in.Size()
-		for i := 0; i < n; i++ {
-			v := in.GetF(i)
-			if v < 0 {
-				v = 0
-			}
-			out.SetF(i, v)
-		}
+		fusedElementwiseTypedInto(out, in, nil, []ElementwiseStage{{Kind: EwReLU}})
 		return
 	}
 	d, id := out.Data(), in.Data()
@@ -64,14 +67,7 @@ func LeakyReLU(in *tensor.Tensor, alpha float32) *tensor.Tensor {
 // LeakyReLUInto applies the leaky rectifier into out.
 func LeakyReLUInto(out, in *tensor.Tensor, alpha float32) {
 	if !allFloat32(out, in) {
-		n := in.Size()
-		for i := 0; i < n; i++ {
-			v := in.GetF(i)
-			if v < 0 {
-				v = alpha * v
-			}
-			out.SetF(i, v)
-		}
+		fusedElementwiseTypedInto(out, in, nil, []ElementwiseStage{{Kind: EwLeakyReLU, Alpha: alpha}})
 		return
 	}
 	d, id := out.Data(), in.Data()
@@ -94,10 +90,7 @@ func Sigmoid(in *tensor.Tensor) *tensor.Tensor {
 // SigmoidInto applies the logistic function into out.
 func SigmoidInto(out, in *tensor.Tensor) {
 	if !allFloat32(out, in) {
-		n := in.Size()
-		for i := 0; i < n; i++ {
-			out.SetF(i, float32(1/(1+math.Exp(-float64(in.GetF(i))))))
-		}
+		fusedElementwiseTypedInto(out, in, nil, []ElementwiseStage{{Kind: EwSigmoid}})
 		return
 	}
 	d, id := out.Data(), in.Data()
@@ -120,10 +113,7 @@ func AddInto(out, a, b *tensor.Tensor) {
 		panic("ops: Add shape mismatch " + a.Shape().String() + " vs " + b.Shape().String())
 	}
 	if !allFloat32(out, a, b) {
-		n := a.Size()
-		for i := 0; i < n; i++ {
-			out.SetF(i, a.GetF(i)+b.GetF(i))
-		}
+		fusedElementwiseTypedInto(out, a, []*tensor.Tensor{b}, []ElementwiseStage{{Kind: EwAdd}})
 		return
 	}
 	d, ad, bd := out.Data(), a.Data(), b.Data()
@@ -235,32 +225,13 @@ func ConcatInto(out *tensor.Tensor, ts ...*tensor.Tensor) {
 			panic("ops: Concat non-channel dims must match")
 		}
 	}
-	if !allFloat32(out) || !allFloat32(ts...) {
-		cOff := 0
-		for _, t := range ts {
-			c := t.Shape()[1]
-			chw := c * h * w
-			for ni := 0; ni < n; ni++ {
-				src := ni * chw
-				dst := (ni*totalC + cOff) * h * w
-				for i := 0; i < chw; i++ {
-					out.SetF(dst+i, t.GetF(src+i))
-				}
-			}
-			cOff += c
-		}
-		return
-	}
 	cOff := 0
-	od := out.Data()
 	for _, t := range ts {
-		c := t.Shape()[1]
+		chw := t.Shape()[1] * h * w
 		for ni := 0; ni < n; ni++ {
-			src := t.Data()[ni*c*h*w : (ni+1)*c*h*w]
-			dst := od[(ni*totalC+cOff)*h*w : (ni*totalC+cOff+c)*h*w]
-			copy(dst, src)
+			tensor.CopyRange(out, (ni*totalC+cOff)*h*w, t, ni*chw, chw)
 		}
-		cOff += c
+		cOff += t.Shape()[1]
 	}
 }
 
@@ -278,15 +249,17 @@ func UpsampleNearest2xInto(out, in *tensor.Tensor) {
 	s := in.Shape()
 	n, c, h, w := s[0], s[1], s[2], s[3]
 	if !allFloat32(out, in) {
-		for p := 0; p < n*c; p++ {
-			iBase := p * h * w
-			oBase := p * 4 * h * w
-			for y := 0; y < 2*h; y++ {
-				srcRow := iBase + (y/2)*w
-				dstRow := oBase + y*2*w
-				for x := 0; x < 2*w; x++ {
-					out.SetF(dstRow+x, in.GetF(srcRow+x/2))
+		var src [typedRun / 2]float32
+		var dst [typedRun]float32
+		for row := 0; row < n*c*h; row++ { // input row -> output rows 2*row, 2*row+1
+			for x0 := 0; x0 < w; x0 += len(src) {
+				run := src[:min(len(src), w-x0)]
+				in.LoadF(run, row*w+x0)
+				for i, v := range run {
+					dst[2*i], dst[2*i+1] = v, v
 				}
+				out.StoreF(2*row*2*w+2*x0, dst[:2*len(run)])
+				out.StoreF((2*row+1)*2*w+2*x0, dst[:2*len(run)])
 			}
 		}
 		return

@@ -100,8 +100,8 @@ func FusedElementwiseInto(out, in *tensor.Tensor, extras []*tensor.Tensor, stage
 	}
 }
 
-// fusedElementwiseTypedInto is the dtype-aware slow path: identical stage
-// order, reduced-precision operands widened on load.
+// fusedElementwiseTypedInto is the reduced-precision path: identical stage
+// order, operands widened a run at a time (see typedRun).
 func fusedElementwiseTypedInto(out, in *tensor.Tensor, extras []*tensor.Tensor, stages []ElementwiseStage) {
 	nAdd := 0
 	for _, st := range stages {
@@ -117,27 +117,40 @@ func fusedElementwiseTypedInto(out, in *tensor.Tensor, extras []*tensor.Tensor, 
 			panic("ops: FusedElementwiseInto add operand shape mismatch")
 		}
 	}
-	n := in.Size()
-	for i := 0; i < n; i++ {
-		v := in.GetF(i)
+	// Stage by stage over each run instead of element by element over the
+	// stages: elements are independent, so each still sees the chain's
+	// operations in chain order.
+	var buf, exbuf [typedRun]float32
+	for off, n := 0, in.Size(); off < n; off += typedRun {
+		run := buf[:min(typedRun, n-off)]
+		in.LoadF(run, off)
 		ei := 0
 		for _, st := range stages {
 			switch st.Kind {
 			case EwReLU:
-				if v < 0 {
-					v = 0
+				for i, v := range run {
+					if v < 0 {
+						run[i] = 0
+					}
 				}
 			case EwLeakyReLU:
-				if v < 0 {
-					v = st.Alpha * v
+				for i, v := range run {
+					if v < 0 {
+						run[i] = st.Alpha * v
+					}
 				}
 			case EwSigmoid:
-				v = float32(1 / (1 + math.Exp(-float64(v))))
+				for i, v := range run {
+					run[i] = float32(1 / (1 + math.Exp(-float64(v))))
+				}
 			case EwAdd:
-				v += extras[ei].GetF(i)
+				extras[ei].LoadF(exbuf[:len(run)], off)
+				for i := range run {
+					run[i] += exbuf[i]
+				}
 				ei++
 			}
 		}
-		out.SetF(i, v)
+		out.StoreF(off, run)
 	}
 }

@@ -136,14 +136,17 @@ func KernelProfile(w ConvWorkload, k ConvKernel) (flops, elems, eff float64) {
 type PreparedConv struct {
 	w      ConvWorkload
 	kernel ConvKernel
-	dtype  tensor.DType   // storage dtype the kernel computes over
-	weight *tensor.Tensor // original OIHW weights (direct/depthwise)
-	packed []float32      // GEMM packed-A panels or Winograd U, else nil
+	dtype  tensor.DType // storage dtype the kernel computes over
 
-	weight16 []uint16  // fp16 OIHW weights (direct/depthwise)
-	packed16 []uint16  // fp16 GEMM packed-A panels
-	packed8  []int8    // int8 GEMM packed-A panels
-	wscale   []float32 // int8 per-output-channel weight scales
+	// wd is what the fp32 and fp16 kernels multiply by: OIHW weights for
+	// direct/depthwise, GEMM row panels, or the Winograd U. Under fp16 the
+	// values are rounded to binary16 here, once, and stay float32-wide (so
+	// they cost fp32 bytes per plan, and no kernel decodes a weight).
+	wd []float32
+	// wq and wscale are the int8 kernels' weight codes (GEMM row panels, or
+	// OIHW for depthwise) and per-output-channel scales.
+	wq     []int8
+	wscale []float32
 }
 
 // PrepareConv resolves kernel k for workload w (KernelAuto picks
@@ -155,9 +158,10 @@ func PrepareConv(w ConvWorkload, k ConvKernel, weight *tensor.Tensor) *PreparedC
 
 // PrepareConvDType is PrepareConv for an explicit storage dtype. The fp32
 // path is identical to the historical PrepareConv. Under fp16 the weights
-// are narrowed to binary16 at pack time (Winograd has no reduced-precision
-// variant and falls back to the GEMM path). Int8 always uses the quantized
-// GEMM path with symmetric per-output-channel weight scales; the input's
+// are rounded to binary16 at pack time (Winograd has no reduced-precision
+// variant and falls back to the GEMM path). Int8 quantizes the weights
+// with symmetric per-output-channel scales and runs the depthwise loop
+// when asked for it and the quantized GEMM otherwise; the input's
 // per-tensor scale is read off the tensor at run time.
 func PrepareConvDType(w ConvWorkload, k ConvKernel, weight *tensor.Tensor, dt tensor.DType) *PreparedConv {
 	if k == KernelAuto {
@@ -166,29 +170,24 @@ func PrepareConvDType(w ConvWorkload, k ConvKernel, weight *tensor.Tensor, dt te
 	if !KernelSupported(k, w) {
 		k = KernelDirect
 	}
-	if dt != tensor.Float32 && k == KernelWinograd {
+	if dt != tensor.Float32 && k == KernelWinograd || dt == tensor.Int8 && k != KernelDepthwise {
 		k = KernelGEMM
 	}
-	if dt == tensor.Int8 {
-		k = KernelGEMM
-	}
-	p := &PreparedConv{w: w, kernel: k, dtype: dt, weight: weight}
-	switch dt {
-	case tensor.Float16:
-		switch k {
-		case KernelGEMM:
-			p.packed16 = PackConvWeightsGEMMF16(weight, w)
-		default: // direct / depthwise read OIHW fp16 weights
-			p.weight16 = EncodeF16Slice(weight.Data())
-		}
-	case tensor.Int8:
-		p.packed8, p.wscale = PackConvWeightsInt8(weight, w)
+	p := &PreparedConv{w: w, kernel: k, dtype: dt}
+	switch {
+	case dt == tensor.Int8 && k == KernelDepthwise:
+		p.wq, p.wscale = quantizeConvWeights(weight, w)
+	case dt == tensor.Int8:
+		p.wq, p.wscale = PackConvWeightsInt8(weight, w)
+	case k == KernelWinograd:
+		p.wd = PackConvWeightsWinograd(weight, w)
 	default:
-		switch k {
-		case KernelGEMM:
-			p.packed = PackConvWeightsGEMM(weight, w)
-		case KernelWinograd:
-			p.packed = PackConvWeightsWinograd(weight, w)
+		p.wd = weight.Data()
+		if dt == tensor.Float16 {
+			p.wd = f16Rounded(p.wd)
+		}
+		if k == KernelGEMM {
+			p.wd = packRowPanels(p.wd, w)
 		}
 	}
 	return p
@@ -202,12 +201,6 @@ func (p *PreparedConv) DType() tensor.DType { return p.dtype }
 
 // Workload returns the conv workload.
 func (p *PreparedConv) Workload() ConvWorkload { return p.w }
-
-// PackedElems returns the size of the repacked weight buffer (0 for
-// kernels that read the original OIHW weights).
-func (p *PreparedConv) PackedElems() int {
-	return len(p.packed) + len(p.packed16) + len(p.packed8)
-}
 
 // ScratchElems returns the per-run scratch requirement in elements of
 // ScratchDType. The runtime reserves this as an arena slot so Session.Run
@@ -243,35 +236,79 @@ func (p *PreparedConv) RunInto(out, in, bias *tensor.Tensor, scratch []float32) 
 // Every kernel applies the identical per-element epilogue order, so the
 // result is bit-identical to running the add (and activation) as separate
 // kernels. residual must not alias out. scratch8 is only read by the int8
-// GEMM path (see ScratchDType); either scratch may be nil.
+// GEMM path (see ScratchDType); either scratch may be nil. out and
+// residual are fp32 or fp16 storage (an int8 conv dequantizes into one of
+// them; int8 is never a conv's output carrier, and runtime.NewPlan rejects
+// a graph that says otherwise).
 func (p *PreparedConv) RunIntoEpilogue(out, in, bias, residual *tensor.Tensor, scratch []float32, scratch8 []int8, postAct bool) {
-	switch p.dtype {
+	r := convRun{p: p, in: in, bias: biasData(bias), residual: residual, scratch: scratch, scratch8: scratch8, postAct: postAct}
+	switch out.DType() {
+	case tensor.Float32:
+		runConvTo(r, out.Data())
 	case tensor.Float16:
-		switch p.kernel {
-		case KernelDepthwise:
-			conv2DDepthwiseF16Into(out, in, p.weight16, bias, residual, p.w, postAct)
-		case KernelGEMM:
-			conv2DGEMMF16Into(out, in, bias, residual, p.w, p.packed16, scratch, postAct)
-		default:
-			conv2DDirectF16Into(out, in, p.weight16, bias, residual, p.w, postAct)
+		runConvTo(r, out.Half())
+	default:
+		panic("ops: conv output must be fp32 or fp16 storage, got " + out.DType().String())
+	}
+}
+
+// convRun carries one RunIntoEpilogue call's operands through the
+// output/residual element-type dispatch.
+type convRun struct {
+	p        *PreparedConv
+	in       *tensor.Tensor
+	bias     []float32
+	residual *tensor.Tensor
+	scratch  []float32
+	scratch8 []int8
+	postAct  bool
+}
+
+// runConvTo fixes the residual's element type, the output's being O.
+func runConvTo[O convOut](r convRun, od []O) {
+	switch {
+	case r.residual == nil:
+		runConv(r, od, []float32(nil))
+	case r.residual.DType() == tensor.Float32:
+		runConv(r, od, r.residual.Data())
+	case r.residual.DType() == tensor.Float16:
+		runConv(r, od, r.residual.Half())
+	default:
+		panic("ops: conv residual must be fp32 or fp16 storage, got " + r.residual.DType().String())
+	}
+}
+
+// runConv dispatches on the conv's storage dtype and kernel, with the
+// output and residual element types fixed.
+func runConv[O convOut, R convElem](r convRun, od []O, rd []R) {
+	p := r.p
+	s := convSink[O, R]{out: od, res: rd, bias: r.bias, act: p.w.FusedActivation, postAct: r.postAct}
+	switch {
+	case p.kernel == KernelWinograd: // fp32 storage only, see PrepareConvDType
+		convWinograd(&s, r.in.Data(), p.wd, p.w)
+	case p.dtype == tensor.Int8:
+		s.wscale, s.inScale = p.wscale, r.in.Scale()
+		if p.kernel == KernelDepthwise {
+			convDepthwise[int32](&s, r.in.Int8Data(), p.wq, p.w)
+		} else {
+			convGEMM[int32](&s, r.in.Int8Data(), p.wq, r.scratch8, p.w)
 		}
-		return
-	case tensor.Int8:
-		conv2DGEMMInt8Into(out, in, bias, residual, p.w, p.packed8, p.wscale, scratch8, postAct)
-		return
+	case p.dtype == tensor.Float16:
+		runFloatConv(p, &s, r.in.Half(), r.scratch)
+	default:
+		runFloatConv(p, &s, r.in.Data(), r.scratch)
 	}
-	var rd []float32
-	if residual != nil {
-		rd = residual.Data()
-	}
+}
+
+// runFloatConv runs the fp32/fp16 kernels, which differ only in the input
+// element type.
+func runFloatConv[S convElem, O convOut, R convElem](p *PreparedConv, s *convSink[O, R], ind []S, scratch []float32) {
 	switch p.kernel {
 	case KernelDepthwise:
-		conv2DDepthwiseInto(out, in, p.weight, bias, rd, p.w, postAct)
-	case KernelWinograd:
-		conv2DWinogradPackedInto(out, in, bias, rd, p.w, p.packed, postAct)
+		convDepthwise[float32](s, ind, p.wd, p.w)
 	case KernelGEMM:
-		conv2DGEMMInto(out, in, bias, rd, p.w, p.packed, scratch, postAct)
+		convGEMM[float32](s, ind, p.wd, scratch, p.w)
 	default:
-		conv2DDirectInto(out, in, p.weight, bias, rd, p.w, postAct)
+		convDirect(s, ind, p.wd, p.w)
 	}
 }

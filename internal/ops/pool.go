@@ -84,11 +84,15 @@ func GlobalAvgPoolInto(out, in *tensor.Tensor) {
 	s := in.Shape()
 	n, c, hw := s[0], s[1], s[2]*s[3]
 	if !allFloat32(out, in) {
+		var buf [typedRun]float32
 		for p := 0; p < n*c; p++ {
-			base := p * hw
 			var sum float64
-			for i := 0; i < hw; i++ {
-				sum += float64(in.GetF(base + i))
+			for i := 0; i < hw; i += typedRun {
+				run := buf[:min(typedRun, hw-i)]
+				in.LoadF(run, p*hw+i)
+				for _, v := range run {
+					sum += float64(v)
+				}
 			}
 			out.SetF(p, float32(sum/float64(hw)))
 		}

@@ -196,33 +196,29 @@ func PackConvWeightsWinograd(weight *tensor.Tensor, w ConvWorkload) []float32 {
 // rounding of the transform arithmetic (~1e-4 relative; see the golden
 // tolerance tests).
 func Conv2DWinogradInto(out, in, weight, bias *tensor.Tensor, w ConvWorkload) {
-	conv2DWinogradPackedInto(out, in, bias, nil, w, PackConvWeightsWinograd(weight, w), false)
+	convWinograd(&convSink[float32, float32]{out: out.Data(), bias: biasData(bias), act: w.FusedActivation},
+		in.Data(), PackConvWeightsWinograd(weight, w), w)
 }
 
-// conv2DWinogradPackedInto runs F(2x2,3x3) with pre-transformed filters
-// (from PackConvWeightsWinograd) and the full fused epilogue (bias,
-// optional residual row rd, activation; see convEpilogue). It allocates
-// nothing: all tile state lives in fixed-size stack arrays.
-func conv2DWinogradPackedInto(out, in, bias *tensor.Tensor, rd []float32, w ConvWorkload, packedU []float32, postAct bool) {
+// convWinograd runs F(2x2,3x3) with pre-transformed filters (from
+// PackConvWeightsWinograd) into the sink. It allocates nothing: all tile
+// state lives in fixed-size stack arrays.
+func convWinograd[O convOut, R convElem](sink *convSink[O, R], ind, packedU []float32, w ConvWorkload) {
 	if !WinogradSupported(w) {
 		panic("ops: Winograd F(2x2,3x3) requires a dense 3x3 stride-1 convolution")
 	}
 	oh, ow := w.OutH(), w.OutW()
-	ind := in.Data()
-	od := out.Data()
-	var bd []float32
-	if bias != nil {
-		bd = bias.Data()
-	}
+	held := *sink
 
 	tilesY := (oh + 1) / 2
 	tilesX := (ow + 1) / 2
 	parallelFor(w.N*w.COut, func(job int) {
+		s := held
 		n := job / w.COut
 		co := job % w.COut
 		var b float32
-		if bd != nil {
-			b = bd[co]
+		if s.bias != nil {
+			b = s.bias[co]
 		}
 		for ty := 0; ty < tilesY; ty++ {
 			for tx := 0; tx < tilesX; tx++ {
@@ -263,7 +259,7 @@ func conv2DWinogradPackedInto(out, in, bias *tensor.Tensor, rd []float32, w Conv
 						if ox >= ow {
 							continue
 						}
-						od[oRow+ox] = convEpilogue(y2[dy][dx]+b, rd, oRow+ox, w.FusedActivation, postAct)
+						s.out[oRow+ox] = narrow[O](convEpilogue(y2[dy][dx]+b, s.res, oRow+ox, s.act, s.postAct))
 					}
 				}
 			}

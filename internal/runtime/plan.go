@@ -122,7 +122,7 @@ type Plan struct {
 	peakLive     int // refcount-liveness peak, as the seed executor measured
 	interBytes   int // total intermediate bytes per run (without reuse)
 
-	label atomic.Pointer[string] // telemetry label, see SetLabel
+	rec *planRecord // registry record: metadata and telemetry label, see SetLabel
 }
 
 // NewPlan validates and compiles the graph into an execution plan.
@@ -181,6 +181,14 @@ func NewPlan(g *graph.Graph) (*Plan, error) {
 			pn.scratchDT = pn.conv.ScratchDType()
 			pn.biasArg, pn.resArg = convOp.ArgIndices(len(n.Inputs))
 			pn.postAct = convOp.ResidualPostAct
+			// The conv epilogue stores (and reads its fused residual) as
+			// fp32 or fp16 only: an int8 conv dequantizes into a carrier.
+			if n.DType == tensor.Int8 {
+				return nil, fmt.Errorf("runtime: conv %q has an int8 output; convs write fp32 or fp16 storage", n.Name)
+			}
+			if pn.resArg >= 0 && n.Inputs[pn.resArg].StorageDType() == tensor.Int8 {
+				return nil, fmt.Errorf("runtime: conv %q has an int8 fused residual %q; residuals are fp32 or fp16 storage", n.Name, n.Inputs[pn.resArg].Name)
+			}
 			pn.profKind = pn.kind + "/" + pn.conv.Kernel().String()
 			if dt := pn.conv.DType(); dt != tensor.Float32 {
 				pn.profKind += "@" + dt.String()

@@ -255,11 +255,33 @@ func buildSerialOpsGraph() (*graph.Graph, map[string]*tensor.Tensor) {
 	return g, map[string]*tensor.Tensor{"data": feed}
 }
 
-// TestSessionZeroAllocs is the tentpole acceptance criterion: a serial
-// session's steady-state Run performs ZERO heap allocations — every
-// intermediate lives in the preallocated arena.
-func TestSessionZeroAllocs(t *testing.T) {
-	g, feeds := buildSerialOpsGraph()
+// buildDepthwiseGraph is a serial graph around one depthwise conv: relu ->
+// depthwise conv -> pool -> softmax, at fp32 or lowered by mode (int8: cast
+// -> int8 depthwise conv, int32 accumulate, fp16 carrier out).
+func buildDepthwiseGraph(tb testing.TB, mode graph.QuantMode) (*graph.Graph, map[string]*tensor.Tensor) {
+	g := graph.New()
+	in := g.Input("data", 1, 8, 8, 8)
+	a := g.Apply("a", &graph.ActivationOp{Act: ops.ActReLU}, in)
+	wt, bias := tensor.New(8, 1, 3, 3), tensor.New(8)
+	wt.FillRandom(31)
+	bias.FillRandom(32)
+	dw := g.Apply("dw", &graph.ConvOp{W: ops.ConvWorkload{N: 1, CIn: 8, COut: 8, H: 8, W: 8, KH: 3, KW: 3,
+		StrideH: 1, StrideW: 1, PadH: 1, PadW: 1, Groups: 8, HasBias: true, FusedActivation: ops.ActReLU}},
+		a, g.Constant("w", wt), g.Constant("b", bias))
+	gp := g.Apply("gp", &graph.GlobalPoolOp{}, dw)
+	f := g.Apply("f", &graph.FlattenOp{}, gp)
+	g.SetOutputs(g.Apply("sm", &graph.SoftmaxOp{}, f))
+	if _, err := graph.QuantizeGraph(g, graph.QuantizeOptions{Mode: mode, Device: sim.IntelHD505}); err != nil {
+		tb.Fatal(err)
+	}
+	feed := tensor.New(1, 8, 8, 8)
+	feed.FillRandom(21)
+	return g, map[string]*tensor.Tensor{"data": feed}
+}
+
+// sessionAllocs plans g and returns the heap allocations of one
+// steady-state serial Session.Run.
+func sessionAllocs(t *testing.T, g *graph.Graph, feeds map[string]*tensor.Tensor) (float64, *runtime.Plan) {
 	plan, err := runtime.NewPlan(g)
 	if err != nil {
 		t.Fatal(err)
@@ -268,13 +290,63 @@ func TestSessionZeroAllocs(t *testing.T) {
 	if _, err := s.Run(feeds); err != nil { // warm-up
 		t.Fatal(err)
 	}
-	allocs := testing.AllocsPerRun(100, func() {
+	return testing.AllocsPerRun(100, func() {
 		if _, err := s.Run(feeds); err != nil {
 			t.Fatal(err)
 		}
-	})
-	if allocs != 0 {
+	}), plan
+}
+
+// TestSessionZeroAllocs is the tentpole acceptance criterion: a serial
+// session's steady-state Run performs ZERO heap allocations — every
+// intermediate lives in the preallocated arena. A conv's only allocations
+// are its parallelFor fan-out's (none on one core), so the int8 depthwise
+// graph is held to its fp32 twin's count: one fan-out, where the grouped
+// int8 GEMM it replaced cost two per channel.
+func TestSessionZeroAllocs(t *testing.T) {
+	g, feeds := buildSerialOpsGraph()
+	if allocs, _ := sessionAllocs(t, g, feeds); allocs != 0 {
 		t.Fatalf("Session.Run allocated %v times per run, want 0", allocs)
+	}
+
+	g, feeds = buildDepthwiseGraph(t, graph.QuantOff)
+	want, _ := sessionAllocs(t, g, feeds)
+	g, feeds = buildDepthwiseGraph(t, graph.QuantINT8)
+	got, plan := sessionAllocs(t, g, feeds)
+	if plan.Info().Kernels["depthwise"] != 1 {
+		t.Fatalf("int8 depthwise conv planned as %v", plan.Info().Kernels)
+	}
+	if got != want {
+		t.Fatalf("int8 depthwise graph allocated %v times per run, its fp32 twin %v", got, want)
+	}
+}
+
+// TestPlanRejectsInt8ConvCarriers: the conv epilogue stores and reads its
+// fused residual as fp32 or fp16 only (the quantize pass dequantizes int8
+// convs into such a carrier), so a graph that tags a conv's output or
+// residual int8 fails at NewPlan rather than panicking in a serving lane.
+func TestPlanRejectsInt8ConvCarriers(t *testing.T) {
+	build := func(tag func(conv, res *graph.Node)) error {
+		g := graph.New()
+		in := g.Input("data", 1, 4, 6, 6)
+		res := g.Apply("res", &graph.ActivationOp{Act: ops.ActReLU}, in)
+		wt := tensor.New(4, 4, 1, 1)
+		wt.FillRandom(3)
+		conv := g.Apply("conv", &graph.ConvOp{Residual: true, W: ops.ConvWorkload{N: 1, CIn: 4, COut: 4, H: 6, W: 6,
+			KH: 1, KW: 1, StrideH: 1, StrideW: 1}}, in, g.Constant("w", wt), res)
+		g.SetOutputs(conv)
+		tag(conv, res)
+		_, err := runtime.NewPlan(g)
+		return err
+	}
+	if err := build(func(_, _ *graph.Node) {}); err != nil {
+		t.Fatalf("untagged graph: %v", err)
+	}
+	if err := build(func(conv, _ *graph.Node) { conv.DType, conv.QScale = tensor.Int8, 1 }); err == nil {
+		t.Fatal("NewPlan accepted a conv with an int8 output")
+	}
+	if err := build(func(_, res *graph.Node) { res.DType, res.QScale = tensor.Int8, 1 }); err == nil {
+		t.Fatal("NewPlan accepted a conv with an int8 fused residual")
 	}
 }
 
@@ -365,8 +437,9 @@ func TestPlanMatchesExecuteSemantics(t *testing.T) {
 // criterion is 0 allocs/op for each dtype path — fp16 carriers, cast
 // nodes and mixed-width arena slots must stay as allocation-free as the
 // fp32 path. (Convolution kernels parallelize internally with goroutine
-// fan-out, so their wall clock per dtype is tracked separately in
-// BenchmarkConvKernels.)
+// fan-out, so they are kept out of this benchmark: the depthwise graph has
+// BenchmarkSessionRunDepthwise, and wall clock per kernel and dtype is
+// tracked in BenchmarkConvKernels.)
 func BenchmarkSessionRun(b *testing.B) {
 	for _, mode := range []graph.QuantMode{
 		graph.QuantOff, graph.QuantFP16, graph.QuantINT8, graph.QuantAuto,
@@ -377,22 +450,38 @@ func BenchmarkSessionRun(b *testing.B) {
 				graph.QuantizeOptions{Mode: mode, Device: sim.IntelHD505}); err != nil {
 				b.Fatal(err)
 			}
-			plan, err := runtime.NewPlan(g)
-			if err != nil {
-				b.Fatal(err)
-			}
-			s := plan.NewSession()
-			if _, err := s.Run(feeds); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := s.Run(feeds); err != nil {
-					b.Fatal(err)
-				}
-			}
+			benchSessionRun(b, g, feeds)
 		})
+	}
+}
+
+// BenchmarkSessionRunDepthwise is the serial hot path through one small
+// depthwise conv at fp32 and int8: the int8 row must report the fp32 row's
+// allocs/op (the conv's one fan-out), not a grouped GEMM's.
+func BenchmarkSessionRunDepthwise(b *testing.B) {
+	for _, mode := range []graph.QuantMode{graph.QuantOff, graph.QuantINT8} {
+		b.Run("dtype="+mode.String(), func(b *testing.B) {
+			g, feeds := buildDepthwiseGraph(b, mode)
+			benchSessionRun(b, g, feeds)
+		})
+	}
+}
+
+func benchSessionRun(b *testing.B, g *graph.Graph, feeds map[string]*tensor.Tensor) {
+	plan, err := runtime.NewPlan(g)
+	if err != nil {
+		b.Fatal(err)
+	}
+	s := plan.NewSession()
+	if _, err := s.Run(feeds); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := s.Run(feeds); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

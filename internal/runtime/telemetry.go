@@ -2,20 +2,29 @@ package runtime
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"unigpu/internal/obs"
 )
 
 // Compiled-plan registry behind the /debug/plans endpoint: every NewPlan
-// files its metadata here (bounded; oldest dropped) so a live serving
-// process can be asked what it has compiled. Plans hold no arenas —
-// sessions do — so retaining them is cheap.
+// files a record here (bounded; oldest dropped) so a live serving process
+// can be asked what it has compiled. The registry keeps the record, never
+// the plan: a plan owns its packed conv weights (tens to hundreds of MB for
+// a zoo model), and must be collectable once its owner drops it.
 
 const maxRegisteredPlans = 64
 
+// planRecord is what outlives a plan in the registry: its metadata, fixed
+// at NewPlan, and its label, which the owner may still set afterwards.
+type planRecord struct {
+	info  PlanInfo // Label is read from label at dump time
+	label atomic.Pointer[string]
+}
+
 var (
 	plansMu  sync.Mutex
-	plansReg []*Plan
+	plansReg []*planRecord
 )
 
 func init() {
@@ -23,8 +32,9 @@ func init() {
 }
 
 func registerPlan(p *Plan) {
+	p.rec = &planRecord{info: p.summarize()}
 	plansMu.Lock()
-	plansReg = append(plansReg, p)
+	plansReg = append(plansReg, p.rec)
 	if len(plansReg) > maxRegisteredPlans {
 		plansReg = plansReg[len(plansReg)-maxRegisteredPlans:]
 	}
@@ -34,15 +44,31 @@ func registerPlan(p *Plan) {
 // SetLabel names the plan in telemetry (the /debug/plans dump); unigpu
 // sets it to the compiled model's name.
 func (p *Plan) SetLabel(label string) {
-	p.label.Store(&label)
+	p.rec.label.Store(&label)
 }
 
 // Label returns the telemetry label ("" until SetLabel).
 func (p *Plan) Label() string {
-	if l := p.label.Load(); l != nil {
+	if l := p.rec.label.Load(); l != nil {
 		return *l
 	}
 	return ""
+}
+
+// labelled returns the record's metadata under its current label. Kernels
+// is copied: callers own what they get.
+func (r *planRecord) labelled() PlanInfo {
+	info := r.info
+	if l := r.label.Load(); l != nil {
+		info.Label = *l
+	}
+	if r.info.Kernels != nil {
+		info.Kernels = make(map[string]int, len(r.info.Kernels))
+		for k, n := range r.info.Kernels {
+			info.Kernels[k] = n
+		}
+	}
+	return info
 }
 
 // PlanInfo is the compiled-plan metadata dumped at /debug/plans.
@@ -60,9 +86,11 @@ type PlanInfo struct {
 }
 
 // Info summarizes the plan for telemetry.
-func (p *Plan) Info() PlanInfo {
+func (p *Plan) Info() PlanInfo { return p.rec.labelled() }
+
+// summarize computes the plan's metadata, once, for its registry record.
+func (p *Plan) summarize() PlanInfo {
 	info := PlanInfo{
-		Label:             p.Label(),
 		Nodes:             len(p.nodes),
 		Inputs:            len(p.inputs),
 		Outputs:           len(p.outputs),
@@ -90,12 +118,11 @@ func (p *Plan) Info() PlanInfo {
 // PlanInfos snapshots the registered plans, oldest first.
 func PlanInfos() []PlanInfo {
 	plansMu.Lock()
-	ps := make([]*Plan, len(plansReg))
-	copy(ps, plansReg)
+	recs := append([]*planRecord(nil), plansReg...)
 	plansMu.Unlock()
-	out := make([]PlanInfo, len(ps))
-	for i, p := range ps {
-		out[i] = p.Info()
+	out := make([]PlanInfo, len(recs))
+	for i, r := range recs {
+		out[i] = r.labelled()
 	}
 	return out
 }

@@ -3,6 +3,8 @@ package runtime_test
 import (
 	"context"
 	"os"
+	"reflect"
+	goruntime "runtime"
 	"testing"
 	"time"
 
@@ -205,6 +207,59 @@ func TestPlanDebugInfo(t *testing.T) {
 	}
 	if !found {
 		t.Fatal("compiled plan missing from PlanInfos")
+	}
+}
+
+// TestPlanRegistryDoesNotPinPlans: /debug/plans keeps a plan's metadata,
+// not the plan (whose packed conv weights run to hundreds of MB for a zoo
+// model). A dropped plan must become collectable, its record must stay in
+// the dump unchanged, and a live plan's record must equal its Info.
+func TestPlanRegistryDoesNotPinPlans(t *testing.T) {
+	collected := make(chan struct{})
+	var before runtime.PlanInfo
+	func() {
+		g, _ := buildConvGraph(ops.KernelAuto)
+		plan, err := runtime.NewPlan(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan.SetLabel("registry-drop-test")
+		before = plan.Info()
+		goruntime.SetFinalizer(plan, func(*runtime.Plan) { close(collected) })
+	}()
+	deadline := time.After(10 * time.Second)
+	for done := false; !done; {
+		goruntime.GC()
+		select {
+		case <-collected:
+			done = true
+		case <-deadline:
+			t.Fatal("dropped plan was not collected: something still pins it")
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+
+	g, _ := buildConvGraph(ops.KernelAuto)
+	live, err := runtime.NewPlan(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	live.SetLabel("registry-live-test")
+	var dropped, alive *runtime.PlanInfo
+	for _, info := range runtime.PlanInfos() {
+		info := info
+		switch info.Label {
+		case "registry-drop-test":
+			dropped = &info
+		case "registry-live-test":
+			alive = &info
+		}
+	}
+	if dropped == nil || !reflect.DeepEqual(*dropped, before) {
+		t.Errorf("collected plan's record = %+v, want %+v", dropped, before)
+	}
+	if alive == nil || !reflect.DeepEqual(*alive, live.Info()) {
+		t.Errorf("live plan's record = %+v, want its Info %+v", alive, live.Info())
 	}
 }
 

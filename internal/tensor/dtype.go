@@ -64,27 +64,25 @@ func ParseDType(s string) (DType, bool) {
 func F16Encode(f float32) uint16 {
 	b := math.Float32bits(f)
 	sign := uint16(b>>16) & 0x8000
-	exp := int32(b>>23&0xff) - 127
-	man := b & 0x7fffff
+	abs := b & 0x7fffffff
 	switch {
-	case exp == 128: // inf or NaN
-		if man != 0 {
-			return sign | 0x7e00 // quiet NaN
-		}
+	case abs-0x38800000 < 0x47800000-0x38800000:
+		// Normal half range [2^-14, 2^16), where nearly every stored
+		// activation lands: round the 13 dropped mantissa bits to nearest
+		// even by adding 0xfff plus the kept lsb (a carry ripples into the
+		// exponent, which is exact, up to infinity), then rebias the
+		// exponent from 127 to 15. No data-dependent branch.
+		abs += 0xfff + abs>>13&1
+		return sign | uint16((abs-0x38000000)>>13)
+	case abs < 0x33800000: // below 2^-24: underflow to signed zero (ReLU's output)
+		return sign
+	case abs > 0x7f800000: // NaN -> quiet NaN
+		return sign | 0x7e00
+	case abs >= 0x47800000: // overflow, or infinity itself
 		return sign | 0x7c00
-	case exp > 15: // overflow -> inf
-		return sign | 0x7c00
-	case exp >= -14: // normal range: drop 13 mantissa bits with RNE
-		m := man >> 13
-		rem := man & 0x1fff
-		h := sign | uint16(exp+15)<<10 | uint16(m)
-		if rem > 0x1000 || (rem == 0x1000 && m&1 == 1) {
-			h++ // mantissa carry ripples into the exponent, which is exact
-		}
-		return h
-	case exp >= -24: // subnormal half
-		sig := man | 0x800000
-		shift := uint32(-exp - 1) // in [14, 23]
+	default: // subnormal half, exponent in [-24, -15]
+		sig := abs&0x7fffff | 0x800000
+		shift := 126 - abs>>23 // in [14, 23]
 		m := sig >> shift
 		rem := sig & (1<<shift - 1)
 		half := uint32(1) << (shift - 1)
@@ -93,14 +91,28 @@ func F16Encode(f float32) uint16 {
 			h++
 		}
 		return h
-	default: // underflow to signed zero
-		return sign
+	}
+}
+
+// f16Table holds the float32 value of every binary16 bit pattern (256 KiB,
+// filled once at start-up). A table load beat both a fast-path-plus-call
+// decode (not inlinable, and zeros miss the fast path) and the
+// multiply-by-2^112 trick (stalls on every subnormal) when measured, cold
+// cache included, so it is the only decode.
+var f16Table [1 << 16]float32
+
+func init() {
+	for h := range f16Table {
+		f16Table[h] = f16DecodeBits(uint16(h))
 	}
 }
 
 // F16Decode converts an IEEE 754 binary16 to float32 exactly (every half
-// value is representable in single precision).
-func F16Decode(h uint16) float32 {
+// value is representable in single precision). It inlines to one load.
+func F16Decode(h uint16) float32 { return f16Table[h] }
+
+// f16DecodeBits is the bit-level decode the table is built from.
+func f16DecodeBits(h uint16) float32 {
 	sign := uint32(h&0x8000) << 16
 	exp := uint32(h >> 10 & 0x1f)
 	man := uint32(h & 0x3ff)

@@ -110,6 +110,40 @@ func (t *Tensor) SetF(i int, v float32) {
 	}
 }
 
+// LoadF widens the len(dst) elements starting at flat index off into dst,
+// exactly as GetF would one by one, with the dtype resolved once per run.
+func (t *Tensor) LoadF(dst []float32, off int) {
+	switch t.dtype {
+	case Float16:
+		for i, h := range t.half[off : off+len(dst)] {
+			dst[i] = f16Table[h]
+		}
+	case Int8:
+		for i, q := range t.qdata[off : off+len(dst)] {
+			dst[i] = t.scale * float32(q)
+		}
+	default:
+		copy(dst, t.data[off:off+len(dst)])
+	}
+}
+
+// StoreF narrows src into the elements starting at flat index off, exactly
+// as SetF would one by one, with the dtype resolved once per run.
+func (t *Tensor) StoreF(off int, src []float32) {
+	switch t.dtype {
+	case Float16:
+		for i, v := range src {
+			t.half[off+i] = F16Encode(v)
+		}
+	case Int8:
+		for i, v := range src {
+			t.qdata[off+i] = QuantizeInt8(v, t.scale)
+		}
+	default:
+		copy(t.data[off:off+len(src)], src)
+	}
+}
+
 // Copy copies src into dst, converting element type when the dtypes
 // differ (fp16 narrowing rounds to nearest even; int8 narrowing quantizes
 // under dst's scale, so set it first). Shapes must match. Same-dtype
@@ -119,32 +153,32 @@ func Copy(dst, src *Tensor) {
 	if !dst.shape.Equal(src.shape) {
 		panic(fmt.Sprintf("tensor: Copy shape mismatch %v vs %v", dst.shape, src.shape))
 	}
-	if dst.dtype == src.dtype {
-		switch dst.dtype {
-		case Float16:
-			copy(dst.half, src.half)
-		case Int8:
-			copy(dst.qdata, src.qdata)
-			dst.scale = src.scale
-		default:
-			copy(dst.data, src.data)
-		}
-		return
+	if dst.dtype == Int8 && src.dtype == Int8 {
+		dst.scale = src.scale
 	}
-	n := src.Size()
+	CopyRange(dst, 0, src, 0, src.Size())
+}
+
+// CopyRange copies n elements of src from flat index srcOff to dst from
+// flat index dstOff, whatever the two shapes: raw when the storage formats
+// agree (int8 only under equal scales), otherwise widened and narrowed a
+// run at a time exactly as dst.SetF(i, src.GetF(j)) would. It never
+// allocates.
+func CopyRange(dst *Tensor, dstOff int, src *Tensor, srcOff, n int) {
 	switch {
-	case dst.dtype == Float16 && src.dtype == Float32:
-		for i := 0; i < n; i++ {
-			dst.half[i] = F16Encode(src.data[i])
+	case dst.dtype != src.dtype || dst.dtype == Int8 && dst.scale != src.scale:
+		var buf [256]float32
+		for i := 0; i < n; i += len(buf) {
+			run := buf[:min(len(buf), n-i)]
+			src.LoadF(run, srcOff+i)
+			dst.StoreF(dstOff+i, run)
 		}
-	case dst.dtype == Float32 && src.dtype == Float16:
-		for i := 0; i < n; i++ {
-			dst.data[i] = F16Decode(src.half[i])
-		}
+	case dst.dtype == Float16:
+		copy(dst.half[dstOff:dstOff+n], src.half[srcOff:])
+	case dst.dtype == Int8:
+		copy(dst.qdata[dstOff:dstOff+n], src.qdata[srcOff:])
 	default:
-		for i := 0; i < n; i++ {
-			dst.SetF(i, src.GetF(i))
-		}
+		copy(dst.data[dstOff:dstOff+n], src.data[srcOff:])
 	}
 }
 
