@@ -18,10 +18,15 @@ race:
 # suite under the race detector. The explicit -timeout covers the
 # whole-zoo accuracy sweeps (goldens, fusion cross-checks, dtype
 # budgets), which exceed Go's default 10m per-package budget under the
-# race scheduler when packages contend for CPU.
+# race scheduler when packages contend for CPU. The arm64 cross-build holds
+# the portable GEMM tile to compiling (and vetting, tests included) where
+# the amd64 assembly does not exist; vet's asmdecl check covers the
+# assembly's frame layout on amd64.
 verify:
 	$(GO) build ./...
 	$(GO) vet ./...
+	GOARCH=arm64 $(GO) build ./...
+	GOARCH=arm64 $(GO) vet ./internal/ops
 	$(GO) test -race -timeout 25m ./...
 
 # bench runs the runtime + ops benchmarks (session hot path, pooled

@@ -162,20 +162,11 @@ func convDirect[S convElem, O convOut, R convElem](sink *convSink[O, R], ind []S
 	})
 }
 
-// clampKernelRange returns the half-open [k0,k1) kernel-tap range for which
-// base+k lands inside [0,size), given kernel extent kext.
+// clampKernelRange returns the half-open range [k0,k1) of kernel taps k, 0 <=
+// k0 <= k1 <= kext, for which base+k lands inside [0,size).
 func clampKernelRange(base, size, kext int) (int, int) {
-	k0, k1 := 0, kext
-	if base < 0 {
-		k0 = -base
-	}
-	if base+kext > size {
-		k1 = size - base
-	}
-	if k1 < k0 {
-		k1 = k0
-	}
-	return k0, k1
+	k0 := min(max(0, -base), kext)
+	return k0, max(k0, min(kext, size-base))
 }
 
 func applyActivation(v float32, a Activation) float32 {
@@ -192,35 +183,32 @@ func applyActivation(v float32, a Activation) float32 {
 	return v
 }
 
-// parallelFor runs jobs [0,n) across host cores. Workers claim jobs off an
-// atomic counter, so setup cost is O(workers), not O(n) channel sends.
+// parallelFor runs jobs [0,n) across the cores this process may use:
+// GOMAXPROCS, which a CPU quota lowers, not the node's core count. Workers
+// claim jobs off an atomic counter: O(workers) setup, no O(n) channel sends.
 func parallelFor(n int, f func(i int)) {
-	workers := runtime.NumCPU()
-	if workers > n {
-		workers = n
-	}
+	workers := min(runtime.GOMAXPROCS(0), n)
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
 			f(i)
 		}
 		return
 	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				f(i)
-			}
-		}()
+	var q struct { // one heap object for all that the workers share
+		next atomic.Int64
+		wg   sync.WaitGroup
 	}
-	wg.Wait()
+	worker := func() {
+		defer q.wg.Done()
+		for i := int(q.next.Add(1)) - 1; i < n; i = int(q.next.Add(1)) - 1 {
+			f(i)
+		}
+	}
+	q.wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go worker()
+	}
+	q.wg.Wait()
 }
 
 // Dense computes out[n,o] = sum_i in[n,i]*W[o,i] + bias[o].
@@ -269,16 +257,25 @@ func DenseActInto(out, in, weight, bias *tensor.Tensor, act Activation) {
 		})
 		return
 	}
+	// Four output neurons per job, so four independent chains, each still its
+	// bias plus its products in ascending i; a row's last block repeats o-1.
 	ind, wd, od := in.Data(), weight.Data(), out.Data()
-	parallelFor(n*o, func(job int) {
-		ni, oi := job/o, job%o
-		var sum float32
+	blocks := (o + 3) / 4
+	parallelFor(n*blocks, func(job int) {
+		ni, o0 := job/blocks, job%blocks*4
+		o1, o2, o3 := min(o0+1, o-1), min(o0+2, o-1), min(o0+3, o-1)
+		var s0, s1, s2, s3 float32
 		if bd != nil {
-			sum = bd[oi]
+			s0, s1, s2, s3 = bd[o0], bd[o1], bd[o2], bd[o3]
 		}
-		for i := 0; i < k; i++ {
-			sum += ind[ni*k+i] * wd[oi*k+i]
+		w0, w1, w2, w3 := wd[o0*k:][:k], wd[o1*k:][:k], wd[o2*k:][:k], wd[o3*k:][:k]
+		for i, x := range ind[ni*k:][:k] {
+			s0 += x * w0[i]
+			s1 += x * w1[i]
+			s2 += x * w2[i]
+			s3 += x * w3[i]
 		}
-		od[ni*o+oi] = applyActivation(sum, act)
+		od[ni*o+o0], od[ni*o+o1] = applyActivation(s0, act), applyActivation(s1, act)
+		od[ni*o+o2], od[ni*o+o3] = applyActivation(s2, act), applyActivation(s3, act)
 	})
 }

@@ -100,11 +100,12 @@ func TestConvInt8CrossCheck(t *testing.T) {
 }
 
 // TestPackConvWeightsInt8Scales: every output channel's scale covers its
-// own max |w|, so no weight saturates when quantized with it.
+// own max |w|, so no weight saturates when quantized with it, and the int8
+// row panels are those codes, 16 channels to a panel, zero in padded rows.
 func TestPackConvWeightsInt8Scales(t *testing.T) {
 	w := ConvWorkload{N: 1, CIn: 6, COut: 9, H: 5, W: 5, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
 	_, weight, _ := convInputs(w, 53)
-	_, scales := PackConvWeightsInt8(weight, w)
+	q, scales := quantizeConvWeights(weight, w)
 	if len(scales) != w.COut {
 		t.Fatalf("got %d scales, want %d", len(scales), w.COut)
 	}
@@ -119,6 +120,20 @@ func TestPackConvWeightsInt8Scales(t *testing.T) {
 		}
 		if got, want := scales[co], tensor.Int8Scale(m); got != want {
 			t.Errorf("channel %d scale %g, want %g", co, got, want)
+		}
+	}
+	packed := PrepareConvDType(w, KernelGEMM, weight, tensor.Int8).wq
+	if len(packed) != roundUp(w.COut, gemmMR)*k {
+		t.Fatalf("packed %d codes, want %d", len(packed), roundUp(w.COut, gemmMR)*k)
+	}
+	for i, got := range packed {
+		co, kk := i/(k*gemmMR)*gemmMR+i%gemmMR, i/gemmMR%k
+		var want int8 // padded rows
+		if co < w.COut {
+			want = q[co*k+kk]
+		}
+		if got != want {
+			t.Fatalf("packed[%d] (channel %d, k %d) = %d, want %d", i, co, kk, got, want)
 		}
 	}
 }

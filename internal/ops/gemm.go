@@ -23,21 +23,24 @@ import (
 // Reduced precision follows one rule: widen once when a panel is packed,
 // narrow once in the epilogue. fp16 weights are rounded to binary16 and
 // kept as float32 row panels at plan time, fp16 inputs are decoded as
-// im2colPacked gathers them, so fp32 and fp16 run the same float32 tile
-// loop; int8 panels hold codes and accumulate in int32. Only the row
-// writer knows the output's storage type.
+// im2colPacked gathers them, so fp32 and fp16 run the same float32 tile;
+// int8 panels hold codes and accumulate in int32. Only the row writer
+// knows the output's storage type.
 //
-// Macro blocking (gemmMC x gemmNC output tiles) provides the parallelFor
-// grain and keeps each worker's A/B panels hot in cache. The K dimension is
-// deliberately NOT split (KC == K): every output element accumulates in one
-// register in ascending-k order starting from its bias value, which makes
-// the GEMM path bit-identical to the direct kernel's ascending (ci, ky, kx)
-// tap order (padding taps contribute an exact 0*w = +-0).
+// The register tile is gemmMR x gemmNR = 16 output channels (the vector
+// lanes) by 4 output pixels: AVX2 assembly on amd64 hosts that have it
+// (gemm_amd64.s), gemmTileGo over the same panels everywhere else. Either
+// way an output element is one accumulator that starts from its bias and
+// takes its products in ascending k, each product rounded before it is
+// added (no fused multiply-add), and K is deliberately NOT split
+// (KC == K). That makes the GEMM path bit-identical to the direct kernel's
+// ascending (ci, ky, kx) tap order (padding taps contribute an exact
+// 0*w = +-0), whichever tile runs. A parallelFor job is one A row panel,
+// which stays hot in cache, against gemmNC output pixels.
 const (
-	gemmMR = 4   // microkernel rows (output channels)
-	gemmNR = 4   // microkernel cols (output pixels)
-	gemmMC = 64  // macro-tile rows per parallel job
-	gemmNC = 128 // macro-tile cols per parallel job
+	gemmMR = 16  // tile rows (output channels)
+	gemmNR = 4   // tile cols (output pixels)
+	gemmNC = 128 // output pixels per parallel job
 )
 
 type (
@@ -57,13 +60,6 @@ func (w ConvWorkload) gemmDims() (g, cinPerG, coutPerG, k int) {
 	return g, cinPerG, coutPerG, cinPerG * w.KH * w.KW
 }
 
-// GEMMPackedWeightElems returns the length of the packed-A buffer produced
-// by PackConvWeightsGEMM for workload w.
-func GEMMPackedWeightElems(w ConvWorkload) int {
-	g, _, coutPerG, k := w.gemmDims()
-	return g * roundUp(coutPerG, gemmMR) * k
-}
-
 // GEMMScratchElems returns the im2col scratch (packed-B) size in panel
 // elements for workload w. The buffer covers one (batch, group) plane; the
 // batch/group loop is serial so a single buffer is reused.
@@ -73,7 +69,8 @@ func GEMMScratchElems(w ConvWorkload) int {
 }
 
 // packRowPanels scatters OIHW rows (k-contiguous per output channel) into
-// the GEMM row-panel layout, zero-padding each group's tail rows.
+// the GEMM row-panel layout, zero-padding each group's tail rows. Done once
+// at plan time; the result is read-only and shared across sessions.
 func packRowPanels[E gemmElem](wd []E, w ConvWorkload) []E {
 	g, _, coutPerG, k := w.gemmDims()
 	mPad := roundUp(coutPerG, gemmMR)
@@ -88,13 +85,6 @@ func packRowPanels[E gemmElem](wd []E, w ConvWorkload) []E {
 		}
 	}
 	return packed
-}
-
-// PackConvWeightsGEMM packs OIHW conv weights into the GEMM row-panel
-// layout. Done once at plan time; the result is read-only and shared across
-// sessions.
-func PackConvWeightsGEMM(weight *tensor.Tensor, w ConvWorkload) []float32 {
-	return packRowPanels(weight.Data(), w)
 }
 
 // f16Rounded returns the weights wd after a round trip through binary16:
@@ -132,57 +122,63 @@ func quantizeConvWeights(weight *tensor.Tensor, w ConvWorkload) (q []int8, scale
 	return q, scales
 }
 
-// PackConvWeightsInt8 packs OIHW conv weights into the GEMM row-panel
-// layout quantized by quantizeConvWeights. Padded tail rows are zero.
-func PackConvWeightsInt8(weight *tensor.Tensor, w ConvWorkload) (packed []int8, scales []float32) {
-	q, scales := quantizeConvWeights(weight, w)
-	return packRowPanels(q, w), scales
-}
-
 // im2colPacked fills bp with the packed-B im2col panels for one
 // (batch, group) input plane, widening each source element to the panel
 // type as it is gathered (a no-op for fp32 and int8, the one binary16
 // decode for fp16). Out-of-bounds taps and tail columns are exact zeros.
+// No tap is bounds-tested: a panel whose four pixels have every tap in
+// bounds (any of a 1x1 unpadded conv) is copied a panel row at a time; any
+// other is zeroed and takes each pixel's in-bounds [ky0,ky1) x [kx0,kx1),
+// found once as in convDirect.
 func im2colPacked[S convElem, E gemmElem](bp []E, ind []S, w ConvWorkload, n, grp int) {
 	_, cinPerG, _, k := w.gemmDims()
-	ow := w.OutW()
+	ow, hw := w.OutW(), w.H*w.W
 	nCols := w.OutH() * ow
-	nPanels := (nCols + gemmNR - 1) / gemmNR
-	ciBase := grp * cinPerG
+	plane0 := (n*w.CIn + grp*cinPerG) * hw
 
-	parallelFor(nPanels, func(p int) {
-		pBase := p * k * gemmNR
-		for j := 0; j < gemmNR; j++ {
+	parallelFor((nCols+gemmNR-1)/gemmNR, func(p int) {
+		panel := bp[p*k*gemmNR:][:k*gemmNR]
+		var src, ky0, ky1, kx0, kx1 [gemmNR]int
+		inside := (p+1)*gemmNR <= nCols
+		for j := range src {
 			col := p*gemmNR + j
-			if col >= nCols {
-				for kk := 0; kk < k; kk++ {
-					bp[pBase+kk*gemmNR+j] = 0
-				}
-				continue
-			}
-			y := col / ow
-			x := col % ow
-			iy0 := y*w.StrideH - w.PadH
-			ix0 := x*w.StrideW - w.PadW
-			dst := pBase + j
+			iy0, ix0 := col/ow*w.StrideH-w.PadH, col%ow*w.StrideW-w.PadW
+			src[j] = plane0 + iy0*w.W + ix0
+			ky0[j], ky1[j] = clampKernelRange(iy0, w.H, w.KH)
+			kx0[j], kx1[j] = clampKernelRange(ix0, w.W, w.KW)
+			inside = inside && ky1[j]-ky0[j] == w.KH && kx1[j]-kx0[j] == w.KW
+		}
+		if inside {
+			s0, s1, s2, s3 := src[0], src[1], src[2], src[3]
 			for ci := 0; ci < cinPerG; ci++ {
-				iPlane := (n*w.CIn+ciBase+ci)*w.H*w.W + ix0
 				for ky := 0; ky < w.KH; ky++ {
-					iy := iy0 + ky
-					rowOK := iy >= 0 && iy < w.H
-					iRow := iPlane + iy*w.W
+					o := ci*hw + ky*w.W
 					for kx := 0; kx < w.KW; kx++ {
-						var v E
-						if rowOK {
-							if ix := ix0 + kx; ix >= 0 && ix < w.W {
-								e := ind[iRow+kx]
-								if v = E(e); unsafe.Sizeof(e) == 2 {
-									v = E(tensor.F16Decode(uint16(e)))
-								}
-							}
+						e0, e1, e2, e3 := ind[s0+o+kx], ind[s1+o+kx], ind[s2+o+kx], ind[s3+o+kx]
+						if row := panel[:gemmNR]; unsafe.Sizeof(e0) == 2 {
+							row[0], row[1], row[2], row[3] = E(tensor.F16Decode(uint16(e0))), E(tensor.F16Decode(uint16(e1))), E(tensor.F16Decode(uint16(e2))), E(tensor.F16Decode(uint16(e3)))
+						} else {
+							row[0], row[1], row[2], row[3] = E(e0), E(e1), E(e2), E(e3)
 						}
-						bp[dst] = v
-						dst += gemmNR
+						panel = panel[gemmNR:]
+					}
+				}
+			}
+			return
+		}
+		clear(panel)
+		for j := 0; j < min(gemmNR, nCols-p*gemmNR); j++ { // tail columns stay zero
+			for ci := 0; ci < cinPerG; ci++ {
+				for ky := ky0[j]; ky < ky1[j]; ky++ {
+					iRow := src[j] + ci*hw + ky*w.W
+					dst := (ci*w.KH+ky)*w.KW*gemmNR + j
+					for kx := kx0[j]; kx < kx1[j]; kx++ {
+						e := ind[iRow+kx]
+						v := E(e)
+						if unsafe.Sizeof(e) == 2 {
+							v = E(tensor.F16Decode(uint16(e)))
+						}
+						panel[dst+kx*gemmNR] = v
 					}
 				}
 			}
@@ -199,15 +195,14 @@ func scratchFor[E gemmElem](s []E, need int) []E {
 }
 
 // convGEMM runs the im2col-GEMM convolution into the sink: packedA holds
-// row panels (PackConvWeightsGEMM, its f16Rounded form, or
-// PackConvWeightsInt8); scratch must hold GEMMScratchElems(w) panel
-// elements (pass nil to allocate locally).
+// row panels (packRowPanels of the fp32 weights, of their f16Rounded form,
+// or of their quantizeConvWeights codes); scratch must hold
+// GEMMScratchElems(w) panel elements (pass nil to allocate locally).
 func convGEMM[A gemmAcc, S convElem, E gemmElem, O convOut, R convElem](sink *convSink[O, R], ind []S, packedA, scratch []E, w ConvWorkload) {
 	g, _, coutPerG, k := w.gemmDims()
 	nCols := w.OutH() * w.OutW()
 	mPad := roundUp(coutPerG, gemmMR)
 	bp := scratchFor(scratch, GEMMScratchElems(w)) // one assignment: the closures capture it by value
-	mBlocks := (coutPerG + gemmMC - 1) / gemmMC
 	nBlocks := (nCols + gemmNC - 1) / gemmNC
 	held := *sink
 
@@ -217,18 +212,12 @@ func convGEMM[A gemmAcc, S convElem, E gemmElem, O convOut, R convElem](sink *co
 			pa := packedA[grp*mPad*k : (grp+1)*mPad*k]
 			coBase := grp * coutPerG
 			outBase := (n*w.COut + coBase) * nCols
-			parallelFor(mBlocks*nBlocks, func(job int) {
+			parallelFor(mPad/gemmMR*nBlocks, func(job int) {
 				s := held
-				mb := job / nBlocks
-				nb := job % nBlocks
-				i0, i1 := mb*gemmMC, min((mb+1)*gemmMC, coutPerG)
-				j0, j1 := nb*gemmNC, min((nb+1)*gemmNC, nCols)
-				for i := i0; i < i1; i += gemmMR {
-					ap := pa[(i/gemmMR)*k*gemmMR:]
-					for j := j0; j < j1; j += gemmNR {
-						gemmMicro[A](&s, ap, bp[(j/gemmNR)*k*gemmNR:], k,
-							coBase+i, min(gemmMR, coutPerG-i), outBase+i*nCols+j, nCols, nCols-j)
-					}
+				i, j0 := job/nBlocks*gemmMR, job%nBlocks*gemmNC
+				for j := j0; j < min(j0+gemmNC, nCols); j += gemmNR {
+					gemmMicro[A](&s, pa[i*k:], bp[j*k:], k,
+						coBase+i, min(gemmMR, coutPerG-i), outBase+i*nCols+j, nCols, nCols-j)
 				}
 			})
 		}
@@ -238,66 +227,46 @@ func convGEMM[A gemmAcc, S convElem, E gemmElem, O convOut, R convElem](sink *co
 // gemmMicro computes one gemmMR x gemmNR output tile from an A row panel
 // and a B column panel: rows valid rows (output channels co..) by nv valid
 // columns, the first stored at flat output index base, rows nCols apart.
-// The 16 accumulators live in registers from the bias to the row writer
-// and accumulate over the full K extent in ascending order. Float
-// accumulators start from the row's bias; int32 accumulators start from
-// zero and are dequantized by the row writer.
+// The accumulator block c, element (i, j) at c[j*gemmMR+i], stays on this
+// frame, and in registers while the tile runs. Float accumulators start
+// from the row's bias; int32 accumulators start from zero and are
+// dequantized by the row writer. Padded rows are computed and dropped.
 func gemmMicro[A gemmAcc, E gemmElem, O convOut, R convElem](s *convSink[O, R], ap, bp []E, k, co, rows, base, nCols, nv int) {
-	var c00, c01, c02, c03 A
-	var c10, c11, c12, c13 A
-	var c20, c21, c22, c23 A
-	var c30, c31, c32, c33 A
+	var c [gemmMR * gemmNR]A
 	if s.wscale == nil && s.bias != nil {
-		b := s.bias[co : co+rows]
-		b0 := A(b[0])
-		b1, b2, b3 := b0, b0, b0
-		if rows > 1 {
-			b1 = A(b[1])
+		for i, b := range s.bias[co : co+rows] {
+			c[i], c[gemmMR+i], c[2*gemmMR+i], c[3*gemmMR+i] = A(b), A(b), A(b), A(b)
 		}
-		if rows > 2 {
-			b2 = A(b[2])
-		}
-		if rows > 3 {
-			b3 = A(b[3])
-		}
-		c00, c01, c02, c03 = b0, b0, b0, b0
-		c10, c11, c12, c13 = b1, b1, b1, b1
-		c20, c21, c22, c23 = b2, b2, b2, b2
-		c30, c31, c32, c33 = b3, b3, b3, b3
 	}
+	gemmTile(&c, ap[:k*gemmMR], bp[:k*gemmNR])
+	for i := 0; i < rows; i++ {
+		gemmRow(s, co+i, base+i*nCols, nv, c[i], c[gemmMR+i], c[2*gemmMR+i], c[3*gemmMR+i])
+	}
+}
 
-	for kk := 0; kk < k; kk++ {
-		a := ap[kk*gemmMR : kk*gemmMR+gemmMR]
-		b := bp[kk*gemmNR : kk*gemmNR+gemmNR]
-		a0, a1, a2, a3 := A(a[0]), A(a[1]), A(a[2]), A(a[3])
-		b0, b1, b2, b3 := A(b[0]), A(b[1]), A(b[2]), A(b[3])
-		c00 += a0 * b0
-		c01 += a0 * b1
-		c02 += a0 * b2
-		c03 += a0 * b3
-		c10 += a1 * b0
-		c11 += a1 * b1
-		c12 += a1 * b2
-		c13 += a1 * b3
-		c20 += a2 * b0
-		c21 += a2 * b1
-		c22 += a2 * b2
-		c23 += a2 * b3
-		c30 += a3 * b0
-		c31 += a3 * b1
-		c32 += a3 * b2
-		c33 += a3 * b3
-	}
-
-	gemmRow(s, co, base, nv, c00, c01, c02, c03)
-	if rows > 1 {
-		gemmRow(s, co+1, base+nCols, nv, c10, c11, c12, c13)
-	}
-	if rows > 2 {
-		gemmRow(s, co+2, base+2*nCols, nv, c20, c21, c22, c23)
-	}
-	if rows > 3 {
-		gemmRow(s, co+3, base+3*nCols, nv, c30, c31, c32, c33)
+// gemmTileGo is the portable register tile and the reference the assembly
+// tiles are tested against: c += A panel x B panel over all of k, as eight
+// 2x4 sub-tiles, whose 8 accumulators and 6 operands fit amd64's registers.
+func gemmTileGo[A gemmAcc, E gemmElem](c *[gemmMR * gemmNR]A, ap, bp []E) {
+	for r := 0; r < gemmMR; r += 2 {
+		c00, c01, c02, c03 := c[r], c[gemmMR+r], c[2*gemmMR+r], c[3*gemmMR+r]
+		c10, c11, c12, c13 := c[r+1], c[gemmMR+r+1], c[2*gemmMR+r+1], c[3*gemmMR+r+1]
+		for kk := 0; kk*gemmNR < len(bp); kk++ {
+			a := ap[kk*gemmMR+r : kk*gemmMR+r+2]
+			b := bp[kk*gemmNR : kk*gemmNR+gemmNR]
+			a0, a1 := A(a[0]), A(a[1])
+			b0, b1, b2, b3 := A(b[0]), A(b[1]), A(b[2]), A(b[3])
+			c00 += a0 * b0
+			c01 += a0 * b1
+			c02 += a0 * b2
+			c03 += a0 * b3
+			c10 += a1 * b0
+			c11 += a1 * b1
+			c12 += a1 * b2
+			c13 += a1 * b3
+		}
+		c[r], c[gemmMR+r], c[2*gemmMR+r], c[3*gemmMR+r] = c00, c01, c02, c03
+		c[r+1], c[gemmMR+r+1], c[2*gemmMR+r+1], c[3*gemmMR+r+1] = c10, c11, c12, c13
 	}
 }
 

@@ -1,6 +1,8 @@
 package ops
 
 import (
+	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -111,6 +113,39 @@ func TestParallelForCoversAllJobs(t *testing.T) {
 				t.Fatalf("n=%d: job %d ran %d times", n, i, h)
 			}
 		}
+	}
+}
+
+// TestParallelForHonoursGOMAXPROCS: the fan-out follows the cores this
+// process may use, not the node's. With GOMAXPROCS(1), a CPU quota of one
+// on a machine of any size, every job runs on the caller's goroutine (the
+// test function is on the job's stack) and a conv allocates only the job
+// closure of each parallelFor it calls: two for the GEMM, im2col and tiles
+// (no WaitGroup, counter or goroutines).
+func TestParallelForHonoursGOMAXPROCS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	parallelFor(64, func(i int) {
+		pcs := make([]uintptr, 16)
+		frames := runtime.CallersFrames(pcs[:runtime.Callers(1, pcs)])
+		for {
+			f, more := frames.Next()
+			if strings.HasSuffix(f.Function, ".TestParallelForHonoursGOMAXPROCS") {
+				return
+			}
+			if !more {
+				t.Errorf("job %d ran on another goroutine", i)
+				return
+			}
+		}
+	})
+
+	w := ConvWorkload{N: 1, CIn: 8, COut: 24, H: 10, W: 10, KH: 3, KW: 3,
+		StrideH: 1, StrideW: 1, PadH: 1, PadW: 1, HasBias: true}
+	in, weight, bias := convInputs(w, 9)
+	p := PrepareConv(w, KernelGEMM, weight)
+	out, scratch := tensor.New(1, 24, 10, 10), make([]float32, p.ScratchElems())
+	if allocs := testing.AllocsPerRun(20, func() { p.RunInto(out, in, bias, scratch) }); allocs > 2 {
+		t.Errorf("GEMM conv at GOMAXPROCS(1): %v allocs per run, want the 2 job closures only", allocs)
 	}
 }
 

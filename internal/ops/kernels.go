@@ -175,10 +175,10 @@ func PrepareConvDType(w ConvWorkload, k ConvKernel, weight *tensor.Tensor, dt te
 	}
 	p := &PreparedConv{w: w, kernel: k, dtype: dt}
 	switch {
-	case dt == tensor.Int8 && k == KernelDepthwise:
-		p.wq, p.wscale = quantizeConvWeights(weight, w)
 	case dt == tensor.Int8:
-		p.wq, p.wscale = PackConvWeightsInt8(weight, w)
+		if p.wq, p.wscale = quantizeConvWeights(weight, w); k == KernelGEMM {
+			p.wq = packRowPanels(p.wq, w)
+		}
 	case k == KernelWinograd:
 		p.wd = PackConvWeightsWinograd(weight, w)
 	default:
