@@ -19,14 +19,15 @@ race:
 # whole-zoo accuracy sweeps (goldens, fusion cross-checks, dtype
 # budgets), which exceed Go's default 10m per-package budget under the
 # race scheduler when packages contend for CPU. The arm64 cross-build holds
-# the portable GEMM tile to compiling (and vetting, tests included) where
-# the amd64 assembly does not exist; vet's asmdecl check covers the
-# assembly's frame layout on amd64.
+# the portable GEMM tile and row loops to compiling (and vetting, tests
+# included) where the amd64 assembly of internal/ops, internal/tensor and
+# internal/cpu does not exist; vet's asmdecl check covers the assembly's
+# frame layouts on amd64.
 verify:
 	$(GO) build ./...
 	$(GO) vet ./...
 	GOARCH=arm64 $(GO) build ./...
-	GOARCH=arm64 $(GO) vet ./internal/ops
+	GOARCH=arm64 $(GO) vet ./internal/ops ./internal/tensor ./internal/cpu
 	$(GO) test -race -timeout 25m ./...
 
 # bench runs the runtime + ops benchmarks (session hot path, pooled
@@ -44,15 +45,16 @@ bench:
 # different CPU. After an intentional performance change, refresh the
 # baseline with `make bench-baseline` and commit it.
 # The BenchmarkConvKernels rows are one MobileNet pointwise conv (GEMM) and
-# one depthwise conv at each storage dtype. Each row is held to its own
-# baseline, like the others. The fp16/int8-to-fp32 ratio itself is NOT
+# a stride-1 and a stride-2 depthwise conv (the row kernel, the second over
+# phase planes) at each storage dtype; BenchmarkPool2DInto is SqueezeNet's
+# first pool. Each row is held to its own baseline, like the others. The fp16/int8-to-fp32 ratio itself is NOT
 # enforced: the baseline records it (1.0-1.2x, pointwise and depthwise
 # alike; 2x before the kernels were unified), so a reduced-precision row
 # can drift 15% from there before the gate fails, and rows a few seconds
 # apart on a shared host scatter by more than a 1.15x same-run limit would
 # allow.
-GATED_BENCH  = BenchmarkSessionRun$$|BenchmarkConv2DInto$$|BenchmarkDenseInto$$|BenchmarkConvKernels$$/^mobilenet_c128_28x28_1x1s1$$/^gemm|BenchmarkConvKernels$$/^mobilenet_c128_28x28_dw3x3s1$$/^depthwise
-GATED_NAMES  = BenchmarkSessionRun,BenchmarkConv2DInto,BenchmarkDenseInto,BenchmarkConvKernels/mobilenet_c128_28x28_1x1s1,BenchmarkConvKernels/mobilenet_c128_28x28_dw3x3s1
+GATED_BENCH  = BenchmarkSessionRun$$|BenchmarkConv2DInto$$|BenchmarkDenseInto$$|BenchmarkPool2DInto$$|BenchmarkConvKernels$$/^mobilenet_c128_28x28_1x1s1$$/^gemm|BenchmarkConvKernels$$/^mobilenet_c128_28x28_dw3x3s[12]$$/^depthwise
+GATED_NAMES  = BenchmarkSessionRun,BenchmarkConv2DInto,BenchmarkDenseInto,BenchmarkPool2DInto,BenchmarkConvKernels/mobilenet_c128_28x28_1x1s1,BenchmarkConvKernels/mobilenet_c128_28x28_dw3x3s1,BenchmarkConvKernels/mobilenet_c128_28x28_dw3x3s2
 
 bench-regress:
 	$(GO) test -run '^$$' -bench '$(GATED_BENCH)' -benchmem -benchtime 200x -count 3 ./internal/runtime ./internal/ops | tee bench_regress.out

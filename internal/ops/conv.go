@@ -1,6 +1,7 @@
 package ops
 
 import (
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -19,15 +20,12 @@ func Conv2D(in, weight, bias *tensor.Tensor, w ConvWorkload) *tensor.Tensor {
 }
 
 // Conv2DInto is Conv2D computing into a caller-provided output tensor of
-// shape (N, COut, OutH, OutW); it allocates no intermediate storage.
-//
-// Boundary checks are hoisted out of the tap loop: for each output row the
-// in-bounds ky range is computed once, and for each output pixel the
-// in-bounds kx range is computed once, so the inner loop runs branch-free.
-// Taps still accumulate in ascending (ci, ky, kx) order, which keeps the
-// result bit-identical to the naive per-tap-branching loop.
+// shape (N, COut, OutH, OutW); it allocates no intermediate storage. It is
+// the row-accumulate loop (convRows) at fp32: every output takes its taps
+// in ascending (ci, ky, kx) order from its bias, which keeps the result
+// bit-identical to the naive per-tap-branching loop.
 func Conv2DInto(out, in, weight, bias *tensor.Tensor, w ConvWorkload) {
-	convDirect(&convSink[float32, float32]{out: out.Data(), bias: biasData(bias), act: w.FusedActivation},
+	convRows[float32](&convSink[float32, float32]{out: out.Data(), bias: biasData(bias), act: w.FusedActivation},
 		in.Data(), weight.Data(), w)
 }
 
@@ -41,13 +39,14 @@ func biasData(bias *tensor.Tensor) []float32 {
 type (
 	// convElem is a storage element a conv kernel reads: float32 values,
 	// binary16 bit patterns (uint16 is never anything else in this
-	// package) or int8 codes. Kernels written once over all three tell
-	// binary16 apart by unsafe.Sizeof(x) == 2 where an element x is widened
-	// or narrowed: a constant in each instantiation, so the untaken side
-	// compiles away. The test is spelled out at each site rather than
-	// wrapped in a generic helper because a generic callee, even inlined,
-	// costs its caller a dictionary nil check per call, which a
-	// three-instruction tap loop notices.
+	// package) or int8 codes. Kernels written once over all three convert a
+	// row at a time where they can (widenRow, storeRow: a type switch per
+	// row, then a vector primitive). Where single elements are widened or
+	// narrowed (the im2col packer, a strided band row, the GEMM row writer)
+	// binary16 is told apart by unsafe.Sizeof(x) == 2: a constant in each
+	// instantiation, so the untaken side compiles away, and spelled out at
+	// each site because a generic callee, even inlined, costs its caller a
+	// dictionary nil check per call, which a three-instruction loop notices.
 	convElem interface{ float32 | uint16 | int8 }
 	// convOut is a conv output element: float32, or binary16 bits narrowed
 	// once at the store.
@@ -115,51 +114,334 @@ func (s *convSink[O, R]) dequant(co int) (scale, bias float32) {
 	return s.inScale * s.wscale[co], bias
 }
 
-// convDirect is the boundary-hoisted direct loop for fp32 and fp16
-// storage. wd holds OIHW float32 weights (rounded through binary16 at plan
-// time for fp16, so only the input taps decode here).
-func convDirect[S convElem, O convOut, R convElem](sink *convSink[O, R], ind []S, wd []float32, w ConvWorkload) {
-	oh, ow := w.OutH(), w.OutW()
-	_, cinPerG, coutPerG, _ := w.gemmDims()
-	held := *sink // closures take the sink by value: the caller's stays on its stack
+// convRowScratch is the room, in accumulator elements (9 KiB), for the
+// accumulators of a band of output rows and the widened input rows under
+// them. It holds a whole 32x32 plane of a 3x3 stride-1 conv; a larger plane
+// is done a band of rows at a time.
+const convRowScratch = 2304
 
-	parallelFor(w.N*w.COut, func(job int) {
-		s := held
-		n := job / w.COut
-		co := job % w.COut
-		ciBase := co / coutPerG * cinPerG
-		var b float32
-		if s.bias != nil {
-			b = s.bias[co]
+// convRowJobMACs is about how many multiply-adds a row-kernel job should
+// have to spread its fixed costs over (its scratch is zeroed on entry, 11
+// KiB): planes smaller than that go several to a job.
+const convRowJobMACs = 4096
+
+// rowScratch is what a row-kernel job keeps on its stack.
+type rowScratch[A gemmAcc] struct {
+	band [convRowScratch + 2*axpyLanes]A // accumulators, then the input band, each with room to round up
+	// The finished outputs not yet stored: run[:n], which belong at flat
+	// output index oi on. A job's planes are consecutive, so are their
+	// outputs, and small planes share a run (and its epilogue and store).
+	run, res [typedRun]float32 // res: the run's residual values, widened
+	n, oi    int
+}
+
+// convRows is the row-accumulate loop behind KernelDirect and
+// KernelDepthwise (one input channel per group is all that depthwise means
+// here) at every storage dtype: wd holds OIHW weights, float32 (rounded
+// through binary16 at plan time for fp16) or int8 codes. Float accumulators
+// start from the bias; int32 accumulators start from zero and take the same
+// dequantize epilogue as the int8 GEMM, so the int8 result is the grouped
+// GEMM's integer sum bit for bit.
+//
+// The unit of work is one (n, co) output plane, a band of output rows at a
+// time, a job being one plane or a run of small ones (convRowJobMACs). The
+// input rows under the band are widened once into zero-padded scratch,
+// split for a strided conv into its StrideH x StrideW phase planes
+// (phase (ry, rx) holds padded-input rows ry, ry+StrideH, ... and columns
+// rx, rx+StrideW, ...), all at one row pitch wq with the accumulators. Tap
+// (ky, kx) of every output in the band is then ONE contiguous axpy, the
+// band flattened: accumulator y*wq+x takes element (y+ky/StrideH)*wq +
+// x+kx/StrideW of phase (ky%StrideH, kx%StrideW). Columns ow..wq of an
+// accumulator row collect sums nothing reads. Taps run outermost, in
+// ascending (ci, ky, kx) order, so every output still receives its products
+// in the naive loop's order, each rounded before it is added; a padding tap
+// adds an exact 0*w = +-0 as it does in the GEMM. The epilogue and the
+// narrowing store run once per run of finished outputs (finishBand).
+func convRows[A gemmAcc, S convElem, W gemmElem, O convOut, R convElem](sink *convSink[O, R], ind []S, wd []W, w ConvWorkload) {
+	held := *sink // closures take the sink by value: the caller's stays on its stack
+	_, cinPerG, _, _ := w.gemmDims()
+	planes := w.N * w.COut
+	per := max(1, convRowJobMACs/(w.OutH()*w.OutW()*cinPerG*w.KH*w.KW))
+	parallelFor((planes+per-1)/per, func(job int) {
+		s, g := held, newRowGeom(w) // per job: captured, the geometry would cost the call a heap object
+		var sc rowScratch[A]
+		for p := job * per; p < min(planes, (job+1)*per); p++ {
+			convRowsPlane(&s, &sc, ind, wd, &g, p)
 		}
-		for y := 0; y < oh; y++ {
-			iy0 := y*w.StrideH - w.PadH
-			ky0, ky1 := clampKernelRange(iy0, w.H, w.KH)
-			for x := 0; x < ow; x++ {
-				ix0 := x*w.StrideW - w.PadW
-				kx0, kx1 := clampKernelRange(ix0, w.W, w.KW)
-				sum := b
-				for ci := 0; ci < cinPerG; ci++ {
-					wBase := ((co * cinPerG) + ci) * w.KH * w.KW
-					iBase := (n*w.CIn+ciBase+ci)*w.H*w.W + ix0
-					for ky := ky0; ky < ky1; ky++ {
-						iRow := iBase + (iy0+ky)*w.W
-						wRow := wBase + ky*w.KW
-						for kx := kx0; kx < kx1; kx++ {
-							e := ind[iRow+kx]
-							f := float32(e)
-							if unsafe.Sizeof(e) == 2 {
-								f = tensor.F16Decode(uint16(e))
-							}
-							sum += f * wd[wRow+kx]
-						}
+		finishRun(&s, &sc)
+	})
+}
+
+// rowGeom is the row kernel's geometry of a workload, worked out once per
+// job so that a plane's own set-up divides next to nothing.
+type rowGeom struct {
+	ConvWorkload
+	oh, ow            int
+	cinPerG, coutPerG int
+	phH, phW          int // phase planes each way: min(stride, kernel)
+	qy, wq            int // phase rows under an output row beyond its own; the row pitch of accumulators and phases
+	rows              int // output rows per band
+}
+
+func newRowGeom(w ConvWorkload) rowGeom {
+	g := rowGeom{ConvWorkload: w, oh: w.OutH(), ow: w.OutW(), phH: min(w.StrideH, w.KH), phW: min(w.StrideW, w.KW)}
+	_, g.cinPerG, g.coutPerG, _ = w.gemmDims()
+	g.qy, g.wq = (w.KH-1)/w.StrideH, g.ow+(w.KW-1)/w.StrideW
+	// rows*wq accumulators and phases*(rows+qy)*wq band elements fit the
+	// scratch; a plane too wide for one row (rows < 1) takes the heap.
+	phases := g.phH * g.phW
+	g.rows = min(g.oh, (convRowScratch/g.wq-phases*g.qy)/(1+phases))
+	return g
+}
+
+// convRowsPlane computes output plane p = n*COut + co.
+func convRowsPlane[A gemmAcc, S convElem, W gemmElem, O convOut, R convElem](s *convSink[O, R], sc *rowScratch[A], ind []S, wd []W, g *rowGeom, p int) {
+	co := p % g.COut
+	var start A
+	var scale, b float32
+	if s.wscale != nil {
+		scale, b = s.dequant(co)
+	} else if s.bias != nil {
+		start = A(s.bias[co])
+	}
+	hw, kk := g.H*g.W, g.KH*g.KW
+	src := ind[(p/g.COut*g.CIn+co/g.coutPerG*g.cinPerG)*hw:][:g.cinPerG*hw] // the group's input planes
+	wt := wd[co*g.cinPerG*kk:][:g.cinPerG*kk]                               // and co's filters over them
+	if (g.oh-1)*g.wq+g.ow < axpyLanes {
+		convPixels(s, sc, src, wt, g, p, start, scale, b)
+		return
+	}
+	phases, rows, scratch := g.phH*g.phW, g.rows, sc.band[:]
+	if rows < 1 {
+		rows, scratch = 1, make([]A, (1+phases*(1+g.qy))*g.wq+2*axpyLanes)
+	}
+	for y0 := 0; y0 < g.oh; y0 += rows {
+		r := min(rows, g.oh-y0)
+		// The accumulators run through the last output, rounded up to whole
+		// vectors: the extra ones read zeros past the band and are dropped.
+		n, phase := roundUp((r-1)*g.wq+g.ow, axpyLanes), (r+g.qy)*g.wq
+		acc, band := scratch[:n], scratch[roundUp(r*g.wq, axpyLanes):][:phases*phase+axpyLanes]
+		fillRow(acc, start)
+		clear(band[phases*phase:])
+		for ci := 0; ci < g.cinPerG; ci++ {
+			fillBand(band[:phases*phase], src[ci*hw:][:hw], g, y0, r+g.qy)
+			taps := wt[ci*kk:][:kk]
+			// Tap (ky, kx) reads phase (ry, rx) = (ky, kx) mod stride from
+			// element (dy, dx) = (ky, kx) / stride on, counted up, not divided.
+			for ky, ry, dy := 0, 0, 0; ky < g.KH; ky++ {
+				for kx, rx, dx := 0, 0, 0; kx < g.KW; kx++ {
+					off := (ry*g.phW+rx)*phase + dy*g.wq + dx
+					axpy(acc, band[off:off+n], A(taps[ky*g.KW+kx]))
+					if rx++; rx == g.StrideW {
+						rx, dx = 0, dx+1
 					}
 				}
-				oi := ((n*w.COut+co)*oh+y)*ow + x
-				s.out[oi] = narrow[O](convEpilogue(sum, s.res, oi, s.act, s.postAct))
+				if ry++; ry == g.StrideH {
+					ry, dy = 0, dy+1
+				}
 			}
 		}
-	})
+		finishBand(s, sc, acc, r, g.wq, g.ow, (p*g.oh+y0)*g.ow, scale, b)
+	}
+}
+
+// convPixels computes output plane p one output at a time, its in-bounds
+// taps found once per output and folded in the same ascending (ci, ky, kx)
+// order: the form for a plane whose flattened band would be shorter than
+// one vector (2x2 outputs and smaller: MobileNet's last two depthwise
+// layers, SSD's head convs over a 1x1 feature map), where widening a band
+// per input channel costs more than the chain of adds it would replace. A
+// 1x1 output of many input channels stays bound by that chain.
+func convPixels[A gemmAcc, S convElem, W gemmElem, O convOut, R convElem](s *convSink[O, R], sc *rowScratch[A], src []S, wt []W, g *rowGeom, p int, start A, scale, b float32) {
+	hw, kk := g.H*g.W, g.KH*g.KW
+	acc := sc.band[:g.oh*g.ow]
+	for y := 0; y < g.oh; y++ {
+		iy0 := y*g.StrideH - g.PadH
+		ky0, ky1 := clampKernelRange(iy0, g.H, g.KH)
+		for x := 0; x < g.ow; x++ {
+			ix0 := x*g.StrideW - g.PadW
+			kx0, kx1 := clampKernelRange(ix0, g.W, g.KW)
+			sum := start
+			for ci := 0; ci < g.cinPerG; ci++ {
+				in, taps := src[ci*hw:][:hw], wt[ci*kk:][:kk]
+				for ky := ky0; ky < ky1; ky++ {
+					for kx := kx0; kx < kx1; kx++ {
+						e := in[(iy0+ky)*g.W+ix0+kx]
+						f := A(e)
+						if unsafe.Sizeof(e) == 2 {
+							f = A(tensor.F16Decode(uint16(e)))
+						}
+						sum += f * A(taps[ky*g.KW+kx])
+					}
+				}
+			}
+			acc[y*g.ow+x] = sum
+		}
+	}
+	finishBand(s, sc, acc, g.oh, g.ow, g.ow, p*g.oh*g.ow, scale, b)
+}
+
+// fillBand widens the rows of input plane src under output rows y0.. into
+// the zero-padded phase planes of band, hq rows of wq elements each: phase
+// (ry, rx) element (a, b) is padded-input element ((y0+a)*StrideH+ry,
+// b*StrideW+rx), zero where that is padding. A stride-1 row is one
+// widening copy; a strided one is gathered.
+func fillBand[A gemmAcc, S convElem](band []A, src []S, g *rowGeom, y0, hq int) {
+	clear(band)
+	for ry := 0; ry < g.phH; ry++ {
+		a0, a1 := strideRange(y0*g.StrideH+ry-g.PadH, g.StrideH, g.H, hq)
+		for rx := 0; rx < g.phW; rx++ {
+			b0, b1 := strideRange(rx-g.PadW, g.StrideW, g.W, g.wq)
+			for a := a0; a < a1 && b0 < b1; a++ {
+				dst := band[a*g.wq+b0 : a*g.wq+b1]
+				row := src[((y0+a)*g.StrideH+ry-g.PadH)*g.W+b0*g.StrideW+rx-g.PadW:]
+				if g.StrideW == 1 {
+					widenRow(dst, row)
+					continue
+				}
+				for i := range dst {
+					e := row[i*g.StrideW]
+					if dst[i] = A(e); unsafe.Sizeof(e) == 2 {
+						dst[i] = A(tensor.F16Decode(uint16(e)))
+					}
+				}
+			}
+			band = band[hq*g.wq:]
+		}
+	}
+}
+
+// strideRange returns the half-open range [t0,t1) of t in [0,limit) for
+// which base+t*stride lands inside [0,size); t0 <= t1.
+func strideRange(base, stride, size, limit int) (int, int) {
+	if stride == 1 { // the usual case, without the divisions
+		return clampKernelRange(base, size, limit)
+	}
+	t0 := min(max(0, (stride-1-base)/stride), limit)
+	return t0, max(t0, min(limit, (size-1-base+stride)/stride))
+}
+
+// fillRow sets every element of row to v: the first few by hand, the rest
+// by copies that double what is filled, which beats an element loop from a
+// few dozen elements on.
+func fillRow[T any](row []T, v T) {
+	n := min(8, len(row))
+	for i := range row[:n] {
+		row[i] = v
+	}
+	for ; n < len(row); n *= 2 {
+		copy(row[n:], row[:n])
+	}
+}
+
+// widenRow copies src[:len(dst)] into dst as accumulator values: float32
+// values as they are, binary16 decoded, int8 codes as int32.
+func widenRow[A gemmAcc, S convElem](dst []A, src []S) {
+	switch d := any(dst).(type) {
+	case []float32:
+		switch s := any(src).(type) {
+		case []float32:
+			copy(d, s)
+		case []uint16:
+			tensor.WidenHalf(d, s)
+		}
+	case []int32:
+		widenCodes(d, any(src).([]int8))
+	}
+}
+
+// widenCodesGo and dequantGo are the portable forms, and the assembly's
+// references, of the two conversions around int32 accumulators: int8 codes
+// in, dequantized sums out.
+func widenCodesGo(dst []int32, src []int8) {
+	for i, q := range src[:len(dst)] {
+		dst[i] = int32(q)
+	}
+}
+
+func dequantGo(dst []float32, src []int32, scale, bias float32) {
+	for i, v := range src[:len(dst)] {
+		dst[i] = float32(v)*scale + bias
+	}
+}
+
+// axpyLanes is the vector width the row kernels round a row of
+// accumulators up to, so that axpy's assembly runs all of it.
+const axpyLanes = 8
+
+// axpyGo is acc[i] += x[i]*w over len(acc) elements of x, the row kernels'
+// one inner loop: the portable form and the reference of the assembly
+// (rows_amd64.s).
+func axpyGo[A gemmAcc](acc, x []A, w A) {
+	x = x[:len(acc)]
+	for i := range acc {
+		acc[i] += x[i] * w
+	}
+}
+
+// finishBand appends a band's finished sums (r rows of ow accumulators at
+// pitch wq, whose outputs start at flat index oi and are contiguous) to the
+// job's run of outputs, int32 sums dequantized (v*scale + b) on the way,
+// and finishes the run each time it fills.
+func finishBand[A gemmAcc, O convOut, R convElem](s *convSink[O, R], sc *rowScratch[A], acc []A, r, wq, ow, oi int, scale, b float32) {
+	if sc.n == 0 {
+		sc.oi = oi
+	}
+	for y := 0; y < r; y++ {
+		for row := acc[y*wq:][:ow]; len(row) > 0; {
+			c := min(len(row), typedRun-sc.n)
+			switch a := any(row[:c]).(type) {
+			case []float32:
+				copy(sc.run[sc.n:], a)
+			case []int32:
+				dequantRow(sc.run[sc.n:][:c], a, scale, b)
+			}
+			if row, sc.n = row[c:], sc.n+c; sc.n == typedRun {
+				finishRun(s, sc)
+			}
+		}
+	}
+}
+
+// finishRun stores the job's run of finished sums: the fused residual
+// before or after the activation, exactly convEpilogue's order per element,
+// then the one narrowing store.
+func finishRun[A gemmAcc, O convOut, R convElem](s *convSink[O, R], sc *rowScratch[A]) {
+	run, oi := sc.run[:sc.n], sc.oi
+	if s.res != nil && !s.postAct {
+		addRow(run, sc.res[:], s.res[oi:])
+	}
+	switch s.act {
+	case ActReLU:
+		reluRow(run)
+	case ActLeakyReLU:
+		leakyRow(run, LeakyAlpha)
+	}
+	if s.res != nil && s.postAct {
+		addRow(run, sc.res[:], s.res[oi:])
+	}
+	storeRow(s.out[oi:oi+len(run)], run)
+	sc.n, sc.oi = 0, oi+len(run)
+}
+
+// addRow adds the residual values rd[:len(run)], widened through buf, to run.
+func addRow[R convElem](run, buf []float32, rd []R) {
+	buf = buf[:len(run)]
+	widenRow(buf, rd)
+	for i, v := range buf {
+		run[i] += v
+	}
+}
+
+// storeRow is narrow a row at a time: src rounded
+// to nearest even into binary16 bits, or copied.
+func storeRow[O convOut](dst []O, src []float32) {
+	switch d := any(dst).(type) {
+	case []float32:
+		copy(d, src)
+	case []uint16:
+		tensor.NarrowHalf(d, src)
+	}
 }
 
 // clampKernelRange returns the half-open range [k0,k1) of kernel taps k, 0 <=
@@ -167,6 +449,32 @@ func convDirect[S convElem, O convOut, R convElem](sink *convSink[O, R], ind []S
 func clampKernelRange(base, size, kext int) (int, int) {
 	k0 := min(max(0, -base), kext)
 	return k0, max(k0, min(kext, size-base))
+}
+
+// reluGo and leakyRow rectify a run in place: what applyActivation does to
+// each element, without its data-dependent branch, which a trained layer's
+// pre-activations (about half of them negative) mispredict every other
+// time. v < 0 holds exactly for the bit patterns 0x80000001..0xff800000:
+// sign set, not -0, not a NaN. reluGo is the portable form and the
+// reference of reluRow's assembly (rows_amd64.s).
+func reluGo(run []float32) {
+	for i, v := range run {
+		b := math.Float32bits(v)
+		if b-0x80000001 < 0x7f800000 {
+			b = 0
+		}
+		run[i] = math.Float32frombits(b)
+	}
+}
+
+func leakyRow(run []float32, alpha float32) {
+	for i, v := range run {
+		b, scaled := math.Float32bits(v), math.Float32bits(alpha*v)
+		if b-0x80000001 < 0x7f800000 {
+			b = scaled
+		}
+		run[i] = math.Float32frombits(b)
+	}
 }
 
 func applyActivation(v float32, a Activation) float32 {
@@ -225,41 +533,17 @@ func DenseInto(out, in, weight, bias *tensor.Tensor) {
 
 // DenseActInto is DenseInto with a fused activation epilogue: the
 // activation is applied to each finished accumulator exactly as a separate
-// elementwise pass would, so fusing it is bit-preserving.
+// elementwise pass would, so fusing it is bit-preserving. Operands of any
+// storage dtype (in practice the fp16 weight matrix a quantized graph
+// carries, sometimes an fp16 input) are read as float32 views a run at a
+// time: fp32 in place, anything else widened by a row primitive.
 func DenseActInto(out, in, weight, bias *tensor.Tensor, act Activation) {
 	n := in.Shape()[0]
 	k := in.Shape()[1]
 	o := weight.Shape()[0]
-	var bd []float32
-	if bias != nil {
-		bd = bias.Data()
-	}
-	if !allFloat32(out, in, weight) {
-		// Reduced-precision operands (in practice the fp16 weight matrix a
-		// quantized graph carries) are widened a run at a time; the products
-		// still accumulate in ascending i from the bias.
-		parallelFor(n*o, func(job int) {
-			ni, oi := job/o, job%o
-			var sum float32
-			if bd != nil {
-				sum = bd[oi]
-			}
-			var xs, ws [typedRun]float32
-			for i := 0; i < k; i += typedRun {
-				c := min(typedRun, k-i)
-				in.LoadF(xs[:c], ni*k+i)
-				weight.LoadF(ws[:c], oi*k+i)
-				for j, x := range xs[:c] {
-					sum += x * ws[j]
-				}
-			}
-			out.SetF(ni*o+oi, applyActivation(sum, act))
-		})
-		return
-	}
+	bd := biasData(bias)
 	// Four output neurons per job, so four independent chains, each still its
 	// bias plus its products in ascending i; a row's last block repeats o-1.
-	ind, wd, od := in.Data(), weight.Data(), out.Data()
 	blocks := (o + 3) / 4
 	parallelFor(n*blocks, func(job int) {
 		ni, o0 := job/blocks, job%blocks*4
@@ -268,14 +552,26 @@ func DenseActInto(out, in, weight, bias *tensor.Tensor, act Activation) {
 		if bd != nil {
 			s0, s1, s2, s3 = bd[o0], bd[o1], bd[o2], bd[o3]
 		}
-		w0, w1, w2, w3 := wd[o0*k:][:k], wd[o1*k:][:k], wd[o2*k:][:k], wd[o3*k:][:k]
-		for i, x := range ind[ni*k:][:k] {
-			s0 += x * w0[i]
-			s1 += x * w1[i]
-			s2 += x * w2[i]
-			s3 += x * w3[i]
+		var xb, b0, b1, b2, b3 []float32 // widening room, which all-fp32 operands do without
+		if in.DType() != tensor.Float32 || weight.DType() != tensor.Float32 {
+			bufs := new([5][typedRun]float32)
+			xb, b0, b1, b2, b3 = bufs[0][:], bufs[1][:], bufs[2][:], bufs[3][:], bufs[4][:]
 		}
-		od[ni*o+o0], od[ni*o+o1] = applyActivation(s0, act), applyActivation(s1, act)
-		od[ni*o+o2], od[ni*o+o3] = applyActivation(s2, act), applyActivation(s3, act)
+		for i := 0; i < k; i += typedRun {
+			c := min(typedRun, k-i)
+			xs := in.ViewF(xb, ni*k+i, c)
+			w0, w1, w2, w3 := weight.ViewF(b0, o0*k+i, c), weight.ViewF(b1, o1*k+i, c), weight.ViewF(b2, o2*k+i, c), weight.ViewF(b3, o3*k+i, c)
+			w0, w1, w2, w3 = w0[:len(xs)], w1[:len(xs)], w2[:len(xs)], w3[:len(xs)]
+			for j, x := range xs {
+				s0 += x * w0[j]
+				s1 += x * w1[j]
+				s2 += x * w2[j]
+				s3 += x * w3[j]
+			}
+		}
+		out.SetF(ni*o+o0, applyActivation(s0, act))
+		out.SetF(ni*o+o1, applyActivation(s1, act))
+		out.SetF(ni*o+o2, applyActivation(s2, act))
+		out.SetF(ni*o+o3, applyActivation(s3, act))
 	})
 }

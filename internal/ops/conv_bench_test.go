@@ -22,6 +22,8 @@ var zooConvWorkloads = []struct {
 		KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1, HasBias: true, FusedActivation: ActLeakyReLU}},
 	{"mobilenet_c128_28x28_dw3x3s1", ConvWorkload{N: 1, CIn: 128, COut: 128, H: 28, W: 28,
 		KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1, Groups: 128, HasBias: true, FusedActivation: ActReLU}},
+	{"mobilenet_c128_28x28_dw3x3s2", ConvWorkload{N: 1, CIn: 128, COut: 128, H: 28, W: 28,
+		KH: 3, KW: 3, StrideH: 2, StrideW: 2, PadH: 1, PadW: 1, Groups: 128, HasBias: true, FusedActivation: ActReLU}},
 	{"mobilenet_c128_28x28_1x1s1", ConvWorkload{N: 1, CIn: 128, COut: 256, H: 28, W: 28,
 		KH: 1, KW: 1, StrideH: 1, StrideW: 1, HasBias: true, FusedActivation: ActReLU}},
 	{"squeezenet_c3_111x111_7x7s2", ConvWorkload{N: 1, CIn: 3, COut: 64, H: 111, W: 111,

@@ -12,9 +12,9 @@ import (
 // arena-backed buffers so the steady-state run loop never allocates.
 
 // allFloat32 reports whether every tensor carries fp32 storage — the
-// precondition for the raw-slice fast paths below. Reduced-precision
-// operands take the run-at-a-time loops instead (same arithmetic, widened
-// on load, narrowed on store; see typedRun).
+// precondition for the raw-slice fast paths of the elementwise kernels
+// below. Reduced-precision operands take the run-at-a-time loops instead
+// (same arithmetic, widened on load, narrowed on store; see typedRun).
 func allFloat32(ts ...*tensor.Tensor) bool {
 	for _, t := range ts {
 		if t != nil && t.DType() != tensor.Float32 {
@@ -24,14 +24,15 @@ func allFloat32(ts ...*tensor.Tensor) bool {
 	return true
 }
 
-// typedRun is how many elements the reduced-precision paths widen at a
-// time into a stack buffer: LoadF a run, apply the fp32 kernel's
-// arithmetic to it in the fp32 kernel's order, StoreF it. The results are
-// those of a GetF/SetF loop without its per-element dtype switch and
-// calls. The activations and the add are one-stage chains of
-// fusedElementwiseTypedInto. (Where a kernel has its own loop it is
-// written out: handing the buffer to a callback would move it to the
-// heap.)
+// typedRun is how many elements the dtype-generic kernels handle at a time
+// in a stack buffer: LoadF (or ViewF, which reads fp32 in place) a run,
+// apply the fp32 arithmetic to it in the fp32 order, StoreF it, each a
+// vector row primitive of the tensor package where the host has one. The
+// results are those of a GetF/SetF loop. The activations and the add are
+// one-stage chains of fusedElementwiseTypedInto; dense, pooling and the row
+// conv's epilogue have no fp32 fork at all. (Where a kernel has its own
+// loop it is written out: handing the buffer to a callback would move it
+// to the heap.)
 const typedRun = 256
 
 // ReLU applies max(0, x) elementwise.

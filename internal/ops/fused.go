@@ -128,25 +128,16 @@ func fusedElementwiseTypedInto(out, in *tensor.Tensor, extras []*tensor.Tensor, 
 		for _, st := range stages {
 			switch st.Kind {
 			case EwReLU:
-				for i, v := range run {
-					if v < 0 {
-						run[i] = 0
-					}
-				}
+				reluRow(run)
 			case EwLeakyReLU:
-				for i, v := range run {
-					if v < 0 {
-						run[i] = st.Alpha * v
-					}
-				}
+				leakyRow(run, st.Alpha)
 			case EwSigmoid:
 				for i, v := range run {
 					run[i] = float32(1 / (1 + math.Exp(-float64(v))))
 				}
 			case EwAdd:
-				extras[ei].LoadF(exbuf[:len(run)], off)
-				for i := range run {
-					run[i] += exbuf[i]
+				for i, v := range extras[ei].ViewF(exbuf[:], off, len(run)) {
+					run[i] += v
 				}
 				ei++
 			}

@@ -129,7 +129,7 @@ func quantizeConvWeights(weight *tensor.Tensor, w ConvWorkload) (q []int8, scale
 // No tap is bounds-tested: a panel whose four pixels have every tap in
 // bounds (any of a 1x1 unpadded conv) is copied a panel row at a time; any
 // other is zeroed and takes each pixel's in-bounds [ky0,ky1) x [kx0,kx1),
-// found once as in convDirect.
+// found once per pixel (clampKernelRange).
 func im2colPacked[S convElem, E gemmElem](bp []E, ind []S, w ConvWorkload, n, grp int) {
 	_, cinPerG, _, k := w.gemmDims()
 	ow, hw := w.OutW(), w.H*w.W

@@ -131,34 +131,3 @@ done:
 	VMOVDQU Y7, 224(DI)
 	VZEROUPPER
 	RET
-
-// func cpuHasAVX2() bool
-//
-// CPUID.1:ECX must show OSXSAVE (bit 27) and AVX (28), XCR0 must show the
-// OS saving XMM and YMM state (bits 1 and 2), and CPUID.7.0:EBX bit 5 is
-// AVX2 itself.
-TEXT ·cpuHasAVX2(SB), NOSPLIT, $0-1
-	MOVB $0, ret+0(FP)
-	XORL AX, AX
-	CPUID
-	CMPL AX, $7
-	JLT  noavx2
-	MOVL $1, AX
-	XORL CX, CX
-	CPUID
-	ANDL $0x18000000, CX
-	CMPL CX, $0x18000000
-	JNE  noavx2
-	XORL CX, CX
-	XGETBV
-	ANDL $6, AX
-	CMPL AX, $6
-	JNE  noavx2
-	MOVL $7, AX
-	XORL CX, CX
-	CPUID
-	SHRL $5, BX
-	ANDL $1, BX
-	MOVB BX, ret+0(FP)
-noavx2:
-	RET

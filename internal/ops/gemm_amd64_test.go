@@ -5,32 +5,9 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"unigpu/internal/cpu"
 )
-
-// onPortableTile runs f with the portable register tile selected, whatever
-// tile this host would pick.
-func onPortableTile(f func()) {
-	defer func(was bool) { simdTile = was }(simdTile)
-	simdTile = false
-	f()
-}
-
-// tileFloat draws a panel value that exercises float32 rounding: mixed
-// sign, magnitudes from denormal to 1e10, and exact zeros (the padding
-// taps of a real panel).
-func tileFloat(rng *rand.Rand) float32 {
-	switch rng.Intn(8) {
-	case 0:
-		return 0
-	case 1:
-		return math.Float32frombits(rng.Uint32() & 0x807fffff) // denormal, either sign
-	case 2:
-		return float32(rng.NormFloat64() * 1e10)
-	case 3:
-		return float32(rng.NormFloat64() * 1e-30)
-	}
-	return float32(rng.NormFloat64())
-}
 
 // microBoth runs gemmMicro over the same panels with the SIMD tile and with
 // the portable one and fails unless every stored value agrees bit for bit.
@@ -56,7 +33,7 @@ func microBoth[A gemmAcc, E gemmElem](t *testing.T, name string, s convSink[floa
 // and on int8 codes saturated so that the int32 sums are as large as any
 // conv can make them.
 func TestSIMDTileEqualsPortableTile(t *testing.T) {
-	if !simdTile {
+	if !cpu.Vector {
 		t.Skip("this host runs the portable tile only")
 	}
 	rng := rand.New(rand.NewSource(16))
@@ -107,7 +84,7 @@ func TestSIMDTileEqualsPortableTile(t *testing.T) {
 // default is still held to the naive, rounded-operand and integer
 // references.
 func TestGEMMCasesOnPortableTile(t *testing.T) {
-	if !simdTile {
+	if !cpu.Vector {
 		t.Skip("the portable tile is already the one every test ran on")
 	}
 	onPortableTile(func() {

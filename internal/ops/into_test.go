@@ -1,6 +1,8 @@
 package ops
 
 import (
+	"fmt"
+	"math"
 	"runtime"
 	"strings"
 	"sync/atomic"
@@ -102,6 +104,93 @@ func TestIntoVariantsMatchAllocating(t *testing.T) {
 	assertSame(t, "dense", dInto, d)
 }
 
+// refPool2D is a frozen copy of the At/Set pooling loop Pool2DInto was
+// before it worked on rows: every tap bounds-tested, folded into a float64
+// in (ky, kx) order with math.Max or +, the divisor counting in-bounds taps.
+func refPool2D(out, in *tensor.Tensor, kind PoolKind, kernel, stride, pad int) {
+	s := in.Shape()
+	n, c, h, w := s[0], s[1], s[2], s[3]
+	oh := (h+2*pad-kernel)/stride + 1
+	ow := (w+2*pad-kernel)/stride + 1
+	for ni := 0; ni < n; ni++ {
+		for ci := 0; ci < c; ci++ {
+			for y := 0; y < oh; y++ {
+				for x := 0; x < ow; x++ {
+					var acc float64
+					count := 0
+					if kind == MaxPool {
+						acc = math.Inf(-1)
+					}
+					for ky := 0; ky < kernel; ky++ {
+						iy := y*stride - pad + ky
+						if iy < 0 || iy >= h {
+							continue
+						}
+						for kx := 0; kx < kernel; kx++ {
+							ix := x*stride - pad + kx
+							if ix < 0 || ix >= w {
+								continue
+							}
+							v := float64(in.At(ni, ci, iy, ix))
+							if kind == MaxPool {
+								acc = math.Max(acc, v)
+							} else {
+								acc += v
+							}
+							count++
+						}
+					}
+					if kind == AvgPool && count > 0 {
+						acc /= float64(count)
+					}
+					out.Set(float32(acc), ni, ci, y, x)
+				}
+			}
+		}
+	}
+}
+
+// TestPool2DMatchesReference holds the row kernel to refPool2D bit for bit
+// over both reductions, kernels, strides, paddings and fp32/fp16 carriers
+// on either side, on planes that hold -0 next to +0, NaNs of both signs
+// (one beside +Inf, which math.Max lets win), infinities, and, under
+// padding as wide as the kernel, outputs whose window is all padding (max
+// -Inf, avg 0). The 400-wide plane crosses the row kernel's run length and,
+// under kernel 3, its stack window.
+func TestPool2DMatchesReference(t *testing.T) {
+	negZero := float32(math.Copysign(0, -1))
+	special := []float32{negZero, 0, 0, negZero, float32(math.NaN()), float32(math.Inf(1)), -float32(math.NaN()), float32(math.Inf(-1)), 65504, -3}
+	for _, shape := range [][]int{{2, 3, 9, 11}, {1, 2, 1, 1}, {1, 1, 4, 400}} {
+		src := randT(21, shape...)
+		for i, v := range special {
+			src.Data()[(i*7+3)%src.Size()] = v
+		}
+		for _, idt := range []tensor.DType{tensor.Float32, tensor.Float16} {
+			in := tensor.Convert(src, idt, 0)
+			for _, odt := range []tensor.DType{tensor.Float32, tensor.Float16} {
+				for _, kind := range []PoolKind{MaxPool, AvgPool} {
+					for _, kernel := range []int{2, 3} {
+						for _, stride := range []int{1, 2} {
+							for _, pad := range []int{0, 1, kernel} {
+								oh, ow := (shape[2]+2*pad-kernel)/stride+1, (shape[3]+2*pad-kernel)/stride+1
+								if shape[2]+2*pad < kernel || shape[3]+2*pad < kernel {
+									continue
+								}
+								got := tensor.NewTyped(odt, shape[0], shape[1], oh, ow)
+								want := tensor.NewTyped(odt, shape[0], shape[1], oh, ow)
+								got.Fill(-123)
+								Pool2DInto(got, in, kind, kernel, stride, pad)
+								refPool2D(want, in, kind, kernel, stride, pad)
+								sameBits(t, fmt.Sprintf("%v %s->%s kind=%d k%d s%d p%d", shape, idt, odt, kind, kernel, stride, pad), got, want)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestParallelForCoversAllJobs: the atomic work queue runs every job
 // exactly once regardless of worker count.
 func TestParallelForCoversAllJobs(t *testing.T) {
@@ -160,6 +249,18 @@ func BenchmarkConv2DInto(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Conv2DInto(out, in, weight, bias, w)
+	}
+}
+
+// BenchmarkPool2DInto is SqueezeNet's first pool at the benchmark's 64x64
+// input: 96 planes of 32x32, kernel 3, stride 2.
+func BenchmarkPool2DInto(b *testing.B) {
+	in := randT(1, 1, 96, 32, 32)
+	out := tensor.New(1, 96, 15, 15)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		Pool2DInto(out, in, MaxPool, 3, 2, 0)
 	}
 }
 

@@ -14,11 +14,14 @@ const (
 	// KernelAuto defers the choice to DefaultKernel (or to the graph-level
 	// selection pass, which writes a concrete kernel onto the operator).
 	KernelAuto ConvKernel = iota
-	// KernelDirect is the boundary-hoisted direct loop (Conv2DInto). It
-	// handles every workload shape and is the bit-exactness reference.
+	// KernelDirect is the row-accumulate loop (convRows, Conv2DInto): no
+	// packed weights, no scratch slot. It handles every workload shape and
+	// is the bit-exactness reference.
 	KernelDirect
-	// KernelDepthwise is the Groups==CIn==COut specialization
-	// (Conv2DDepthwiseInto); bit-identical to direct.
+	// KernelDepthwise labels the same loop on a Groups==CIn==COut workload
+	// (one input channel per output plane); the selector and the simulated
+	// clock price it apart from direct, and it is the one label an int8
+	// conv may carry besides the GEMM.
 	KernelDepthwise
 	// KernelWinograd is F(2x2,3x3) minimal filtering for dense 3x3
 	// stride-1 convs; numerically ~1e-4 from direct, never auto-selected
@@ -93,12 +96,12 @@ func KernelProfile(w ConvWorkload, k ConvKernel) (flops, elems, eff float64) {
 	elems = w.Elems()
 	switch k {
 	case KernelDirect:
-		// Scalar loop, little register reuse; the hoisted bounds still
-		// leave it latency-bound on the tap chain.
+		// One pass over the output plane per tap, little register reuse,
+		// and the input band is widened again for every output channel.
 		eff = 0.35
 	case KernelDepthwise:
-		// Same loop structure but one plane per job: tiny working set,
-		// no channel reduction, much friendlier to cache.
+		// Same loop but one input plane per output plane: tiny working
+		// set, no channel reduction, much friendlier to cache.
 		eff = 0.55
 	case KernelWinograd:
 		// 2.25x fewer multiplies, paid for with transform arithmetic on
@@ -289,7 +292,7 @@ func runConv[O convOut, R convElem](r convRun, od []O, rd []R) {
 	case p.dtype == tensor.Int8:
 		s.wscale, s.inScale = p.wscale, r.in.Scale()
 		if p.kernel == KernelDepthwise {
-			convDepthwise[int32](&s, r.in.Int8Data(), p.wq, p.w)
+			convRows[int32](&s, r.in.Int8Data(), p.wq, p.w)
 		} else {
 			convGEMM[int32](&s, r.in.Int8Data(), p.wq, r.scratch8, p.w)
 		}
@@ -303,12 +306,9 @@ func runConv[O convOut, R convElem](r convRun, od []O, rd []R) {
 // runFloatConv runs the fp32/fp16 kernels, which differ only in the input
 // element type.
 func runFloatConv[S convElem, O convOut, R convElem](p *PreparedConv, s *convSink[O, R], ind []S, scratch []float32) {
-	switch p.kernel {
-	case KernelDepthwise:
-		convDepthwise[float32](s, ind, p.wd, p.w)
-	case KernelGEMM:
+	if p.kernel == KernelGEMM {
 		convGEMM[float32](s, ind, p.wd, scratch, p.w)
-	default:
-		convDirect(s, ind, p.wd, p.w)
+	} else { // direct and depthwise are one loop
+		convRows[float32](s, ind, p.wd, p.w)
 	}
 }

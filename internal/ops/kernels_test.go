@@ -61,7 +61,8 @@ func naiveConv2D(in, weight, bias *tensor.Tensor, w ConvWorkload) *tensor.Tensor
 
 // kernelEdgeCases covers the shapes that break naive index math: odd
 // channels per group, padding wider than the kernel, pointwise stride-2,
-// rectangular kernels/inputs, depthwise with and without stride.
+// rectangular kernels/inputs, depthwise with and without stride, planes of
+// four outputs and of one, planes done in bands and one too wide for that.
 func kernelEdgeCases() []ConvWorkload {
 	return []ConvWorkload{
 		{N: 1, CIn: 6, COut: 8, H: 9, W: 9, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1, HasBias: true, FusedActivation: ActReLU},
@@ -78,6 +79,14 @@ func kernelEdgeCases() []ConvWorkload {
 		{N: 1, CIn: 4, COut: 3, H: 6, W: 11, KH: 1, KW: 3, StrideH: 1, StrideW: 1},
 		// 5x5 stride-2 (squeezenet-style stem)
 		{N: 1, CIn: 3, COut: 10, H: 13, W: 13, KH: 5, KW: 5, StrideH: 2, StrideW: 2, PadH: 2, PadW: 2, HasBias: true},
+		// outputs shorter than a vector, which the row kernel does one at a
+		// time: a 2x2 depthwise plane and a detection head over a 1x1 map
+		{N: 1, CIn: 6, COut: 6, H: 4, W: 4, KH: 3, KW: 3, StrideH: 2, StrideW: 2, PadH: 1, PadW: 1, Groups: 6, HasBias: true, FusedActivation: ActReLU},
+		{N: 2, CIn: 5, COut: 3, H: 1, W: 1, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1, HasBias: true},
+		// planes larger than the row kernel's scratch: three bands of output
+		// rows over stride-2 phase planes, and a plane wider than the scratch
+		{N: 1, CIn: 2, COut: 3, H: 40, W: 100, KH: 3, KW: 3, StrideH: 2, StrideW: 2, PadH: 1, PadW: 1, HasBias: true, FusedActivation: ActLeakyReLU},
+		{N: 1, CIn: 2, COut: 2, H: 3, W: 2500, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1, HasBias: true},
 	}
 }
 

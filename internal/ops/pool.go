@@ -26,46 +26,92 @@ func Pool2D(in *tensor.Tensor, kind PoolKind, kernel, stride, pad int) *tensor.T
 	return out
 }
 
+// poolWindowElems is the stack room for the padded input rows under one
+// output row: three rows of a 339-wide plane. A wider window takes the heap.
+const poolWindowElems = 1024
+
 // Pool2DInto applies pooling into a caller-provided (N, C, OutH, OutW)
-// tensor.
+// tensor of any storage dtype, an output row at a time. The input rows its
+// windows touch are widened (LoadF) into a buffer whose padding columns hold
+// the reduction's identity, -Inf for max and -0 for the sum (x + -0 is x
+// for every x, -0 included), so every tap is in bounds for every output:
+// taps run outermost and outputs innermost, and the loop over a row has no
+// dependent chain. Padding rows are skipped. The average still folds an
+// output's taps in ascending (ky, kx) order into a float64 and divides by
+// the in-bounds taps only. Max pooling keeps math.Max's rules (+0 above -0,
+// a window of padding gives -Inf): the built-in max has them too except for
+// what a NaN leaves behind, and a NaN result is rare enough to fold again
+// with math.Max itself.
 func Pool2DInto(out, in *tensor.Tensor, kind PoolKind, kernel, stride, pad int) {
 	s := in.Shape()
-	n, c, h, w := s[0], s[1], s[2], s[3]
+	planes, h, w := s[0]*s[1], s[2], s[3]
 	oh := (h+2*pad-kernel)/stride + 1
 	ow := (w+2*pad-kernel)/stride + 1
-	for ni := 0; ni < n; ni++ {
-		for ci := 0; ci < c; ci++ {
-			for y := 0; y < oh; y++ {
-				for x := 0; x < ow; x++ {
-					var acc float64
-					count := 0
-					if kind == MaxPool {
-						acc = math.Inf(-1)
-					}
-					for ky := 0; ky < kernel; ky++ {
-						iy := y*stride - pad + ky
-						if iy < 0 || iy >= h {
-							continue
-						}
+	identity := math.Copysign(0, -1)
+	if kind == MaxPool {
+		identity = math.Inf(-1)
+	}
+	wp := w + 2*pad
+	var stack [poolWindowElems]float32
+	win := stack[:]
+	if kernel*wp > len(win) {
+		win = make([]float32, kernel*wp)
+	}
+	fillRow(win[:kernel*wp], float32(identity))
+	var accs [typedRun]float64
+	var valbuf [typedRun]float32
+	for p := 0; p < planes; p++ {
+		for y := 0; y < oh; y++ {
+			ky0, ky1 := clampKernelRange(y*stride-pad, h, kernel)
+			for ky := ky0; ky < ky1; ky++ {
+				in.LoadF(win[(ky-ky0)*wp+pad:][:w], (p*h+y*stride-pad+ky)*w)
+			}
+			for x0 := 0; x0 < ow; x0 += typedRun {
+				vals := valbuf[:min(typedRun, ow-x0)]
+				if kind == MaxPool {
+					// The maximum of float32 values is one of them: no float64.
+					fillRow(vals, float32(identity))
+					for ky := 0; ky < ky1-ky0; ky++ {
 						for kx := 0; kx < kernel; kx++ {
-							ix := x*stride - pad + kx
-							if ix < 0 || ix >= w {
-								continue
+							j := ky*wp + x0*stride + kx
+							for t := range vals {
+								vals[t] = max(vals[t], win[j+t*stride])
 							}
-							v := float64(in.At(ni, ci, iy, ix))
-							if kind == MaxPool {
-								acc = math.Max(acc, v)
-							} else {
-								acc += v
-							}
-							count++
 						}
 					}
-					if kind == AvgPool && count > 0 {
-						acc /= float64(count)
+					for t, v := range vals {
+						if v != v {
+							m := identity
+							for ky := 0; ky < ky1-ky0; ky++ {
+								for _, e := range win[ky*wp+(x0+t)*stride:][:kernel] {
+									m = math.Max(m, float64(e))
+								}
+							}
+							vals[t] = float32(m)
+						}
 					}
-					out.Set(float32(acc), ni, ci, y, x)
+				} else {
+					acc := accs[:len(vals)]
+					fillRow(acc, identity)
+					for ky := 0; ky < ky1-ky0; ky++ {
+						for kx := 0; kx < kernel; kx++ {
+							j := ky*wp + x0*stride + kx
+							for t := range acc {
+								acc[t] += float64(win[j+t*stride])
+							}
+						}
+					}
+					for t, v := range acc {
+						kx0, kx1 := clampKernelRange((x0+t)*stride-pad, w, kernel)
+						if count := (ky1 - ky0) * (kx1 - kx0); count > 0 {
+							v /= float64(count)
+						} else {
+							v = 0 // a window of padding, not the sum's -0
+						}
+						vals[t] = float32(v)
+					}
 				}
+				out.StoreF((p*oh+y)*ow+x0, vals)
 			}
 		}
 	}
@@ -79,34 +125,20 @@ func GlobalAvgPool(in *tensor.Tensor) *tensor.Tensor {
 	return out
 }
 
-// GlobalAvgPoolInto reduces each channel plane to one value into out.
+// GlobalAvgPoolInto reduces each channel plane to one value into out: a
+// float64 sum in element order over float32 views of the plane, a run at a
+// time, whatever the storage dtypes.
 func GlobalAvgPoolInto(out, in *tensor.Tensor) {
 	s := in.Shape()
-	n, c, hw := s[0], s[1], s[2]*s[3]
-	if !allFloat32(out, in) {
-		var buf [typedRun]float32
-		for p := 0; p < n*c; p++ {
-			var sum float64
-			for i := 0; i < hw; i += typedRun {
-				run := buf[:min(typedRun, hw-i)]
-				in.LoadF(run, p*hw+i)
-				for _, v := range run {
-					sum += float64(v)
-				}
+	planes, hw := s[0]*s[1], s[2]*s[3]
+	var buf [typedRun]float32
+	for p := 0; p < planes; p++ {
+		var sum float64
+		for i := 0; i < hw; i += typedRun {
+			for _, v := range in.ViewF(buf[:], p*hw+i, min(typedRun, hw-i)) {
+				sum += float64(v)
 			}
-			out.SetF(p, float32(sum/float64(hw)))
 		}
-		return
-	}
-	id, od := in.Data(), out.Data()
-	for ni := 0; ni < n; ni++ {
-		for ci := 0; ci < c; ci++ {
-			base := (ni*c + ci) * hw
-			var sum float64
-			for i := 0; i < hw; i++ {
-				sum += float64(id[base+i])
-			}
-			od[ni*c+ci] = float32(sum / float64(hw))
-		}
+		out.SetF(p, float32(sum/float64(hw)))
 	}
 }

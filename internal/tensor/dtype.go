@@ -74,15 +74,15 @@ func F16Encode(f float32) uint16 {
 		// exponent from 127 to 15. No data-dependent branch.
 		abs += 0xfff + abs>>13&1
 		return sign | uint16((abs-0x38000000)>>13)
-	case abs < 0x33800000: // below 2^-24: underflow to signed zero (ReLU's output)
+	case abs <= 0x33000000: // at most 2^-25, half the smallest subnormal: signed zero (the tie goes to even; ReLU's output)
 		return sign
 	case abs > 0x7f800000: // NaN -> quiet NaN
 		return sign | 0x7e00
 	case abs >= 0x47800000: // overflow, or infinity itself
 		return sign | 0x7c00
-	default: // subnormal half, exponent in [-24, -15]
+	default: // subnormal half, or in (2^-25, 2^-24) and rounding up to the smallest one: exponent in [-25, -15]
 		sig := abs&0x7fffff | 0x800000
-		shift := 126 - abs>>23 // in [14, 23]
+		shift := 126 - abs>>23 // in [14, 24]
 		m := sig >> shift
 		rem := sig & (1<<shift - 1)
 		half := uint32(1) << (shift - 1)

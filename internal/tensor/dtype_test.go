@@ -20,16 +20,18 @@ func TestF16RoundTripEdgeCases(t *testing.T) {
 		{float32(math.Copysign(0, -1)), 0x8000},
 		{1, 0x3C00},
 		{-2, 0xC000},
-		{65504, 0x7BFF},         // largest finite half
-		{65536, 0x7C00},         // overflow -> +inf
-		{-1e9, 0xFC00},          // overflow -> -inf
-		{5.9604645e-8, 0x0001},  // smallest subnormal
-		{6.097555e-5, 0x03FF},   // largest subnormal
-		{6.1035156e-5, 0x0400},  // smallest normal
-		{2.9802322e-8, 0x0000},  // half of smallest subnormal: RNE ties to even (zero)
-		{8.940697e-8, 0x0002},   // 1.5x smallest subnormal: ties to even (2)
-		{1.00048828125, 0x3C00}, // 1 + half-ulp: RNE tie to even
-		{1.0004884, 0x3C01},     // just above the tie: rounds up
+		{65504, 0x7BFF},                             // largest finite half
+		{65536, 0x7C00},                             // overflow -> +inf
+		{-1e9, 0xFC00},                              // overflow -> -inf
+		{5.9604645e-8, 0x0001},                      // smallest subnormal
+		{6.097555e-5, 0x03FF},                       // largest subnormal
+		{6.1035156e-5, 0x0400},                      // smallest normal
+		{2.9802322e-8, 0x0000},                      // half of smallest subnormal: RNE ties to even (zero)
+		{math.Float32frombits(0x33000001), 0x0001},  // just above that tie: up to the smallest subnormal
+		{-math.Float32frombits(0x337fffff), 0x8001}, // just below the smallest subnormal, negative
+		{8.940697e-8, 0x0002},                       // 1.5x smallest subnormal: ties to even (2)
+		{1.00048828125, 0x3C00},                     // 1 + half-ulp: RNE tie to even
+		{1.0004884, 0x3C01},                         // just above the tie: rounds up
 		{float32(math.Inf(1)), 0x7C00},
 		{float32(math.Inf(-1)), 0xFC00},
 	}
@@ -116,7 +118,7 @@ func refF16Encode(f float32) uint16 {
 			h++
 		}
 		return h
-	case exp >= -24:
+	case exp >= -25: // down to half the smallest subnormal, 2^-25 itself being the tie that goes to zero
 		sig := man | 0x800000
 		shift := uint32(-exp - 1)
 		m := sig >> shift
@@ -132,43 +134,53 @@ func refF16Encode(f float32) uint16 {
 	}
 }
 
-// TestF16EncodeMatchesReference holds F16Encode to the reference on the
-// inputs where rounding decisions live — every half value, the midpoint to
-// its successor (the tie) and the float32 neighbours of both — and on a
-// few million random bit patterns. (All 2^32 patterns were compared once,
-// offline, when the fast path was written; that takes ~20 s.)
-func TestF16EncodeMatchesReference(t *testing.T) {
-	check := func(b uint32) {
-		f := math.Float32frombits(b)
-		if got, want := tensor.F16Encode(f), refF16Encode(f); got != want {
-			t.Fatalf("F16Encode(%#08x = %g) = %#04x, reference gives %#04x", b, f, got, want)
-		}
-	}
+// forEachEncodeProbe calls f on the float32 bit patterns where binary16
+// rounding decisions live: every half value, the midpoint to its successor
+// (the tie) and the float32 neighbours of both; every exponent (subnormal
+// halves shift by 14..24 bits, so their ties sit at every bit position;
+// overflow; inf/NaN) with the mantissas around each single bit and each
+// adjacent bit pair, a tie below an even and below an odd kept bit and one
+// float32 ulp either side; the three patterns that bound the values rounding
+// up to the smallest subnormal, (2^-25, 2^-24), with 2^-25 itself, the tie
+// that goes to zero; and a few million random patterns.
+func forEachEncodeProbe(f func(b uint32)) {
 	for h := 0; h < 1<<16; h++ {
 		lo := math.Float32bits(refF16Decode(uint16(h)))
 		mid := lo + 0x1000 // half of a normal half's ulp; harmless elsewhere
 		for _, b := range []uint32{lo - 1, lo, lo + 1, mid - 1, mid, mid + 1} {
-			check(b)
+			f(b)
 		}
 	}
-	// Every exponent (subnormal halves shift by 14..23 bits, so their ties
-	// sit at every bit position; overflow; inf/NaN) with the mantissas
-	// around each single bit and each adjacent bit pair: a tie below an
-	// even and below an odd kept bit, and one float32 ulp either side.
 	for e := uint32(0); e < 256; e++ {
 		for p := uint(0); p < 23; p++ {
 			for _, m := range []uint32{1 << p, 3 << p} {
 				for _, man := range []uint32{m - 1, m, m + 1} {
-					check(e<<23 | man&0x7fffff)
-					check(1<<31 | e<<23 | man&0x7fffff)
+					f(e<<23 | man&0x7fffff)
+					f(1<<31 | e<<23 | man&0x7fffff)
 				}
 			}
 		}
 	}
+	for _, b := range []uint32{0x33000000, 0x33000001, 0x337fffff} {
+		f(b)
+		f(1<<31 | b)
+	}
 	rng := rand.New(rand.NewSource(5))
 	for i := 0; i < 4_000_000; i++ {
-		check(rng.Uint32())
+		f(rng.Uint32())
 	}
+}
+
+// TestF16EncodeMatchesReference holds F16Encode to the reference on
+// forEachEncodeProbe's inputs. (All 2^32 patterns were compared once,
+// offline, when the fast path was written; that takes ~20 s.)
+func TestF16EncodeMatchesReference(t *testing.T) {
+	forEachEncodeProbe(func(b uint32) {
+		f := math.Float32frombits(b)
+		if got, want := tensor.F16Encode(f), refF16Encode(f); got != want {
+			t.Fatalf("F16Encode(%#08x = %g) = %#04x, reference gives %#04x", b, f, got, want)
+		}
+	})
 }
 
 // TestRunAccessMatchesElementAccess: LoadF, StoreF and CopyRange must

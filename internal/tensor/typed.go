@@ -111,34 +111,37 @@ func (t *Tensor) SetF(i int, v float32) {
 }
 
 // LoadF widens the len(dst) elements starting at flat index off into dst,
-// exactly as GetF would one by one, with the dtype resolved once per run.
+// exactly as GetF would one by one, a row primitive at a time (rows.go).
 func (t *Tensor) LoadF(dst []float32, off int) {
 	switch t.dtype {
 	case Float16:
-		for i, h := range t.half[off : off+len(dst)] {
-			dst[i] = f16Table[h]
-		}
+		WidenHalf(dst, t.half[off:])
 	case Int8:
-		for i, q := range t.qdata[off : off+len(dst)] {
-			dst[i] = t.scale * float32(q)
-		}
+		dequantizeRow(dst, t.qdata[off:], t.scale)
 	default:
 		copy(dst, t.data[off:off+len(dst)])
 	}
 }
 
+// ViewF returns elements [off, off+n) as float32 values for reading: the
+// tensor's own storage when that is fp32, otherwise buf[:n] after LoadF. It
+// is how a kernel reads every dtype through one loop without copying fp32.
+func (t *Tensor) ViewF(buf []float32, off, n int) []float32 {
+	if t.dtype == Float32 {
+		return t.data[off : off+n]
+	}
+	t.LoadF(buf[:n], off)
+	return buf[:n]
+}
+
 // StoreF narrows src into the elements starting at flat index off, exactly
-// as SetF would one by one, with the dtype resolved once per run.
+// as SetF would one by one, a row primitive at a time.
 func (t *Tensor) StoreF(off int, src []float32) {
 	switch t.dtype {
 	case Float16:
-		for i, v := range src {
-			t.half[off+i] = F16Encode(v)
-		}
+		NarrowHalf(t.half[off:off+len(src)], src)
 	case Int8:
-		for i, v := range src {
-			t.qdata[off+i] = QuantizeInt8(v, t.scale)
-		}
+		quantizeRow(t.qdata[off:off+len(src)], src, t.scale)
 	default:
 		copy(t.data[off:off+len(src)], src)
 	}
@@ -161,24 +164,35 @@ func Copy(dst, src *Tensor) {
 
 // CopyRange copies n elements of src from flat index srcOff to dst from
 // flat index dstOff, whatever the two shapes: raw when the storage formats
-// agree (int8 only under equal scales), otherwise widened and narrowed a
-// run at a time exactly as dst.SetF(i, src.GetF(j)) would. It never
-// allocates.
+// agree (int8 only under equal scales), otherwise converted exactly as
+// dst.SetF(i, src.GetF(j)) would, one row primitive over the whole range
+// where one end is fp32 or the pair is the fp16-to-int8 cast, a widened run
+// at a time for what is left (from int8 to fp16 or to another scale). It
+// never allocates.
 func CopyRange(dst *Tensor, dstOff int, src *Tensor, srcOff, n int) {
 	switch {
-	case dst.dtype != src.dtype || dst.dtype == Int8 && dst.scale != src.scale:
+	case dst.dtype == src.dtype && (dst.dtype != Int8 || dst.scale == src.scale):
+		switch dst.dtype {
+		case Float16:
+			copy(dst.half[dstOff:dstOff+n], src.half[srcOff:])
+		case Int8:
+			copy(dst.qdata[dstOff:dstOff+n], src.qdata[srcOff:])
+		default:
+			copy(dst.data[dstOff:dstOff+n], src.data[srcOff:])
+		}
+	case dst.dtype == Float32:
+		src.LoadF(dst.data[dstOff:dstOff+n], srcOff)
+	case src.dtype == Float32:
+		dst.StoreF(dstOff, src.data[srcOff:srcOff+n])
+	case src.dtype == Float16: // to int8
+		quantizeHalfRow(dst.qdata[dstOff:dstOff+n], src.half[srcOff:], dst.scale)
+	default:
 		var buf [256]float32
 		for i := 0; i < n; i += len(buf) {
 			run := buf[:min(len(buf), n-i)]
 			src.LoadF(run, srcOff+i)
 			dst.StoreF(dstOff+i, run)
 		}
-	case dst.dtype == Float16:
-		copy(dst.half[dstOff:dstOff+n], src.half[srcOff:])
-	case dst.dtype == Int8:
-		copy(dst.qdata[dstOff:dstOff+n], src.qdata[srcOff:])
-	default:
-		copy(dst.data[dstOff:dstOff+n], src.data[srcOff:])
 	}
 }
 
