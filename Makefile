@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race verify bench bench-regress bench-baseline trace soak
+.PHONY: build test vet race verify bench bench-regress bench-baseline trace soak loc
 
 build:
 	$(GO) build ./...
@@ -22,10 +22,13 @@ race:
 # the portable GEMM tile and row loops to compiling (and vetting, tests
 # included) where the amd64 assembly of internal/ops, internal/tensor and
 # internal/cpu does not exist; vet's asmdecl check covers the assembly's
-# frame layouts on amd64.
+# frame layouts on amd64. The import check keeps the graph executor from
+# learning what is inside an operator again: it sees graph.PreparedOp only.
 verify:
 	$(GO) build ./...
 	$(GO) vet ./...
+	@if $(GO) list -f '{{join .Imports "\n"}}' ./internal/runtime | grep -qx unigpu/internal/ops; then \
+		echo "internal/runtime must not import unigpu/internal/ops"; exit 1; fi
 	GOARCH=arm64 $(GO) build ./...
 	GOARCH=arm64 $(GO) vet ./internal/ops ./internal/tensor ./internal/cpu
 	$(GO) test -race -timeout 25m ./...
@@ -77,6 +80,15 @@ bench-baseline:
 # the healed device serves again.
 soak:
 	UNIGPU_SOAK_RUNS=500 $(GO) test -race -run 'TestFaultSoak|TestBatchedFaultSoak|TestFleetSoak' -count=1 -v ./internal/runtime
+
+# loc prints the non-test line counts ROADMAP.md budgets, the way it
+# counts them (wc -l), so a PR's budget is a command and not a claim.
+loc:
+	@n() { ls $$@ | grep -v _test.go | xargs cat | wc -l; }; \
+	echo "internal/runtime + unigpu.go:   $$(n internal/runtime/*.go unigpu.go)"; \
+	echo "internal/graph:                 $$(n internal/graph/*.go)"; \
+	echo "internal/ops + internal/tensor: $$(n internal/ops/*.go internal/tensor/*.go)"; \
+	echo "assembly (.s):                  $$(cat internal/*/*.s | wc -l)"
 
 # trace produces a sample Chrome trace + metrics dump from a quick run.
 trace:

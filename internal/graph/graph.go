@@ -42,12 +42,78 @@ type Operator interface {
 
 // IntoOperator is implemented by operators that can compute into a
 // caller-provided output tensor of the inferred shape without allocating.
-// The pooled runtime (runtime.Plan) executes these against arena-backed
-// buffers; operators lacking the method fall back to Execute plus a copy.
+// Prepare runs these against the plan's arena-backed buffers; operators
+// lacking the method fall back to Execute plus a copy.
 type IntoOperator interface {
 	Operator
 	// ExecuteInto computes the output into out, overwriting every element.
 	ExecuteInto(out *tensor.Tensor, ins []*tensor.Tensor)
+}
+
+// PreparedOp is the one form in which the runtime executes a node: an
+// operator bound at plan time to its node's constant operands, with
+// whatever it packed from them. It is read-only afterwards and shared by
+// every session of the plan, so per-run state lives in the scratch it
+// declares, never in the PreparedOp.
+type PreparedOp interface {
+	// Scratch declares the per-run workspace: elems elements of dt (0 for
+	// none). The planner reserves it as an arena slot live only while the
+	// node runs.
+	Scratch() (elems int, dt tensor.DType)
+	// Label is the profiler kind: the operator kind, refined by the routine
+	// and storage dtype where one was chosen ("conv2d/gemm@fp16").
+	Label() string
+	// Run computes the node's output into out, overwriting every element.
+	// scratch is a rank-1 tensor of exactly the declared length and dtype,
+	// nil when none was declared.
+	Run(out *tensor.Tensor, ins []*tensor.Tensor, scratch *tensor.Tensor) error
+}
+
+// Preparer is implemented by operators with plan-time work of their own
+// (packing constant weights, choosing a routine, sizing a workspace).
+type Preparer interface {
+	Prepare(n *Node) (PreparedOp, error)
+}
+
+// Prepare returns node n's PreparedOp: the operator's own when it is a
+// Preparer, else its ExecuteInto, else its allocating Execute followed by a
+// copy into the output buffer.
+func Prepare(n *Node) (PreparedOp, error) {
+	switch op := n.Op.(type) {
+	case Preparer:
+		return op.Prepare(n)
+	case IntoOperator:
+		return intoOp{op}, nil
+	}
+	return execOp{n.Op, n.OutShape}, nil
+}
+
+// intoOp adapts an IntoOperator: no scratch, no plan-time state.
+type intoOp struct{ IntoOperator }
+
+func (o intoOp) Scratch() (int, tensor.DType) { return 0, tensor.Float32 }
+func (o intoOp) Label() string                { return o.Kind() }
+func (o intoOp) Run(out *tensor.Tensor, ins []*tensor.Tensor, _ *tensor.Tensor) error {
+	o.ExecuteInto(out, ins)
+	return nil
+}
+
+// execOp adapts an operator that can only allocate its result (the vision
+// pipelines): the result is checked against the inferred shape and copied.
+type execOp struct {
+	Operator
+	shape tensor.Shape
+}
+
+func (o execOp) Scratch() (int, tensor.DType) { return 0, tensor.Float32 }
+func (o execOp) Label() string                { return o.Kind() }
+func (o execOp) Run(out *tensor.Tensor, ins []*tensor.Tensor, _ *tensor.Tensor) error {
+	res := o.Execute(ins)
+	if !res.Shape().Equal(o.shape) {
+		return fmt.Errorf("produced %v, inferred %v", res.Shape(), o.shape)
+	}
+	tensor.Copy(out, res)
+	return nil
 }
 
 // Node is one vertex of the computational graph.

@@ -1,6 +1,10 @@
 package graph
 
 import (
+	"errors"
+	"fmt"
+
+	"unigpu/internal/obs"
 	"unigpu/internal/ops"
 	"unigpu/internal/tensor"
 	"unigpu/internal/vision"
@@ -14,11 +18,11 @@ import (
 // ConvOp is a 2-D convolution; inputs: data, weight[, bias][, residual].
 //
 // Kernel is the algorithm the kernel-selection pass (SelectConvKernels)
-// chose for this workload; KernelAuto falls back to ops.DefaultKernel. The
-// runtime prepacks weights for the effective kernel at plan time; the
-// Execute/ExecuteInto paths prepare on the fly so the reference executor
-// and the plan run the identical algorithm (and hence produce identical
-// bits).
+// chose for this workload; KernelAuto falls back to ops.DefaultKernel.
+// Prepare packs constant weights for the effective kernel once, at plan
+// time; ExecuteInto packs on the fly through the same code, so the
+// reference executor and the plan run the identical algorithm (and hence
+// produce identical bits).
 //
 // Residual marks a fused residual add (FuseConvResidual): the node's last
 // input is an output-shaped tensor summed into every element by the kernel
@@ -38,20 +42,6 @@ type ConvOp struct {
 
 func (o *ConvOp) Kind() string { return "conv2d" }
 
-// SplitArgs resolves the optional bias and residual operands from the
-// node's input values (data, weight[, bias][, residual]); either may be
-// nil. ArgIndices is the index form the plan compiler precomputes.
-func (o *ConvOp) SplitArgs(ins []*tensor.Tensor) (bias, residual *tensor.Tensor) {
-	bi, ri := o.ArgIndices(len(ins))
-	if bi >= 0 {
-		bias = ins[bi]
-	}
-	if ri >= 0 {
-		residual = ins[ri]
-	}
-	return bias, residual
-}
-
 // ArgIndices returns the input positions of the optional bias and residual
 // operands for a node with n inputs (-1 when absent): the residual, when
 // fused, is always the last input; a bias sits at index 2.
@@ -66,19 +56,6 @@ func (o *ConvOp) ArgIndices(n int) (bias, residual int) {
 		bias = 2
 	}
 	return bias, residual
-}
-
-// EffectiveKernel resolves KernelAuto and unsupported choices to the
-// concrete kernel that will actually run.
-func (o *ConvOp) EffectiveKernel() ops.ConvKernel {
-	k := o.Kernel
-	if k == ops.KernelAuto {
-		k = ops.DefaultKernel(o.W)
-	}
-	if !ops.KernelSupported(k, o.W) {
-		k = ops.KernelDirect
-	}
-	return k
 }
 
 func (o *ConvOp) InferShape(ins []tensor.Shape) tensor.Shape {
@@ -96,11 +73,79 @@ func (o *ConvOp) Execute(ins []*tensor.Tensor) *tensor.Tensor {
 	return out
 }
 func (o *ConvOp) ExecuteInto(out *tensor.Tensor, ins []*tensor.Tensor) {
-	bias, residual := o.SplitArgs(ins)
-	ops.PrepareConvDType(o.W, o.Kernel, ins[1], o.DType).
-		RunIntoEpilogue(out, ins[0], bias, residual, nil, nil, o.ResidualPostAct)
+	o.bind(ins[1], len(ins)).Run(out, ins, nil)
 }
 func (o *ConvOp) GPUFriendly() bool { return true }
+
+// preparedConv is a ConvOp bound to its weights: the selected kernel's
+// packed layout plus the operand positions the epilogue reads.
+type preparedConv struct {
+	conv      *ops.PreparedConv
+	bias, res int // positions in ins, -1 when absent
+	postAct   bool
+}
+
+func (o *ConvOp) bind(weight *tensor.Tensor, inputs int) *preparedConv {
+	p := &preparedConv{conv: ops.PrepareConvDType(o.W, o.Kernel, weight, o.DType), postAct: o.ResidualPostAct}
+	p.bias, p.res = o.ArgIndices(inputs)
+	return p
+}
+
+// Prepare packs the weights for the selected kernel and storage dtype.
+// Only constant weights qualify (a fed or computed weight could change
+// between runs); otherwise every run packs, as ExecuteInto does.
+func (o *ConvOp) Prepare(n *Node) (PreparedOp, error) {
+	if len(n.Inputs) < 2 || !n.Inputs[1].IsConstant() {
+		return intoOp{o}, nil
+	}
+	// The conv epilogue stores (and reads its fused residual) as fp32 or
+	// fp16 only: an int8 conv dequantizes into a carrier.
+	if n.DType == tensor.Int8 {
+		return nil, errors.New("conv has an int8 output; convs write fp32 or fp16 storage")
+	}
+	if _, res := o.ArgIndices(len(n.Inputs)); res >= 0 && n.Inputs[res].StorageDType() == tensor.Int8 {
+		return nil, fmt.Errorf("conv has an int8 fused residual %q; residuals are fp32 or fp16 storage", n.Inputs[res].Name)
+	}
+	p := o.bind(n.Inputs[1].Value, len(n.Inputs))
+	obs.Count("kernel.selected."+p.conv.Kernel().String(), 1)
+	return p, nil
+}
+
+func (p *preparedConv) Scratch() (int, tensor.DType) {
+	return p.conv.ScratchElems(), p.conv.ScratchDType()
+}
+
+func (p *preparedConv) Label() string {
+	label := "conv2d/" + p.conv.Kernel().String()
+	if dt := p.conv.DType(); dt != tensor.Float32 {
+		label += "@" + dt.String()
+	}
+	return label
+}
+
+// Run executes the packed kernel. The fused residual rides in as an extra
+// input and must not alias out (the planner acquires the output slot before
+// it releases the inputs'). A nil scratch makes the kernel allocate its own.
+func (p *preparedConv) Run(out *tensor.Tensor, ins []*tensor.Tensor, scratch *tensor.Tensor) error {
+	var bias, res *tensor.Tensor
+	if p.bias >= 0 {
+		bias = ins[p.bias]
+	}
+	if p.res >= 0 {
+		res = ins[p.res]
+	}
+	var s32 []float32
+	var s8 []int8
+	if scratch != nil {
+		if scratch.DType() == tensor.Int8 {
+			s8 = scratch.Int8Data()
+		} else {
+			s32 = scratch.Data()
+		}
+	}
+	p.conv.RunIntoEpilogue(out, ins[0], bias, res, s32, s8, p.postAct)
+	return nil
+}
 
 // BatchNormOp is inference-mode batch normalization; inputs: data, gamma,
 // beta, mean, variance. The fold pass removes it before execution.

@@ -1,7 +1,6 @@
 package ops
 
 import (
-	"fmt"
 	"testing"
 
 	"unigpu/internal/tensor"
@@ -31,9 +30,8 @@ var zooConvWorkloads = []struct {
 }
 
 // BenchmarkConvKernels measures every applicable algorithm on every zoo
-// workload: direct (hoisted bounds), the blocked-layout packed kernel,
-// depthwise, Winograd, and im2col-GEMM (prepacked weights + reused
-// scratch, as the runtime runs it). The im2col-GEMM rows are the
+// workload: direct (hoisted bounds), depthwise, Winograd, and im2col-GEMM
+// (prepacked weights + reused scratch, as the runtime runs it). The im2col-GEMM rows are the
 // acceptance check: they must beat direct on the 3x3 stride-1 workloads.
 func BenchmarkConvKernels(b *testing.B) {
 	for _, tc := range zooConvWorkloads {
@@ -72,22 +70,6 @@ func BenchmarkConvKernels(b *testing.B) {
 				b.ReportMetric(w.FLOPs(), "flops")
 				for i := 0; i < b.N; i++ {
 					p.RunIntoEpilogue(tout, tin, bias, nil, scratch, scratch8, false)
-				}
-			})
-		}
-
-		// The blocked-NCHW[x]c packed kernel needs converted operands;
-		// conversion happens outside the timed loop (it is a plan-time
-		// layout decision, like GEMM prepacking).
-		if max(1, w.Groups) == 1 {
-			const block = 4
-			layout := tensor.Layout(fmt.Sprintf("NCHW%dc", block))
-			packedIn := tensor.ConvertNCHW(in, "NCHW", layout, w.N, w.CIn, w.H, w.W)
-			packedW := tensor.ConvertOIHW(weight, block)
-			b.Run(tc.name+"/packed", func(b *testing.B) {
-				b.ReportMetric(w.FLOPs(), "flops")
-				for i := 0; i < b.N; i++ {
-					Conv2DPacked(packedIn, packedW, bias, w, block)
 				}
 			})
 		}

@@ -53,7 +53,6 @@ type batchRequest struct {
 	ctx   context.Context
 	feeds map[string]*tensor.Tensor
 	res   chan batchResult // buffered 1: completion never blocks the dispatcher
-	start time.Time
 	req   *obs.ActiveRequest
 }
 
@@ -195,31 +194,23 @@ func (b *Batcher) entry(n int) *batchEntry {
 // otherwise drain the queue first and strand the request.
 var testBatchEnqueuePause func()
 
-// run is SessionPool.Run routed through the batcher: bounded-queue
-// admission, then wait for the dispatcher to resolve the request.
-func (b *Batcher) run(ctx context.Context, feeds map[string]*tensor.Tensor) ([]*tensor.Tensor, error) {
-	sp := b.pool
-	req := sp.requests.Start(sp.model)
-	start := time.Now()
-	finish := func(err error, oc obs.Outcome) error {
-		req.Finish(err)
-		sp.slo.Record(sp.model, time.Since(start), oc)
-		return err
-	}
+// run is the batched half of SessionPool.Run (which owns the request's
+// accounting): bounded-queue admission, then wait for the dispatcher to
+// resolve the request.
+func (b *Batcher) run(ctx context.Context, req *obs.ActiveRequest, feeds map[string]*tensor.Tensor) ([]*tensor.Tensor, error) {
 	if err := ctx.Err(); err != nil {
-		mAdmissionShed.Inc()
-		return nil, finish(err, obs.OutcomeDeadline)
+		return nil, err
 	}
 	// Feed shapes are validated against the per-request plan up front so a
 	// malformed request can never poison a formed batch.
-	if err := sp.plan.validateFeeds(feeds); err != nil {
-		return nil, finish(err, obs.OutcomeError)
+	if err := b.pool.plan.validateFeeds(feeds); err != nil {
+		return nil, err
 	}
-	br := &batchRequest{ctx: ctx, feeds: feeds, res: make(chan batchResult, 1), start: start, req: req}
+	br := &batchRequest{ctx: ctx, feeds: feeds, res: make(chan batchResult, 1), req: req}
 	b.closeMu.RLock()
 	if b.closed {
 		b.closeMu.RUnlock()
-		return nil, finish(ErrPoolClosed, obs.OutcomeError)
+		return nil, ErrPoolClosed
 	}
 	if testBatchEnqueuePause != nil {
 		testBatchEnqueuePause()
@@ -230,27 +221,15 @@ func (b *Batcher) run(ctx context.Context, feeds map[string]*tensor.Tensor) ([]*
 		req.MarkAdmitted()
 	default:
 		b.closeMu.RUnlock()
-		mAdmissionShed.Inc()
-		req.MarkShed()
-		return nil, finish(ErrOverloaded, obs.OutcomeShed)
+		return nil, ErrOverloaded
 	}
 	select {
 	case res := <-br.res:
-		if res.err != nil {
-			switch {
-			case errors.Is(res.err, context.Canceled), errors.Is(res.err, context.DeadlineExceeded):
-				mAdmissionShed.Inc()
-				return nil, finish(res.err, obs.OutcomeDeadline)
-			default:
-				return nil, finish(res.err, obs.OutcomeError)
-			}
-		}
-		return res.outs, finish(nil, obs.OutcomeOK)
+		return res.outs, res.err
 	case <-ctx.Done():
 		// The dispatcher may still pick the request up; its buffered result
 		// channel absorbs the late completion.
-		mAdmissionShed.Inc()
-		return nil, finish(ctx.Err(), obs.OutcomeDeadline)
+		return nil, ctx.Err()
 	}
 }
 
@@ -332,18 +311,10 @@ func (b *Batcher) execute(live []*batchRequest) {
 	if !e.readyNow() || e.err != nil {
 		// Plan still compiling (or failed to compile): degrade to the
 		// pooled per-request sessions rather than stalling the dispatcher.
-		if b.cDegraded != nil {
-			b.cDegraded.Inc()
-		}
 		for _, r := range live {
 			r.req.SetBatchSize(1)
-			rr := r
-			b.wg.Add(1)
-			go func() {
-				defer b.wg.Done()
-				b.fallback(rr)
-			}()
 		}
+		b.degrade(live)
 		return
 	}
 	b.observeBatch(n)
@@ -393,17 +364,7 @@ func (b *Batcher) execute(live []*batchRequest) {
 		// A poisoned batch must not fail its siblings collectively: retry
 		// each member on the per-request path, where retries, re-exec and
 		// the breaker handle the fault individually.
-		if b.cDegraded != nil {
-			b.cDegraded.Inc()
-		}
-		for _, r := range live {
-			rr := r
-			b.wg.Add(1)
-			go func() {
-				defer b.wg.Done()
-				b.fallback(rr)
-			}()
-		}
+		b.degrade(live)
 		return
 	}
 
@@ -430,38 +391,26 @@ func (b *Batcher) observeBatch(n int) {
 	}
 }
 
+// degrade resolves every member on the per-request path, concurrently, so
+// the dispatcher is free to form the next batch.
+func (b *Batcher) degrade(live []*batchRequest) {
+	if b.cDegraded != nil {
+		b.cDegraded.Inc()
+	}
+	for _, r := range live {
+		b.wg.Add(1)
+		go func() {
+			defer b.wg.Done()
+			b.fallback(r)
+		}()
+	}
+}
+
 // fallback executes one request on the pool's per-request sessions. The
 // request already passed admission (the batching queue), so the acquire
 // blocks instead of shedding on queue depth.
 func (b *Batcher) fallback(r *batchRequest) {
-	sp := b.pool
-	var s *Session
-	select {
-	case s = <-sp.idle:
-	case <-r.ctx.Done():
-		r.complete(nil, r.ctx.Err())
-		return
-	}
-	r.req.MarkAcquired()
-	if sp.gInflight != nil {
-		sp.gInflight.Set(float64(cap(sp.idle) - len(sp.idle)))
-	}
-	ctx := r.ctx
-	if r.req != nil {
-		ctx = obs.ContextWithRequest(ctx, r.req)
-	}
-	outs, err := s.RunContext(ctx, r.feeds)
-	if err != nil {
-		sp.release(s)
-		r.complete(nil, err)
-		return
-	}
-	res := make([]*tensor.Tensor, len(outs))
-	for i, o := range outs {
-		res[i] = o.Clone()
-	}
-	sp.release(s)
-	r.complete(res, nil)
+	r.complete(b.pool.serve(r.ctx, r.req, r.feeds, true))
 }
 
 // close stops the dispatcher, fails queued requests with ErrPoolClosed,

@@ -188,11 +188,7 @@ func (r *fleetReplica) percentiles() (p50, p99 float64) {
 		return 0, 0
 	}
 	sort.Float64s(buf)
-	idx := func(q float64) int {
-		i := int(q * float64(n-1))
-		return i
-	}
-	return buf[idx(0.50)], buf[idx(0.99)]
+	return buf[int(0.50*float64(n-1))], buf[int(0.99*float64(n-1))]
 }
 
 func (r *fleetReplica) setState(s ReplicaState) {
@@ -590,9 +586,6 @@ func (f *Fleet) Close() {
 	if f.telemetry {
 		for _, r := range f.replicas {
 			obs.UnregisterHealth("fleet." + r.name)
-			// Retire the pool's own health entry too: a replica closed
-			// while quarantined must not linger unhealthy on /healthz.
-			obs.UnregisterHealth("pool." + r.pool.label)
 		}
 		obs.UnregisterDebug("fleet")
 	}

@@ -11,7 +11,6 @@ import (
 
 	"unigpu/internal/graph"
 	"unigpu/internal/obs"
-	"unigpu/internal/ops"
 	"unigpu/internal/sim"
 	"unigpu/internal/tensor"
 )
@@ -57,10 +56,9 @@ type feedArg struct {
 type planNode struct {
 	name     string
 	kind     string
-	profKind string // kind refined by the selected kernel (e.g. conv2d/gemm)
+	profKind string // the PreparedOp's label (e.g. conv2d/gemm@fp16)
 	device   graph.DeviceClass
-	op       graph.Operator
-	into     graph.IntoOperator // nil: fall back to Execute + copy
+	op       graph.PreparedOp // prepared once here, shared read-only by every session
 	args     []valueRef
 	outShape tensor.Shape
 	elems    int
@@ -74,22 +72,9 @@ type planNode struct {
 	dtype  tensor.DType
 	qscale float32
 
-	// conv is the prepacked convolution for conv nodes with constant
-	// weights: the selected kernel's weight layout is built once at plan
-	// time and shared read-only by every session. scratchSlot/scratchElems
-	// reserve the kernel's per-run workspace (im2col panels) in the arena
-	// so Session.Run stays allocation-free; scratchSlot is -1 when the
-	// kernel needs none.
-	conv         *ops.PreparedConv
-	scratchSlot  int
-	scratchElems int
-	scratchDT    tensor.DType // int8 GEMM packs codes; else float32
-	// biasArg/resArg are the prepacked conv's optional bias and fused
-	// residual positions in args (-1 when absent); postAct orders the
-	// residual add after the fused activation (see ops.RunIntoEpilogue).
-	biasArg int
-	resArg  int
-	postAct bool
+	// scratchSlot is the arena slot holding the workspace op.Scratch
+	// declares, so Session.Run stays allocation-free; -1 when it needs none.
+	scratchSlot int
 
 	// consumers are the plan-node indices to notify on completion: the data
 	// edges plus the anti-dependency (buffer-reuse) edges; pending is the
@@ -161,40 +146,15 @@ func NewPlan(g *graph.Graph) (*Plan, error) {
 		idx[n] = i
 		pn := planNode{
 			name: n.Name, kind: n.Op.Kind(), device: n.Device,
-			op: n.Op, outShape: n.OutShape, elems: n.OutShape.NumElements(),
+			outShape: n.OutShape, elems: n.OutShape.NumElements(),
 			gpu: n.Device == graph.OnGPU, scratchSlot: -1,
-			biasArg: -1, resArg: -1,
 			dtype: n.DType, qscale: n.QScale,
 		}
-		if io, ok := n.Op.(graph.IntoOperator); ok {
-			pn.into = io
+		var err error
+		if pn.op, err = graph.Prepare(n); err != nil {
+			return nil, fmt.Errorf("runtime: node %q: %w", n.Name, err)
 		}
-		// Prepack conv weights for the selected kernel (and storage dtype).
-		// Only convs with constant weights qualify (a fed or computed weight
-		// could change between runs); those fall back to the generic
-		// ExecuteInto path.
-		pn.profKind = pn.kind
-		if convOp, ok := n.Op.(*graph.ConvOp); ok &&
-			len(n.Inputs) > 1 && n.Inputs[1].IsConstant() {
-			pn.conv = ops.PrepareConvDType(convOp.W, convOp.Kernel, n.Inputs[1].Value, convOp.DType)
-			pn.scratchElems = pn.conv.ScratchElems()
-			pn.scratchDT = pn.conv.ScratchDType()
-			pn.biasArg, pn.resArg = convOp.ArgIndices(len(n.Inputs))
-			pn.postAct = convOp.ResidualPostAct
-			// The conv epilogue stores (and reads its fused residual) as
-			// fp32 or fp16 only: an int8 conv dequantizes into a carrier.
-			if n.DType == tensor.Int8 {
-				return nil, fmt.Errorf("runtime: conv %q has an int8 output; convs write fp32 or fp16 storage", n.Name)
-			}
-			if pn.resArg >= 0 && n.Inputs[pn.resArg].StorageDType() == tensor.Int8 {
-				return nil, fmt.Errorf("runtime: conv %q has an int8 fused residual %q; residuals are fp32 or fp16 storage", n.Name, n.Inputs[pn.resArg].Name)
-			}
-			pn.profKind = pn.kind + "/" + pn.conv.Kernel().String()
-			if dt := pn.conv.DType(); dt != tensor.Float32 {
-				pn.profKind += "@" + dt.String()
-			}
-			obs.Count("kernel.selected."+pn.conv.Kernel().String(), 1)
-		}
+		pn.profKind = pn.op.Label()
 		pn.args = make([]valueRef, len(n.Inputs))
 		for ai, in := range n.Inputs {
 			switch {
@@ -215,27 +175,12 @@ func NewPlan(g *graph.Graph) (*Plan, error) {
 	}
 
 	// Snapshot the pure data-consumer lists before anti-dependency edges
-	// are appended below: only data consumers actually read a buffer.
-	dataEdges := make([]int, len(p.nodes))
+	// are appended below: only data consumers actually read a buffer. (A
+	// consumer reading a buffer twice is listed twice; addAnti drops the
+	// repeat.)
+	readersOf := make([][]int32, len(p.nodes))
 	for i := range p.nodes {
-		dataEdges[i] = len(p.nodes[i].consumers)
-	}
-	readersOf := func(j int) []int32 {
-		cons := p.nodes[j].consumers[:dataEdges[j]]
-		out := make([]int32, 0, len(cons))
-		for _, c := range cons {
-			dup := false
-			for _, seen := range out {
-				if seen == c {
-					dup = true
-					break
-				}
-			}
-			if !dup {
-				out = append(out, c)
-			}
-		}
-		return out
+		readersOf[i] = p.nodes[i].consumers
 	}
 
 	// Pass 2: replay the seed executor's reference-counted liveness in
@@ -319,14 +264,14 @@ func NewPlan(g *graph.Graph) (*Plan, error) {
 		s := acquire(pn.elems, pn.dtype, i)
 		pn.slot = s
 
-		// A prepacked conv's scratch lives only while the node runs:
-		// acquire a slot, mark this node its sole reader, and free it at
-		// once so the very next node may reuse it (guarded by the
-		// anti-dependency edge). Scratch is deliberately excluded from the
-		// liveness accounting — peakLive/interBytes keep the seed
-		// executor's intermediate-tensor semantics.
-		if pn.scratchElems > 0 {
-			sc := acquire(pn.scratchElems, pn.scratchDT, i)
+		// An operator's scratch lives only while the node runs: acquire a
+		// slot, mark this node its sole reader, and free it at once so the
+		// very next node may reuse it (guarded by the anti-dependency
+		// edge). Scratch is deliberately excluded from the liveness
+		// accounting — peakLive/interBytes keep the seed executor's
+		// intermediate-tensor semantics.
+		if elems, dt := pn.op.Scratch(); elems > 0 {
+			sc := acquire(elems, dt, i)
 			pn.scratchSlot = sc
 			slots[sc].readers = []int32{int32(i)}
 			free = append(free, sc)
@@ -346,7 +291,7 @@ func NewPlan(g *graph.Graph) (*Plan, error) {
 				j := idx[in]
 				live -= p.nodes[j].dtype.Size() * p.nodes[j].elems
 				free = append(free, p.nodes[j].slot)
-				slots[p.nodes[j].slot].readers = readersOf(j)
+				slots[p.nodes[j].slot].readers = readersOf[j]
 			}
 		}
 		// A node with no consumers that is not an output dies immediately.
@@ -463,8 +408,7 @@ type Session struct {
 	concurrent bool
 	arena      *tensor.Arena
 	outs       []*tensor.Tensor   // per-node arena-backed outputs
-	scratch    [][]float32        // per-node arena-backed conv workspace (nil when unused)
-	scratch8   [][]int8           // per-node int8 conv workspace (quantized GEMM only)
+	scratch    []*tensor.Tensor   // per-node arena-backed operator workspace (nil when unused)
 	args       [][]*tensor.Tensor // per-node inputs; feed entries refreshed per Run
 	results    []*tensor.Tensor
 	pending    []int32
@@ -532,26 +476,25 @@ func (p *Plan) NewSessionWith(opts SessionOptions) *Session {
 			slotBuf[si] = s.arena.Alloc(e)
 		}
 	}
+	// view is a tensor over the leading elems elements of a slot's buffer.
+	view := func(slot, elems int, qscale float32, shape ...int) *tensor.Tensor {
+		switch p.slotDType[slot] {
+		case tensor.Float16:
+			return tensor.FromHalf(slotBuf16[slot][:elems:elems], shape...)
+		case tensor.Int8:
+			return tensor.FromInt8(slotBuf8[slot][:elems:elems], qscale, shape...)
+		}
+		return tensor.FromData(slotBuf[slot][:elems:elems], shape...)
+	}
 	s.outs = make([]*tensor.Tensor, len(p.nodes))
-	s.scratch = make([][]float32, len(p.nodes))
-	s.scratch8 = make([][]int8, len(p.nodes))
+	s.scratch = make([]*tensor.Tensor, len(p.nodes))
 	s.args = make([][]*tensor.Tensor, len(p.nodes))
 	for i := range p.nodes {
 		pn := &p.nodes[i]
-		switch pn.dtype {
-		case tensor.Float16:
-			s.outs[i] = tensor.FromHalf(slotBuf16[pn.slot][:pn.elems:pn.elems], pn.outShape...)
-		case tensor.Int8:
-			s.outs[i] = tensor.FromInt8(slotBuf8[pn.slot][:pn.elems:pn.elems], pn.qscale, pn.outShape...)
-		default:
-			s.outs[i] = tensor.FromData(slotBuf[pn.slot][:pn.elems:pn.elems], pn.outShape...)
-		}
+		s.outs[i] = view(pn.slot, pn.elems, pn.qscale, pn.outShape...)
 		if pn.scratchSlot >= 0 {
-			if pn.scratchDT == tensor.Int8 {
-				s.scratch8[i] = slotBuf8[pn.scratchSlot][:pn.scratchElems:pn.scratchElems]
-			} else {
-				s.scratch[i] = slotBuf[pn.scratchSlot][:pn.scratchElems:pn.scratchElems]
-			}
+			elems, _ := pn.op.Scratch()
+			s.scratch[i] = view(pn.scratchSlot, elems, 1, elems)
 		}
 		a := make([]*tensor.Tensor, len(pn.args))
 		for ai, vr := range pn.args {
@@ -612,8 +555,9 @@ func (s *Session) Profile() []NodeProfile { return s.profile }
 
 // validateFeeds checks every plan input against the fed tensors before
 // any kernel runs, so a mismatch surfaces as a named error instead of a
-// deep kernel panic or silent corruption. All tensors in this stack are
-// dense float32, so shape and element count fully determine the type.
+// deep kernel panic or silent corruption. Graph inputs are dense float32
+// whatever the plan's storage dtypes: narrowing is the graph's own cast
+// nodes' job.
 func (p *Plan) validateFeeds(feeds map[string]*tensor.Tensor) error {
 	for _, in := range p.inputs {
 		t, ok := feeds[in.name]
@@ -772,31 +716,11 @@ func (s *Session) runNode(i int32, parent *obs.Span, traceOn bool, lane string, 
 	if timed {
 		start = time.Now()
 	}
-	if pn.conv != nil {
-		// Prepacked convolution: selected kernel, plan-time weight layout,
-		// arena-backed scratch — no per-run packing or allocation. The fused
-		// residual (FuseConvResidual) rides in as an extra input; the output
-		// slot is acquired before input slots are released, so the residual
-		// never aliases the buffer being written.
-		var bias, res *tensor.Tensor
-		if pn.biasArg >= 0 {
-			bias = ins[pn.biasArg]
+	if err := pn.op.Run(s.outs[i], ins, s.scratch[i]); err != nil {
+		if traceOn {
+			nsp.End()
 		}
-		if pn.resArg >= 0 {
-			res = ins[pn.resArg]
-		}
-		pn.conv.RunIntoEpilogue(s.outs[i], ins[0], bias, res, s.scratch[i], s.scratch8[i], pn.postAct)
-	} else if pn.into != nil {
-		pn.into.ExecuteInto(s.outs[i], ins)
-	} else {
-		out := pn.op.Execute(ins)
-		if !out.Shape().Equal(pn.outShape) {
-			if traceOn {
-				nsp.End()
-			}
-			return fmt.Errorf("runtime: node %q produced %v, inferred %v", pn.name, out.Shape(), pn.outShape)
-		}
-		tensor.Copy(s.outs[i], out)
+		return fmt.Errorf("runtime: node %q: %w", pn.name, err)
 	}
 	if timed {
 		wall := time.Since(start)

@@ -69,11 +69,13 @@ type PoolOptions struct {
 // source reflecting breaker and occupancy state. PoolOptions.
 // DisableTelemetry opts out of all of it.
 type SessionPool struct {
-	plan     *Plan
-	idle     chan *Session
-	breaker  *Breaker
-	depth    int32
-	waiters  atomic.Int32
+	plan    *Plan
+	idle    chan *Session
+	breaker *Breaker
+	// admitted counts the requests holding or waiting for a session;
+	// capacity is Sessions+QueueDepth, the most acquire admits.
+	admitted atomic.Int32
+	capacity int32
 	sessOpts SessionOptions
 	batcher  *Batcher
 
@@ -115,7 +117,7 @@ func NewSessionPool(p *Plan, opts PoolOptions) *SessionPool {
 		plan:     p,
 		idle:     make(chan *Session, n),
 		breaker:  so.Breaker,
-		depth:    int32(opts.QueueDepth),
+		capacity: int32(n + opts.QueueDepth),
 		model:    model,
 		label:    label,
 		sessOpts: so,
@@ -149,11 +151,15 @@ func NewSessionPool(p *Plan, opts PoolOptions) *SessionPool {
 func (sp *SessionPool) Batcher() *Batcher { return sp.batcher }
 
 // Close stops the batching front-end (if any), failing queued requests
-// with ErrPoolClosed. The per-request path keeps working; Close exists so
-// tests and servers can retire the dispatcher goroutine deterministically.
+// with ErrPoolClosed, and takes the pool off /healthz: a pool closed with
+// its breaker open must not stay unhealthy forever, nor its health closure
+// pin the plan and its packed weights. The per-request path keeps working.
 func (sp *SessionPool) Close() {
 	if sp.batcher != nil {
 		sp.batcher.close()
+	}
+	if sp.gInflight != nil {
+		obs.UnregisterHealth("pool." + sp.label)
 	}
 }
 
@@ -168,7 +174,7 @@ func (sp *SessionPool) registerHealth() {
 		return obs.HealthStatus{
 			OK: st != BreakerOpen,
 			Detail: fmt.Sprintf("breaker %s, %d/%d sessions busy, %d queued",
-				st, busy, cap(sp.idle), sp.waiters.Load()),
+				st, busy, cap(sp.idle), sp.queued()),
 		}
 	})
 }
@@ -180,127 +186,125 @@ func (sp *SessionPool) Sessions() int { return cap(sp.idle) }
 // nil when the pool runs without fault injection.
 func (sp *SessionPool) Breaker() *Breaker { return sp.breaker }
 
-// acquire admits the request and returns an idle session. Sheds with
-// ErrOverloaded when the queue is full; a request whose context is already
-// done — or whose deadline fires while queued — is shed with ctx.Err().
-// The sampled recorder (nil otherwise) gets its admission and queue
-// segments closed here.
-// testAdmissionPause, when set (tests only), runs between the idle-session
-// fast path and the queue-depth check, widening the race window where a
-// released session could be missed.
-var testAdmissionPause func()
+// queued is how many admitted requests are waiting for a session.
+func (sp *SessionPool) queued() int {
+	return max(0, int(sp.admitted.Load())-cap(sp.idle))
+}
 
-func (sp *SessionPool) acquire(ctx context.Context, req *obs.ActiveRequest) (*Session, error) {
+// refreshGauges publishes the occupancy gauges. It runs on every change of
+// admitted or idle — admission, a waiter leaving on its deadline, release —
+// so neither gauge can stick at a stale value.
+func (sp *SessionPool) refreshGauges() {
+	if sp.gInflight != nil {
+		sp.gInflight.Set(float64(cap(sp.idle) - len(sp.idle)))
+		sp.gWait.Set(float64(sp.queued()))
+	}
+}
+
+// acquire admits the request and returns an idle session. Admission is one
+// counting step: the request past capacity is shed with ErrOverloaded, any
+// other blocks until a session is idle or its context is done (ctx.Err()).
+// There is no probe of idle to go stale between two steps, because release
+// frees the count before it returns the session. batched marks a request
+// the batching queue already admitted: it is counted, never shed. The
+// sampled recorder (nil otherwise) gets its admission and queue segments
+// closed.
+func (sp *SessionPool) acquire(ctx context.Context, req *obs.ActiveRequest, batched bool) (*Session, error) {
 	if err := ctx.Err(); err != nil {
-		mAdmissionShed.Inc()
 		return nil, err
 	}
-	select {
-	case s := <-sp.idle:
+	if n := sp.admitted.Add(1); !batched {
+		if n > sp.capacity {
+			sp.admitted.Add(-1)
+			return nil, ErrOverloaded
+		}
 		req.MarkAdmitted()
-		req.MarkAcquired()
-		return s, nil
-	default:
 	}
-	if testAdmissionPause != nil {
-		testAdmissionPause()
-	}
-	if sp.waiters.Add(1) > sp.depth {
-		sp.waiters.Add(-1)
-		// A session may have been released between the fast-path probe and
-		// the depth check; re-probe before shedding, or a request would be
-		// wrongly shed with sessions sitting idle.
-		select {
-		case s := <-sp.idle:
-			req.MarkAdmitted()
-			req.MarkAcquired()
-			return s, nil
-		default:
-		}
-		mAdmissionShed.Inc()
-		return nil, ErrOverloaded
-	}
-	defer func() {
-		// Refresh the wait-queue gauge on every waiter exit — success,
-		// cancellation, or deadline — not only when another waiter enters,
-		// so it cannot stick at a stale depth.
-		sp.waiters.Add(-1)
-		if sp.gWait != nil {
-			sp.gWait.Set(float64(sp.waiters.Load()))
-		}
-	}()
-	req.MarkAdmitted()
-	var t0 time.Time
-	if sp.hQueueWait != nil {
-		sp.gWait.Set(float64(sp.waiters.Load()))
-		t0 = time.Now()
-	}
+	var s *Session
 	select {
-	case s := <-sp.idle:
-		if sp.hQueueWait != nil {
-			sp.hQueueWait.Observe(float64(time.Since(t0).Nanoseconds()))
+	case s = <-sp.idle:
+	default:
+		// Every session is busy: wait in the queue.
+		sp.refreshGauges()
+		t0 := time.Now()
+		select {
+		case s = <-sp.idle:
+			if sp.hQueueWait != nil {
+				sp.hQueueWait.Observe(float64(time.Since(t0).Nanoseconds()))
+			}
+		case <-ctx.Done():
+			sp.admitted.Add(-1)
+			sp.refreshGauges()
+			return nil, ctx.Err()
 		}
-		req.MarkAcquired()
-		return s, nil
-	case <-ctx.Done():
-		mAdmissionShed.Inc()
-		return nil, ctx.Err()
 	}
+	req.MarkAcquired()
+	sp.refreshGauges()
+	return s, nil
 }
 
-// release returns a session to the pool and refreshes the occupancy gauges.
+// release returns a session to the pool.
 func (sp *SessionPool) release(s *Session) {
+	sp.admitted.Add(-1)
 	sp.idle <- s
-	if sp.gInflight != nil {
-		sp.gInflight.Set(float64(cap(sp.idle) - len(sp.idle)))
-		sp.gWait.Set(float64(sp.waiters.Load()))
-	}
+	sp.refreshGauges()
 }
 
-// Run admits the request, executes it on a pooled session, and returns
-// copies of the outputs (unlike Session.Run, the results own their storage
-// — the session and its arena go back to the pool before Run returns).
-// Every Run is one tracked request: it gets an ID, a sampled subset gets a
-// full per-request trace, and its outcome lands in the SLO window.
-func (sp *SessionPool) Run(ctx context.Context, feeds map[string]*tensor.Tensor) ([]*tensor.Tensor, error) {
-	if sp.batcher != nil {
-		return sp.batcher.run(ctx, feeds)
-	}
-	req := sp.requests.Start(sp.model) // nil unless this request is sampled
-	start := time.Now()
-	s, err := sp.acquire(ctx, req)
+// serve is the one per-request run path: acquire a session, run, copy the
+// outputs out of its arena, release.
+func (sp *SessionPool) serve(ctx context.Context, req *obs.ActiveRequest, feeds map[string]*tensor.Tensor, batched bool) ([]*tensor.Tensor, error) {
+	s, err := sp.acquire(ctx, req, batched)
 	if err != nil {
-		// Only a true overload shed counts as OutcomeShed; a request whose
-		// own context expired or was cancelled is a distinct deadline
-		// outcome, so the shed rate reflects real server overload.
-		oc := obs.OutcomeDeadline
-		if errors.Is(err, ErrOverloaded) {
-			req.MarkShed()
-			oc = obs.OutcomeShed
-		}
-		req.Finish(err)
-		sp.slo.Record(sp.model, time.Since(start), oc)
 		return nil, err
 	}
-	if sp.gInflight != nil {
-		sp.gInflight.Set(float64(cap(sp.idle) - len(sp.idle)))
-	}
+	defer sp.release(s)
 	if req != nil {
 		ctx = obs.ContextWithRequest(ctx, req)
 	}
 	outs, err := s.RunContext(ctx, feeds)
 	if err != nil {
-		sp.release(s)
-		req.Finish(err)
-		sp.slo.Record(sp.model, time.Since(start), obs.OutcomeError)
 		return nil, err
 	}
 	res := make([]*tensor.Tensor, len(outs))
 	for i, o := range outs {
 		res[i] = o.Clone()
 	}
-	sp.release(s)
-	req.Finish(nil)
-	sp.slo.Record(sp.model, time.Since(start), obs.OutcomeOK)
 	return res, nil
+}
+
+// Run admits the request, executes it on a pooled session (or through the
+// batching front-end), and returns copies of the outputs (unlike
+// Session.Run, the results own their storage — the session and its arena go
+// back to the pool before Run returns). Every Run is one tracked request:
+// it gets an ID, a sampled subset gets a full per-request trace, and its
+// outcome lands in the SLO window. Only a true overload shed counts as
+// OutcomeShed; a request whose own context expired or was cancelled is a
+// distinct deadline outcome, so the shed rate reflects real server overload
+// (admission.shed counts both).
+func (sp *SessionPool) Run(ctx context.Context, feeds map[string]*tensor.Tensor) ([]*tensor.Tensor, error) {
+	req := sp.requests.Start(sp.model) // nil unless this request is sampled
+	start := time.Now()
+	var outs []*tensor.Tensor
+	var err error
+	if sp.batcher != nil {
+		outs, err = sp.batcher.run(ctx, req, feeds)
+	} else {
+		outs, err = sp.serve(ctx, req, feeds, false)
+	}
+	oc := obs.OutcomeOK
+	switch {
+	case err == nil:
+	case errors.Is(err, ErrOverloaded):
+		mAdmissionShed.Inc()
+		req.MarkShed()
+		oc = obs.OutcomeShed
+	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
+		mAdmissionShed.Inc()
+		oc = obs.OutcomeDeadline
+	default:
+		oc = obs.OutcomeError
+	}
+	req.Finish(err)
+	sp.slo.Record(sp.model, time.Since(start), oc)
+	return outs, err
 }

@@ -12,11 +12,11 @@ import (
 	"unigpu/internal/sim"
 )
 
-// Regression tests for three serving-edge bugs: a wait-queue gauge that
-// stuck at its last value when a queued waiter left on a deadline, context
-// errors misclassified as overload sheds in the SLO window, and a wrongful
-// shed when a session was released between the admission fast path and the
-// queue-depth check (whitebox twin in pool_internal_test.go).
+// Regression tests for two serving-edge bugs: a wait-queue gauge that stuck
+// at its last value when a queued waiter left on a deadline, and context
+// errors misclassified as overload sheds in the SLO window. (A third, a
+// wrongful shed when a session was released between two admission probes,
+// cannot recur: admission is one counting step.)
 
 // TestPoolWaitQueueGaugeRefreshOnExit: the pool.wait_queue.<model> gauge
 // must return to the real waiter count when a queued request leaves on its

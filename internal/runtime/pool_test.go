@@ -241,6 +241,33 @@ func TestPoolDeviceLabels(t *testing.T) {
 	obs.UnregisterHealth("pool.labelled.dev-a")
 }
 
+// TestPoolCloseLeavesHealthz: a standalone pool closed while its breaker is
+// open must take its own entry off /healthz — nobody else will, and the
+// entry's closure would otherwise keep the process unhealthy and the pool,
+// plan and packed weights reachable for good.
+func TestPoolCloseLeavesHealthz(t *testing.T) {
+	g, _ := buildSerialOpsGraph()
+	plan, err := runtime.NewPlan(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	so := faultSessionOpts(sim.NewFaultInjector(sim.FaultConfig{}))
+	so.Model = "closing"
+	sp := runtime.NewSessionPool(plan, runtime.PoolOptions{Sessions: 1, Session: so})
+	for sp.Breaker().State() != runtime.BreakerOpen {
+		sp.Breaker().Failure()
+	}
+	_, checks := obs.Health()
+	if st, present := checks["pool.closing"]; !present || st.OK {
+		t.Fatalf("pool with an open breaker: health entry %+v (present=%v), want unhealthy", st, present)
+	}
+	sp.Close()
+	_, checks = obs.Health()
+	if st, present := checks["pool.closing"]; present {
+		t.Fatalf("closed pool still on /healthz: %+v", st)
+	}
+}
+
 func keysOf(m map[string]obs.HealthStatus) []string {
 	out := make([]string, 0, len(m))
 	for k := range m {

@@ -1,0 +1,191 @@
+package runtime_test
+
+import (
+	"errors"
+	"fmt"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+	"unsafe"
+
+	"unigpu/internal/graph"
+	"unigpu/internal/runtime"
+	"unigpu/internal/tensor"
+)
+
+// scratchOp is a fake operator that is its own graph.PreparedOp: it
+// declares a workspace, checks the one it is handed, stamps it, holds it
+// for a moment and checks the stamp survived — so a second node writing the
+// same buffer meanwhile is caught — then copies its input to its output.
+type scratchOp struct {
+	name    string
+	elems   int
+	dt      tensor.DType
+	prepErr error
+	ledger  *scratchLedger
+	// meet, when set, is a rendezvous: Run waits until as many nodes as the
+	// channel holds have entered Run, proving they were live at the same
+	// time.
+	meet chan struct{}
+}
+
+// scratchLedger records which workspace buffers are in use right now.
+type scratchLedger struct {
+	mu     sync.Mutex
+	inUse  map[unsafe.Pointer]string
+	faults []string
+}
+
+func (o *scratchOp) Kind() string                               { return "fake_scratch" }
+func (o *scratchOp) InferShape(ins []tensor.Shape) tensor.Shape { return ins[0].Clone() }
+func (o *scratchOp) GPUFriendly() bool                          { return false }
+func (o *scratchOp) Execute([]*tensor.Tensor) *tensor.Tensor {
+	panic("a plan runs the PreparedOp, never Execute")
+}
+
+func (o *scratchOp) Prepare(*graph.Node) (graph.PreparedOp, error) {
+	if o.prepErr != nil {
+		return nil, o.prepErr
+	}
+	return o, nil
+}
+
+func (o *scratchOp) Scratch() (int, tensor.DType) { return o.elems, o.dt }
+func (o *scratchOp) Label() string                { return "fake_scratch/" + o.name }
+
+func (o *scratchOp) Run(out *tensor.Tensor, ins []*tensor.Tensor, scratch *tensor.Tensor) error {
+	if scratch == nil || scratch.DType() != o.dt || scratch.Rank() != 1 || scratch.Size() != o.elems {
+		return fmt.Errorf("scratch is not the declared %d x %s", o.elems, o.dt)
+	}
+	var base unsafe.Pointer
+	if o.dt == tensor.Int8 {
+		buf := scratch.Int8Data()
+		if len(buf) != o.elems || cap(buf) != o.elems {
+			return fmt.Errorf("int8 scratch len %d cap %d, declared %d", len(buf), cap(buf), o.elems)
+		}
+		base = unsafe.Pointer(&buf[0])
+	} else {
+		buf := scratch.Data()
+		if len(buf) != o.elems || cap(buf) != o.elems {
+			return fmt.Errorf("fp32 scratch len %d cap %d, declared %d", len(buf), cap(buf), o.elems)
+		}
+		base = unsafe.Pointer(&buf[0])
+	}
+	l := o.ledger
+	l.mu.Lock()
+	if other, busy := l.inUse[base]; busy {
+		l.faults = append(l.faults, fmt.Sprintf("%s was handed the scratch %s is still using", o.name, other))
+	}
+	l.inUse[base] = o.name
+	l.mu.Unlock()
+
+	stamp := func(i int) float32 { return float32((int(o.name[0])*31 + i) % 100) }
+	for i := 0; i < o.elems; i++ {
+		scratch.SetF(i, stamp(i))
+	}
+	if o.meet != nil {
+		o.meet <- struct{}{}
+		for deadline := time.Now().Add(5 * time.Second); len(o.meet) < cap(o.meet); {
+			if time.Now().After(deadline) {
+				return fmt.Errorf("%d nodes never ran at the same time", cap(o.meet))
+			}
+			time.Sleep(50 * time.Microsecond)
+		}
+	}
+	time.Sleep(200 * time.Microsecond)
+	for i := 0; i < o.elems; i++ {
+		if scratch.GetF(i) != stamp(i) {
+			l.mu.Lock()
+			l.faults = append(l.faults, fmt.Sprintf("%s's scratch was overwritten while it ran", o.name))
+			l.mu.Unlock()
+			break
+		}
+	}
+
+	l.mu.Lock()
+	delete(l.inUse, base)
+	l.mu.Unlock()
+	tensor.Copy(out, ins[0])
+	return nil
+}
+
+// TestPreparedOpScratchContract drives the plan through a test-local
+// PreparedOp. Three nodes read the one input and are all graph outputs, in
+// fp16 storage, so no output buffer is ever freed and no fp32 or int8 slot
+// exists but scratch: a (fp32 scratch) and b (int8 scratch) share nothing
+// and may run together; c's fp32 scratch reuses a's slot, which the planner
+// must guard with an anti-dependency.
+func TestPreparedOpScratchContract(t *testing.T) {
+	const outElems, aElems, bElems, cElems = 2 * 3 * 4, 96, 40, 160
+	ledger := &scratchLedger{inUse: map[unsafe.Pointer]string{}}
+	meet := make(chan struct{}, 2)
+	fakes := []*scratchOp{
+		{name: "a", elems: aElems, dt: tensor.Float32, ledger: ledger, meet: meet},
+		{name: "b", elems: bElems, dt: tensor.Int8, ledger: ledger, meet: meet},
+		{name: "c", elems: cElems, dt: tensor.Float32, ledger: ledger},
+	}
+	g := graph.New()
+	in := g.Input("data", 2, 3, 4)
+	var outs []*graph.Node
+	for _, f := range fakes {
+		n := g.Apply(f.name, f, in)
+		n.Device, n.DType = graph.OnCPU, tensor.Float16
+		outs = append(outs, n)
+	}
+	g.SetOutputs(outs...)
+	plan, err := runtime.NewPlan(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Scratch is arena, not liveness: three pinned fp16 outputs are all the
+	// intermediates there are; the arena adds one fp32 slot (grown to the
+	// larger of a's and c's need) and one int8 slot.
+	if want := 3 * 2 * outElems; plan.PeakLiveBytes() != want || plan.IntermediateBytes() != want {
+		t.Fatalf("peak live %d B, intermediates %d B, want %d B for both (scratch excluded)",
+			plan.PeakLiveBytes(), plan.IntermediateBytes(), want)
+	}
+	if want := 3*2*outElems + 4*cElems + bElems; plan.ArenaBytes() != want {
+		t.Fatalf("arena %d B, want %d B (outputs + one fp32 and one int8 scratch slot)", plan.ArenaBytes(), want)
+	}
+	if k := plan.Info().Kernels; k["a"] != 1 || k["b"] != 1 || k["c"] != 1 {
+		t.Fatalf("plan info counts labelled routines as %v", k)
+	}
+
+	feed := tensor.New(2, 3, 4)
+	feed.FillRandom(5)
+	want := tensor.Convert(feed, tensor.Float16, 0)
+	feeds := map[string]*tensor.Tensor{"data": feed}
+	sess := plan.NewSessionWith(runtime.SessionOptions{Workers: 2})
+	for rep := 0; rep < 20; rep++ {
+		for len(meet) > 0 {
+			<-meet
+		}
+		got, err := sess.Run(feeds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k, o := range got {
+			if o.DType() != tensor.Float16 || tensor.MaxAbsDiff(o, want) != 0 {
+				t.Fatalf("rep %d: output %s differs from the fp16-rounded input", rep, fakes[k].name)
+			}
+		}
+	}
+	if len(ledger.faults) > 0 {
+		t.Fatalf("scratch shared between live nodes:\n%s", strings.Join(ledger.faults, "\n"))
+	}
+}
+
+// TestPrepareErrorNamesNode: an operator that cannot be prepared fails
+// NewPlan, with the node named and the operator's error wrapped.
+func TestPrepareErrorNamesNode(t *testing.T) {
+	cause := errors.New("weights are not packable")
+	g := graph.New()
+	in := g.Input("data", 1, 4)
+	g.SetOutputs(g.Apply("stubborn", &scratchOp{name: "stubborn", prepErr: cause}, in))
+	_, err := runtime.NewPlan(g)
+	if !errors.Is(err, cause) || !strings.Contains(err.Error(), `"stubborn"`) {
+		t.Fatalf("NewPlan error %v, want one naming node \"stubborn\" and wrapping %v", err, cause)
+	}
+}

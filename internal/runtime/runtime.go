@@ -5,6 +5,16 @@
 // reusable steady-state run loop (Plan.NewSession / Session.Run) that
 // performs zero heap allocations for intermediate tensors.
 //
+// There is one way to run a node: NewPlan turns every operator into a
+// graph.PreparedOp (whatever it packs from its constant operands, the
+// scratch it declares, its profiler label) and only allocates slots; the
+// run loop makes one PreparedOp.Run call per node and knows nothing about
+// what is inside. And one way to run a request: SessionPool.Run accounts
+// for it (ID, sampled trace, SLO outcome) and either serves it — acquire a
+// session, run, copy the outputs out, release — or queues it for the
+// Batcher, whose single-request and degraded paths call the same serve.
+// Fleet.Run places requests on pools.
+//
 // Nodes tagged OnCPU and OnGPU both run on the host here (the GPU is
 // simulated; see internal/sim for latency), but the executor honours the
 // placement structurally: device_copy nodes materialise buffer handoffs,
@@ -36,12 +46,12 @@ type Result struct {
 	PeakLive int // peak bytes of simultaneously live intermediate tensors
 }
 
-// Execute runs the graph on the given feeds (by input-node name) through a
-// throwaway single-run plan and session. It keeps the original one-shot
-// API — profiles always collected, PeakLive reported from the
-// reference-counted liveness analysis — but repeated inference should
-// compile once with NewPlan and reuse Sessions, which amortises planning
-// and reuses the arena across runs.
+// Execute is the one-shot reference executor for tests: it runs the graph
+// on the given feeds (by input-node name) through a throwaway plan and
+// session, always collecting profiles and reporting PeakLive from the
+// reference-counted liveness analysis. Nothing in the product calls it —
+// unigpu.CompiledModel.Run goes through the model's cached plan — because
+// every call plans again and packs every conv's weights again.
 func Execute(g *graph.Graph, feeds map[string]*tensor.Tensor) (*Result, error) {
 	plan, err := NewPlan(g)
 	if err != nil {

@@ -1,6 +1,8 @@
 package runtime
 
 import (
+	"maps"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -62,12 +64,7 @@ func (r *planRecord) labelled() PlanInfo {
 	if l := r.label.Load(); l != nil {
 		info.Label = *l
 	}
-	if r.info.Kernels != nil {
-		info.Kernels = make(map[string]int, len(r.info.Kernels))
-		for k, n := range r.info.Kernels {
-			info.Kernels[k] = n
-		}
-	}
+	info.Kernels = maps.Clone(r.info.Kernels)
 	return info
 }
 
@@ -105,11 +102,13 @@ func (p *Plan) summarize() PlanInfo {
 		} else {
 			info.CPUNodes++
 		}
-		if pn.conv != nil {
+		// A label of the form kind/routine[@dtype] names a selected routine.
+		if _, routine, ok := strings.Cut(pn.profKind, "/"); ok {
 			if info.Kernels == nil {
 				info.Kernels = map[string]int{}
 			}
-			info.Kernels[pn.conv.Kernel().String()]++
+			routine, _, _ = strings.Cut(routine, "@")
+			info.Kernels[routine]++
 		}
 	}
 	return info

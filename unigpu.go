@@ -31,6 +31,7 @@ package unigpu
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 
@@ -260,23 +261,48 @@ type CompiledModel struct {
 	DType string
 	Quant graph.QuantizeStats
 
-	model    *models.Model
-	planOnce sync.Once
-	plan     *runtime.Plan
-	planErr  error
+	model *models.Model
 
-	// Batched-plan compilation state: the compile-time knobs that must be
-	// replayed when rebuilding the model at batch N, and the per-batch-size
-	// plan cache (singleflight via each slot's sync.Once).
-	db            *TuningDB
-	allowWinograd bool
-	placement     graph.PlacementOptions
-	quant         graph.QuantizeOptions
-	batchMu       sync.Mutex
-	batchPlans    map[int]*batchPlanSlot
+	// lowering is what Compile decided, kept to lower the model again at
+	// batch N; plans is the per-batch-size plan cache (singleflight via each
+	// slot's sync.Once), the model's own plan under batch 1.
+	lowering lowering
+	planMu   sync.Mutex
+	plans    map[int]*planSlot
 }
 
-type batchPlanSlot struct {
+// lowering is the graph-level half of a compile — the decisions that turn
+// a frontend graph into the one a plan is built from — as Compile and
+// PlanForBatch both run it.
+type lowering struct {
+	quant     graph.QuantizeOptions
+	kernels   graph.KernelSelection
+	placement graph.PlacementOptions
+}
+
+// lower rewrites g in place: graph optimization, mixed-precision lowering
+// (before kernel selection, so the selector prices and records kernels at
+// each conv's storage dtype), per-workload conv algorithm selection (the
+// roofline cost model picks among direct / depthwise / winograd / gemm,
+// tuning-DB kernel records taking precedence), then device placement
+// (§3.1.2). It returns what the quantization pass did, the convolutions per
+// selected kernel name, and the device copies inserted.
+func (l lowering) lower(g *graph.Graph) (graph.QuantizeStats, map[string]int, int, error) {
+	graph.Optimize(g)
+	qstats, err := graph.QuantizeGraph(g, l.quant)
+	if err != nil {
+		return qstats, nil, 0, err
+	}
+	ksp := obs.Start("select.kernels", obs.KV("device", l.kernels.Device.Name))
+	kernels := map[string]int{}
+	for k, c := range graph.SelectConvKernels(g, l.kernels) {
+		kernels[k.String()] = c
+	}
+	ksp.End()
+	return qstats, kernels, graph.PlaceDevices(g, l.placement), nil
+}
+
+type planSlot struct {
 	once sync.Once
 	plan *runtime.Plan
 	err  error
@@ -288,14 +314,7 @@ type batchPlanSlot struct {
 func (e *Engine) Compile(name string, p *Platform, opts CompileOptions) (*CompiledModel, error) {
 	sp := obs.Start("compile", obs.KV("model", name), obs.KV("platform", p.Name))
 	defer sp.End()
-	known := false
-	for _, n := range models.Names() {
-		if n == name {
-			known = true
-			break
-		}
-	}
-	if !known {
+	if !slices.Contains(models.Names(), name) {
 		return nil, fmt.Errorf("unigpu: unknown model %q (have %v)", name, models.Names())
 	}
 	size := opts.InputSize
@@ -305,52 +324,28 @@ func (e *Engine) Compile(name string, p *Platform, opts CompileOptions) (*Compil
 			size = 300 // Mali memory limitation (§4.2)
 		}
 	}
-	bsp := obs.Start("frontend.build", obs.KVInt("input_size", size))
-	m := models.Build(name, size, false)
-	bsp.End()
-	graph.Optimize(m.Graph)
-
-	cm := &CompiledModel{Name: name, Platform: p, model: m}
-
-	// Mixed-precision lowering (before kernel selection, so the selector
-	// prices and records kernels at each conv's storage dtype).
 	mode, ok := graph.ParseQuantMode(opts.DType)
 	if !ok {
 		return nil, fmt.Errorf("unigpu: unknown dtype %q (want fp32, fp16, int8, auto)", opts.DType)
 	}
-	cm.quant = graph.QuantizeOptions{Mode: mode, Device: p.GPU}
-	qstats, err := graph.QuantizeGraph(m.Graph, cm.quant)
-	if err != nil {
+	bsp := obs.Start("frontend.build", obs.KVInt("input_size", size))
+	m := models.Build(name, size, false)
+	bsp.End()
+
+	cm := &CompiledModel{Name: name, Platform: p, model: m, DType: mode.String()}
+	cm.lowering = lowering{
+		quant:   graph.QuantizeOptions{Mode: mode, Device: p.GPU},
+		kernels: graph.KernelSelection{Device: p.GPU, DB: e.est.DB, AllowWinograd: opts.AllowWinograd},
+	}
+	// Everything GPU-friendly stays on the GPU; the fallback option sends
+	// NMS (and the detection decode it sorts for) to the CPU.
+	if opts.FallbackNMS {
+		cm.lowering.placement.FallbackKinds = map[string]bool{"box_nms": true, "multibox_detection": true}
+	}
+	var err error
+	if cm.Quant, cm.ConvKernels, cm.CopiesInserted, err = cm.lowering.lower(m.Graph); err != nil {
 		return nil, fmt.Errorf("unigpu: quantize %s: %w", name, err)
 	}
-	cm.DType = mode.String()
-	cm.Quant = qstats
-
-	// Per-workload conv algorithm selection: the roofline cost model picks
-	// among direct / depthwise / winograd / gemm for every conv, with
-	// tuning-DB kernel records taking precedence, and the runtime prepacks
-	// weights for the chosen kernel at plan time.
-	ksp := obs.Start("select.kernels", obs.KV("device", p.GPU.Name))
-	counts := graph.SelectConvKernels(m.Graph, graph.KernelSelection{
-		Device: p.GPU, DB: e.est.DB, AllowWinograd: opts.AllowWinograd,
-	})
-	cm.ConvKernels = make(map[string]int, len(counts))
-	for k, c := range counts {
-		cm.ConvKernels[k.String()] = c
-	}
-	ksp.End()
-
-	// Device placement (§3.1.2): everything GPU-friendly stays on the GPU;
-	// the fallback option sends NMS (and the detection decode it sorts
-	// for) to the CPU.
-	placement := graph.PlacementOptions{}
-	if opts.FallbackNMS {
-		placement.FallbackKinds = map[string]bool{"box_nms": true, "multibox_detection": true}
-	}
-	cm.db = e.est.DB
-	cm.allowWinograd = opts.AllowWinograd
-	cm.placement = placement
-	cm.CopiesInserted = graph.PlaceDevices(m.Graph, placement)
 	cm.NodesOnCPU = m.Graph.Summary().OnCPU
 
 	// Latency prediction on the simulated device.
@@ -395,53 +390,40 @@ func (cm *CompiledModel) InputShape() []int {
 // Plan returns the model's compiled execution plan (topological schedule,
 // dependency counts, arena-slot assignment), building it on first use. The
 // plan is immutable and shared by every session of this model.
-func (cm *CompiledModel) Plan() (*runtime.Plan, error) {
-	cm.planOnce.Do(func() {
-		cm.plan, cm.planErr = runtime.NewPlan(cm.model.Graph)
-		if cm.planErr == nil {
-			cm.plan.SetLabel(cm.Name + "@" + cm.Platform.Name)
-		}
-	})
-	return cm.plan, cm.planErr
-}
+func (cm *CompiledModel) Plan() (*runtime.Plan, error) { return cm.PlanForBatch(1) }
 
 // PlanForBatch returns a plan compiled for a (n, 3, s, s) input, rebuilding
-// the model at batch n and replaying the same kernel-selection and
-// placement decisions as the original compile (same tuning DB, so a warm
-// database makes the rebuild fast). Plans are cached per batch size with
-// singleflight compilation; n <= 1 returns the canonical per-request plan.
+// the model at batch n and lowering it as the original compile did (same
+// tuning DB, so a warm database makes the rebuild fast). Plans are cached
+// per batch size with singleflight compilation; n <= 1 returns the
+// canonical per-request plan, built from the compiled graph itself.
 // Weight seeding is batch-independent, so the batched plan computes exactly
 // the same function per batch row as the per-request plan.
 func (cm *CompiledModel) PlanForBatch(n int) (*runtime.Plan, error) {
-	if n <= 1 {
-		return cm.Plan()
+	n = max(n, 1)
+	cm.planMu.Lock()
+	if cm.plans == nil {
+		cm.plans = map[int]*planSlot{}
 	}
-	cm.batchMu.Lock()
-	if cm.batchPlans == nil {
-		cm.batchPlans = map[int]*batchPlanSlot{}
-	}
-	sl, ok := cm.batchPlans[n]
+	sl, ok := cm.plans[n]
 	if !ok {
-		sl = &batchPlanSlot{}
-		cm.batchPlans[n] = sl
+		sl = &planSlot{}
+		cm.plans[n] = sl
 	}
-	cm.batchMu.Unlock()
+	cm.planMu.Unlock()
 	sl.once.Do(func() {
-		sp := obs.Start("compile.batch_plan", obs.KV("model", cm.Name), obs.KVInt("batch", n))
-		defer sp.End()
-		m := models.BuildN(cm.Name, cm.model.InputSize, n, false)
-		graph.Optimize(m.Graph)
-		if _, qerr := graph.QuantizeGraph(m.Graph, cm.quant); qerr != nil {
-			sl.err = qerr
-			return
+		g, label := cm.model.Graph, cm.Name+"@"+cm.Platform.Name
+		if n > 1 {
+			sp := obs.Start("compile.batch_plan", obs.KV("model", cm.Name), obs.KVInt("batch", n))
+			defer sp.End()
+			m := models.BuildN(cm.Name, cm.model.InputSize, n, false)
+			if _, _, _, sl.err = cm.lowering.lower(m.Graph); sl.err != nil {
+				return
+			}
+			g, label = m.Graph, fmt.Sprintf("%s#b%d", label, n)
 		}
-		graph.SelectConvKernels(m.Graph, graph.KernelSelection{
-			Device: cm.Platform.GPU, DB: cm.db, AllowWinograd: cm.allowWinograd,
-		})
-		graph.PlaceDevices(m.Graph, cm.placement)
-		sl.plan, sl.err = runtime.NewPlan(m.Graph)
-		if sl.err == nil {
-			sl.plan.SetLabel(fmt.Sprintf("%s@%s#b%d", cm.Name, cm.Platform.Name, n))
+		if sl.plan, sl.err = runtime.NewPlan(g); sl.err == nil {
+			sl.plan.SetLabel(label)
 		}
 	})
 	return sl.plan, sl.err
@@ -569,14 +551,11 @@ func (p *SessionPool) Breaker() *Breaker { return p.pool.Breaker() }
 
 // Run executes the compiled model functionally on the host and returns the
 // output tensor (class probabilities, or detections [class, score, box]).
-// Each call runs a throwaway session; for repeated inference use
-// NewSession, which reuses the arena and skips per-call planning.
+// Each call runs a throwaway session over the model's cached plan, so the
+// caller owns the result; for repeated inference use NewSession, which
+// also reuses the arena.
 func (cm *CompiledModel) Run(input *Tensor) (*Tensor, error) {
-	res, err := runtime.Execute(cm.model.Graph, map[string]*tensor.Tensor{"data": input})
-	if err != nil {
-		return nil, err
-	}
-	return res.Outputs[0], nil
+	return cm.RunContext(context.Background(), input)
 }
 
 // RunContext is Run with cancellation: a SIGINT-bound or deadline context
