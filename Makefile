@@ -22,24 +22,34 @@ race:
 # the portable GEMM tile and row loops to compiling (and vetting, tests
 # included) where the amd64 assembly of internal/ops, internal/tensor and
 # internal/cpu does not exist; vet's asmdecl check covers the assembly's
-# frame layouts on amd64. The import check keeps the graph executor from
-# learning what is inside an operator again: it sees graph.PreparedOp only.
+# frame layouts on amd64. The import checks keep the graph executor from
+# learning what is inside an operator again (it sees graph.PreparedOp only)
+# and the worker pool a leaf that anything may call: internal/par imports
+# the standard library and nothing of this module. The pool and the kernels
+# that fan out through it run under the race detector at one, two and four
+# cores (-cpu raises GOMAXPROCS past the host's cores too): no job's result
+# may depend on which worker ran it.
 verify:
 	$(GO) build ./...
 	$(GO) vet ./...
 	@if $(GO) list -f '{{join .Imports "\n"}}' ./internal/runtime | grep -qx unigpu/internal/ops; then \
 		echo "internal/runtime must not import unigpu/internal/ops"; exit 1; fi
+	@if $(GO) list -f '{{join .Imports "\n"}}' ./internal/par | grep -q '^unigpu/'; then \
+		echo "internal/par must import the standard library only"; exit 1; fi
 	GOARCH=arm64 $(GO) build ./...
 	GOARCH=arm64 $(GO) vet ./internal/ops ./internal/tensor ./internal/cpu
+	$(GO) test -race -cpu 1,2,4 ./internal/par ./internal/ops
 	$(GO) test -race -timeout 25m ./...
 
-# bench runs the runtime + ops benchmarks (session hot path, pooled
-# kernels, per-kernel conv comparisons, dispatch overhead), archives them
-# as BENCH_runtime.json, and fails if the steady-state serial session run
-# regresses above zero allocations per op.
+# bench runs the runtime, ops and worker-pool benchmarks (session hot path,
+# pooled kernels, per-kernel conv comparisons, fan-out dispatch), archives
+# them as BENCH_runtime.json, and fails if the steady-state serial session
+# run regresses above zero allocations per op, with or without a conv in the
+# graph (bench2json matches a name, name-<procs> and name/<sub> only, so the
+# depthwise benchmark needs its own entry).
 bench:
-	$(GO) test -run '^$$' -bench . -benchmem -benchtime 20x ./internal/runtime ./internal/ops | tee bench.out
-	$(GO) run ./cmd/bench2json -in bench.out -out BENCH_runtime.json -maxallocs 'BenchmarkSessionRun=0'
+	$(GO) test -run '^$$' -bench . -benchmem -benchtime 20x ./internal/runtime ./internal/ops ./internal/par | tee bench.out
+	$(GO) run ./cmd/bench2json -in bench.out -out BENCH_runtime.json -maxallocs 'BenchmarkSessionRun=0,BenchmarkSessionRunDepthwise=0'
 
 # bench-regress guards the serving hot path's wall clock: it re-runs the
 # gated benchmarks (best of -count 3) and compares against the committed
@@ -88,6 +98,7 @@ loc:
 	echo "internal/runtime + unigpu.go:   $$(n internal/runtime/*.go unigpu.go)"; \
 	echo "internal/graph:                 $$(n internal/graph/*.go)"; \
 	echo "internal/ops + internal/tensor: $$(n internal/ops/*.go internal/tensor/*.go)"; \
+	echo "internal/par:                   $$(n internal/par/*.go)"; \
 	echo "assembly (.s):                  $$(cat internal/*/*.s | wc -l)"
 
 # trace produces a sample Chrome trace + metrics dump from a quick run.

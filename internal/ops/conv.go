@@ -2,11 +2,9 @@ package ops
 
 import (
 	"math"
-	"runtime"
-	"sync"
-	"sync/atomic"
 	"unsafe"
 
+	"unigpu/internal/par"
 	"unigpu/internal/tensor"
 )
 
@@ -65,9 +63,8 @@ func narrow[O convOut](v float32) O {
 
 // convSink is where every conv kernel's finished accumulators go: the
 // output and fused-residual storage, whose element types are the kernels'
-// only view of their dtypes, and what the epilogue needs. Keep it within
-// 128 bytes: the kernels' parallelFor closures capture it by value, which
-// is what keeps a conv call from costing one more heap object.
+// only view of their dtypes, and what the epilogue needs. The kernels' jobs
+// (par.Job values) hold it by value: the caller's stays on its stack.
 type convSink[O convOut, R convElem] struct {
 	out     []O
 	res     []R       // fused residual, indexed like out; nil for none
@@ -158,22 +155,30 @@ type rowScratch[A gemmAcc] struct {
 // adds an exact 0*w = +-0 as it does in the GEMM. The epilogue and the
 // narrowing store run once per run of finished outputs (finishBand).
 func convRows[A gemmAcc, S convElem, W gemmElem, O convOut, R convElem](sink *convSink[O, R], ind []S, wd []W, w ConvWorkload) {
-	held := *sink // closures take the sink by value: the caller's stays on its stack
-	_, cinPerG, _, _ := w.gemmDims()
-	planes := w.N * w.COut
-	per := max(1, convRowJobMACs/(w.OutH()*w.OutW()*cinPerG*w.KH*w.KW))
-	parallelFor((planes+per-1)/per, func(job int) {
-		s, g := held, newRowGeom(w) // per job: captured, the geometry would cost the call a heap object
-		var sc rowScratch[A]
-		for p := job * per; p < min(planes, (job+1)*per); p++ {
-			convRowsPlane(&s, &sc, ind, wd, &g, p)
-		}
-		finishRun(&s, &sc)
-	})
+	g := newRowGeom(w)
+	per := max(1, convRowJobMACs/(g.oh*g.ow*g.cinPerG*w.KH*w.KW))
+	par.For((w.N*w.COut+per-1)/per, rowsJob[A, S, W, O, R]{*sink, ind, wd, g, per})
+}
+
+// rowsJob is a convRows fan-out: job i computes planes [i*per, (i+1)*per).
+type rowsJob[A gemmAcc, S convElem, W gemmElem, O convOut, R convElem] struct {
+	sink convSink[O, R]
+	ind  []S
+	wd   []W
+	g    rowGeom
+	per  int
+}
+
+func (j rowsJob[A, S, W, O, R]) Run(i int) {
+	var sc rowScratch[A]
+	for p := i * j.per; p < min(j.g.N*j.g.COut, (i+1)*j.per); p++ {
+		convRowsPlane(&j.sink, &sc, j.ind, j.wd, &j.g, p)
+	}
+	finishRun(&j.sink, &sc)
 }
 
 // rowGeom is the row kernel's geometry of a workload, worked out once per
-// job so that a plane's own set-up divides next to nothing.
+// conv so that a plane's own set-up divides next to nothing.
 type rowGeom struct {
 	ConvWorkload
 	oh, ow            int
@@ -491,34 +496,6 @@ func applyActivation(v float32, a Activation) float32 {
 	return v
 }
 
-// parallelFor runs jobs [0,n) across the cores this process may use:
-// GOMAXPROCS, which a CPU quota lowers, not the node's core count. Workers
-// claim jobs off an atomic counter: O(workers) setup, no O(n) channel sends.
-func parallelFor(n int, f func(i int)) {
-	workers := min(runtime.GOMAXPROCS(0), n)
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			f(i)
-		}
-		return
-	}
-	var q struct { // one heap object for all that the workers share
-		next atomic.Int64
-		wg   sync.WaitGroup
-	}
-	worker := func() {
-		defer q.wg.Done()
-		for i := int(q.next.Add(1)) - 1; i < n; i = int(q.next.Add(1)) - 1 {
-			f(i)
-		}
-	}
-	q.wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go worker()
-	}
-	q.wg.Wait()
-}
-
 // Dense computes out[n,o] = sum_i in[n,i]*W[o,i] + bias[o].
 func Dense(in, weight, bias *tensor.Tensor) *tensor.Tensor {
 	out := tensor.New(in.Shape()[0], weight.Shape()[0])
@@ -538,40 +515,45 @@ func DenseInto(out, in, weight, bias *tensor.Tensor) {
 // carries, sometimes an fp16 input) are read as float32 views a run at a
 // time: fp32 in place, anything else widened by a row primitive.
 func DenseActInto(out, in, weight, bias *tensor.Tensor, act Activation) {
-	n := in.Shape()[0]
-	k := in.Shape()[1]
-	o := weight.Shape()[0]
-	bd := biasData(bias)
 	// Four output neurons per job, so four independent chains, each still its
 	// bias plus its products in ascending i; a row's last block repeats o-1.
+	par.For(in.Shape()[0]*((weight.Shape()[0]+3)/4), denseJob{out, in, weight, biasData(bias), act})
+}
+
+type denseJob struct {
+	out, in, weight *tensor.Tensor
+	bd              []float32
+	act             Activation
+}
+
+func (d denseJob) Run(job int) {
+	in, weight, bd, k, o := d.in, d.weight, d.bd, d.in.Shape()[1], d.weight.Shape()[0]
 	blocks := (o + 3) / 4
-	parallelFor(n*blocks, func(job int) {
-		ni, o0 := job/blocks, job%blocks*4
-		o1, o2, o3 := min(o0+1, o-1), min(o0+2, o-1), min(o0+3, o-1)
-		var s0, s1, s2, s3 float32
-		if bd != nil {
-			s0, s1, s2, s3 = bd[o0], bd[o1], bd[o2], bd[o3]
+	ni, o0 := job/blocks, job%blocks*4
+	o1, o2, o3 := min(o0+1, o-1), min(o0+2, o-1), min(o0+3, o-1)
+	var s0, s1, s2, s3 float32
+	if bd != nil {
+		s0, s1, s2, s3 = bd[o0], bd[o1], bd[o2], bd[o3]
+	}
+	var xb, b0, b1, b2, b3 []float32 // widening room, which all-fp32 operands do without
+	if in.DType() != tensor.Float32 || weight.DType() != tensor.Float32 {
+		bufs := new([5][typedRun]float32)
+		xb, b0, b1, b2, b3 = bufs[0][:], bufs[1][:], bufs[2][:], bufs[3][:], bufs[4][:]
+	}
+	for i := 0; i < k; i += typedRun {
+		c := min(typedRun, k-i)
+		xs := in.ViewF(xb, ni*k+i, c)
+		w0, w1, w2, w3 := weight.ViewF(b0, o0*k+i, c), weight.ViewF(b1, o1*k+i, c), weight.ViewF(b2, o2*k+i, c), weight.ViewF(b3, o3*k+i, c)
+		w0, w1, w2, w3 = w0[:len(xs)], w1[:len(xs)], w2[:len(xs)], w3[:len(xs)]
+		for j, x := range xs {
+			s0 += x * w0[j]
+			s1 += x * w1[j]
+			s2 += x * w2[j]
+			s3 += x * w3[j]
 		}
-		var xb, b0, b1, b2, b3 []float32 // widening room, which all-fp32 operands do without
-		if in.DType() != tensor.Float32 || weight.DType() != tensor.Float32 {
-			bufs := new([5][typedRun]float32)
-			xb, b0, b1, b2, b3 = bufs[0][:], bufs[1][:], bufs[2][:], bufs[3][:], bufs[4][:]
-		}
-		for i := 0; i < k; i += typedRun {
-			c := min(typedRun, k-i)
-			xs := in.ViewF(xb, ni*k+i, c)
-			w0, w1, w2, w3 := weight.ViewF(b0, o0*k+i, c), weight.ViewF(b1, o1*k+i, c), weight.ViewF(b2, o2*k+i, c), weight.ViewF(b3, o3*k+i, c)
-			w0, w1, w2, w3 = w0[:len(xs)], w1[:len(xs)], w2[:len(xs)], w3[:len(xs)]
-			for j, x := range xs {
-				s0 += x * w0[j]
-				s1 += x * w1[j]
-				s2 += x * w2[j]
-				s3 += x * w3[j]
-			}
-		}
-		out.SetF(ni*o+o0, applyActivation(s0, act))
-		out.SetF(ni*o+o1, applyActivation(s1, act))
-		out.SetF(ni*o+o2, applyActivation(s2, act))
-		out.SetF(ni*o+o3, applyActivation(s3, act))
-	})
+	}
+	d.out.SetF(ni*o+o0, applyActivation(s0, d.act))
+	d.out.SetF(ni*o+o1, applyActivation(s1, d.act))
+	d.out.SetF(ni*o+o2, applyActivation(s2, d.act))
+	d.out.SetF(ni*o+o3, applyActivation(s3, d.act))
 }

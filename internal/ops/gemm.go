@@ -4,6 +4,7 @@ import (
 	"math"
 	"unsafe"
 
+	"unigpu/internal/par"
 	"unigpu/internal/tensor"
 )
 
@@ -35,8 +36,8 @@ import (
 // added (no fused multiply-add), and K is deliberately NOT split
 // (KC == K). That makes the GEMM path bit-identical to the direct kernel's
 // ascending (ci, ky, kx) tap order (padding taps contribute an exact
-// 0*w = +-0), whichever tile runs. A parallelFor job is one A row panel,
-// which stays hot in cache, against gemmNC output pixels.
+// 0*w = +-0), whichever tile runs. A job of the tile fan-out is one A row
+// panel, which stays hot in cache, against gemmNC output pixels.
 const (
 	gemmMR = 16  // tile rows (output channels)
 	gemmNR = 4   // tile cols (output pixels)
@@ -122,76 +123,69 @@ func quantizeConvWeights(weight *tensor.Tensor, w ConvWorkload) (q []int8, scale
 	return q, scales
 }
 
-// im2colPacked fills bp with the packed-B im2col panels for one
-// (batch, group) input plane, widening each source element to the panel
-// type as it is gathered (a no-op for fp32 and int8, the one binary16
-// decode for fp16). Out-of-bounds taps and tail columns are exact zeros.
-// No tap is bounds-tested: a panel whose four pixels have every tap in
-// bounds (any of a 1x1 unpadded conv) is copied a panel row at a time; any
-// other is zeroed and takes each pixel's in-bounds [ky0,ky1) x [kx0,kx1),
-// found once per pixel (clampKernelRange).
-func im2colPacked[S convElem, E gemmElem](bp []E, ind []S, w ConvWorkload, n, grp int) {
-	_, cinPerG, _, k := w.gemmDims()
-	ow, hw := w.OutW(), w.H*w.W
-	nCols := w.OutH() * ow
-	plane0 := (n*w.CIn + grp*cinPerG) * hw
-
-	parallelFor((nCols+gemmNR-1)/gemmNR, func(p int) {
-		panel := bp[p*k*gemmNR:][:k*gemmNR]
-		var src, ky0, ky1, kx0, kx1 [gemmNR]int
-		inside := (p+1)*gemmNR <= nCols
-		for j := range src {
-			col := p*gemmNR + j
-			iy0, ix0 := col/ow*w.StrideH-w.PadH, col%ow*w.StrideW-w.PadW
-			src[j] = plane0 + iy0*w.W + ix0
-			ky0[j], ky1[j] = clampKernelRange(iy0, w.H, w.KH)
-			kx0[j], kx1[j] = clampKernelRange(ix0, w.W, w.KW)
-			inside = inside && ky1[j]-ky0[j] == w.KH && kx1[j]-kx0[j] == w.KW
-		}
-		if inside {
-			s0, s1, s2, s3 := src[0], src[1], src[2], src[3]
-			for ci := 0; ci < cinPerG; ci++ {
-				for ky := 0; ky < w.KH; ky++ {
-					o := ci*hw + ky*w.W
-					for kx := 0; kx < w.KW; kx++ {
-						e0, e1, e2, e3 := ind[s0+o+kx], ind[s1+o+kx], ind[s2+o+kx], ind[s3+o+kx]
-						if row := panel[:gemmNR]; unsafe.Sizeof(e0) == 2 {
-							row[0], row[1], row[2], row[3] = E(tensor.F16Decode(uint16(e0))), E(tensor.F16Decode(uint16(e1))), E(tensor.F16Decode(uint16(e2))), E(tensor.F16Decode(uint16(e3)))
-						} else {
-							row[0], row[1], row[2], row[3] = E(e0), E(e1), E(e2), E(e3)
-						}
-						panel = panel[gemmNR:]
-					}
-				}
-			}
-			return
-		}
-		clear(panel)
-		for j := 0; j < min(gemmNR, nCols-p*gemmNR); j++ { // tail columns stay zero
-			for ci := 0; ci < cinPerG; ci++ {
-				for ky := ky0[j]; ky < ky1[j]; ky++ {
-					iRow := src[j] + ci*hw + ky*w.W
-					dst := (ci*w.KH+ky)*w.KW*gemmNR + j
-					for kx := kx0[j]; kx < kx1[j]; kx++ {
-						e := ind[iRow+kx]
-						v := E(e)
-						if unsafe.Sizeof(e) == 2 {
-							v = E(tensor.F16Decode(uint16(e)))
-						}
-						panel[dst+kx*gemmNR] = v
-					}
-				}
-			}
-		}
-	})
+// im2colJob fills bp with the packed-B im2col panels, one to a job, for the
+// (batch, group) input plane that starts at ind[plane0], widening each
+// source element to the panel type as it is gathered (a no-op for fp32 and
+// int8, the one binary16 decode for fp16). Out-of-bounds taps and tail
+// columns are exact zeros. No tap is bounds-tested: a panel whose four
+// pixels have every tap in bounds (any of a 1x1 unpadded conv) is copied a
+// panel row at a time; any other is zeroed and takes each pixel's in-bounds
+// [ky0,ky1) x [kx0,kx1), found once per pixel (clampKernelRange).
+type im2colJob[S convElem, E gemmElem] struct {
+	bp                            []E
+	ind                           []S
+	w                             ConvWorkload
+	cinPerG, k, ow, nCols, plane0 int
 }
 
-// scratchFor returns s when it holds need elements, else a fresh buffer.
-func scratchFor[E gemmElem](s []E, need int) []E {
-	if len(s) < need {
-		return make([]E, need)
+func (j im2colJob[S, E]) Run(p int) {
+	w, ind, cinPerG, k, ow, nCols, hw := &j.w, j.ind, j.cinPerG, j.k, j.ow, j.nCols, j.w.H*j.w.W
+	panel := j.bp[p*k*gemmNR:][:k*gemmNR]
+	var src, ky0, ky1, kx0, kx1 [gemmNR]int
+	inside := (p+1)*gemmNR <= nCols
+	for c := range src {
+		col := p*gemmNR + c
+		iy0, ix0 := col/ow*w.StrideH-w.PadH, col%ow*w.StrideW-w.PadW
+		src[c] = j.plane0 + iy0*w.W + ix0
+		ky0[c], ky1[c] = clampKernelRange(iy0, w.H, w.KH)
+		kx0[c], kx1[c] = clampKernelRange(ix0, w.W, w.KW)
+		inside = inside && ky1[c]-ky0[c] == w.KH && kx1[c]-kx0[c] == w.KW
 	}
-	return s
+	if inside {
+		s0, s1, s2, s3 := src[0], src[1], src[2], src[3]
+		for ci := 0; ci < cinPerG; ci++ {
+			for ky := 0; ky < w.KH; ky++ {
+				o := ci*hw + ky*w.W
+				for kx := 0; kx < w.KW; kx++ {
+					e0, e1, e2, e3 := ind[s0+o+kx], ind[s1+o+kx], ind[s2+o+kx], ind[s3+o+kx]
+					if row := panel[:gemmNR]; unsafe.Sizeof(e0) == 2 {
+						row[0], row[1], row[2], row[3] = E(tensor.F16Decode(uint16(e0))), E(tensor.F16Decode(uint16(e1))), E(tensor.F16Decode(uint16(e2))), E(tensor.F16Decode(uint16(e3)))
+					} else {
+						row[0], row[1], row[2], row[3] = E(e0), E(e1), E(e2), E(e3)
+					}
+					panel = panel[gemmNR:]
+				}
+			}
+		}
+		return
+	}
+	clear(panel)
+	for c := 0; c < min(gemmNR, nCols-p*gemmNR); c++ { // tail columns stay zero
+		for ci := 0; ci < cinPerG; ci++ {
+			for ky := ky0[c]; ky < ky1[c]; ky++ {
+				iRow := src[c] + ci*hw + ky*w.W
+				dst := (ci*w.KH+ky)*w.KW*gemmNR + c
+				for kx := kx0[c]; kx < kx1[c]; kx++ {
+					e := ind[iRow+kx]
+					v := E(e)
+					if unsafe.Sizeof(e) == 2 {
+						v = E(tensor.F16Decode(uint16(e)))
+					}
+					panel[dst+kx*gemmNR] = v
+				}
+			}
+		}
+	}
 }
 
 // convGEMM runs the im2col-GEMM convolution into the sink: packedA holds
@@ -199,28 +193,36 @@ func scratchFor[E gemmElem](s []E, need int) []E {
 // or of their quantizeConvWeights codes); scratch must hold
 // GEMMScratchElems(w) panel elements (pass nil to allocate locally).
 func convGEMM[A gemmAcc, S convElem, E gemmElem, O convOut, R convElem](sink *convSink[O, R], ind []S, packedA, scratch []E, w ConvWorkload) {
-	g, _, coutPerG, k := w.gemmDims()
+	g, cinPerG, coutPerG, k := w.gemmDims()
 	nCols := w.OutH() * w.OutW()
 	mPad := roundUp(coutPerG, gemmMR)
-	bp := scratchFor(scratch, GEMMScratchElems(w)) // one assignment: the closures capture it by value
+	bp := scratch
+	if need := GEMMScratchElems(w); len(bp) < need {
+		bp = make([]E, need)
+	}
 	nBlocks := (nCols + gemmNC - 1) / gemmNC
-	held := *sink
-
 	for n := 0; n < w.N; n++ {
 		for grp := 0; grp < g; grp++ {
-			im2colPacked(bp, ind, w, n, grp)
-			pa := packedA[grp*mPad*k : (grp+1)*mPad*k]
-			coBase := grp * coutPerG
-			outBase := (n*w.COut + coBase) * nCols
-			parallelFor(mPad/gemmMR*nBlocks, func(job int) {
-				s := held
-				i, j0 := job/nBlocks*gemmMR, job%nBlocks*gemmNC
-				for j := j0; j < min(j0+gemmNC, nCols); j += gemmNR {
-					gemmMicro[A](&s, pa[i*k:], bp[j*k:], k,
-						coBase+i, min(gemmMR, coutPerG-i), outBase+i*nCols+j, nCols, nCols-j)
-				}
-			})
+			par.For((nCols+gemmNR-1)/gemmNR, im2colJob[S, E]{bp, ind, w, cinPerG, k, w.OutW(), nCols, (n*w.CIn + grp*cinPerG) * w.H * w.W})
+			par.For(mPad/gemmMR*nBlocks, tileJob[A, E, O, R]{*sink, packedA[grp*mPad*k:][:mPad*k], bp,
+				k, nBlocks, nCols, grp * coutPerG, coutPerG, (n*w.COut + grp*coutPerG) * nCols})
 		}
+	}
+}
+
+// tileJob is the GEMM of one (batch, group) plane: job i is row panel
+// i/nBlocks of pa against pixels [i%nBlocks*gemmNC, +gemmNC) of bp.
+type tileJob[A gemmAcc, E gemmElem, O convOut, R convElem] struct {
+	sink                                     convSink[O, R]
+	pa, bp                                   []E
+	k, nBlocks, nCols, coBase, rows, outBase int // rows: the group's output channels
+}
+
+func (t tileJob[A, E, O, R]) Run(job int) {
+	i, j0 := job/t.nBlocks*gemmMR, job%t.nBlocks*gemmNC
+	for j := j0; j < min(j0+gemmNC, t.nCols); j += gemmNR {
+		gemmMicro[A](&t.sink, t.pa[i*t.k:], t.bp[j*t.k:], t.k,
+			t.coBase+i, min(gemmMR, t.rows-i), t.outBase+i*t.nCols+j, t.nCols, t.nCols-j)
 	}
 }
 

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"strings"
-	"sync/atomic"
 	"testing"
 
 	"unigpu/internal/tensor"
@@ -191,50 +189,53 @@ func TestPool2DMatchesReference(t *testing.T) {
 	}
 }
 
-// TestParallelForCoversAllJobs: the atomic work queue runs every job
-// exactly once regardless of worker count.
-func TestParallelForCoversAllJobs(t *testing.T) {
-	for _, n := range []int{0, 1, 7, 64, 1000} {
-		hits := make([]int32, n)
-		parallelFor(n, func(i int) { atomic.AddInt32(&hits[i], 1) })
-		for i, h := range hits {
-			if h != 1 {
-				t.Fatalf("n=%d: job %d ran %d times", n, i, h)
-			}
-		}
+// mallocs is testing.AllocsPerRun at the GOMAXPROCS in force (AllocsPerRun
+// lowers it to 1, where no fan-out has a helper): heap objects allocated per
+// call of f after one warm-up call, rounded down like it.
+func mallocs(runs int, f func()) uint64 {
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
 	}
+	runtime.ReadMemStats(&after)
+	return (after.Mallocs - before.Mallocs) / uint64(runs)
 }
 
-// TestParallelForHonoursGOMAXPROCS: the fan-out follows the cores this
-// process may use, not the node's. With GOMAXPROCS(1), a CPU quota of one
-// on a machine of any size, every job runs on the caller's goroutine (the
-// test function is on the job's stack) and a conv allocates only the job
-// closure of each parallelFor it calls: two for the GEMM, im2col and tiles
-// (no WaitGroup, counter or goroutines).
-func TestParallelForHonoursGOMAXPROCS(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	parallelFor(64, func(i int) {
-		pcs := make([]uintptr, 16)
-		frames := runtime.CallersFrames(pcs[:runtime.Callers(1, pcs)])
-		for {
-			f, more := frames.Next()
-			if strings.HasSuffix(f.Function, ".TestParallelForHonoursGOMAXPROCS") {
-				return
-			}
-			if !more {
-				t.Errorf("job %d ran on another goroutine", i)
-				return
-			}
-		}
-	})
-
+// TestConvAllocatesNothing: a prepared conv with its scratch allocates
+// nothing per run, whichever kernel and storage dtype: its fan-outs hand
+// par.For a job value, not a closure, and par recycles the box the helpers
+// read it from. Held at the GOMAXPROCS in force and at GOMAXPROCS(1), a CPU
+// quota of one on a machine of any size, where every job runs on the
+// caller's goroutine.
+func TestConvAllocatesNothing(t *testing.T) {
 	w := ConvWorkload{N: 1, CIn: 8, COut: 24, H: 10, W: 10, KH: 3, KW: 3,
 		StrideH: 1, StrideW: 1, PadH: 1, PadW: 1, HasBias: true}
-	in, weight, bias := convInputs(w, 9)
-	p := PrepareConv(w, KernelGEMM, weight)
-	out, scratch := tensor.New(1, 24, 10, 10), make([]float32, p.ScratchElems())
-	if allocs := testing.AllocsPerRun(20, func() { p.RunInto(out, in, bias, scratch) }); allocs > 2 {
-		t.Errorf("GEMM conv at GOMAXPROCS(1): %v allocs per run, want the 2 job closures only", allocs)
+	dw := w
+	dw.COut, dw.Groups = 8, 8
+	for _, procs := range []int{runtime.GOMAXPROCS(0), 1} {
+		prev := runtime.GOMAXPROCS(procs)
+		for _, tc := range []struct {
+			w  ConvWorkload
+			k  ConvKernel
+			dt tensor.DType
+		}{{w, KernelGEMM, tensor.Float32}, {w, KernelGEMM, tensor.Float16}, {w, KernelGEMM, tensor.Int8},
+			{w, KernelDirect, tensor.Float32}, {w, KernelWinograd, tensor.Float32},
+			{dw, KernelDepthwise, tensor.Float32}, {dw, KernelDepthwise, tensor.Int8}} {
+			in, weight, bias := convInputs(tc.w, 9)
+			p := PrepareConvDType(tc.w, tc.k, weight, tc.dt)
+			odt := tc.dt
+			if odt == tensor.Int8 {
+				odt = tensor.Float16 // an int8 conv's carrier
+			}
+			in, out := tensor.Convert(in, tc.dt, 0), tensor.NewTyped(odt, 1, tc.w.COut, 10, 10)
+			scratch, scratch8 := make([]float32, p.ScratchElems()), make([]int8, p.ScratchElems())
+			if allocs := mallocs(50, func() { p.RunIntoEpilogue(out, in, bias, nil, scratch, scratch8, false) }); allocs != 0 {
+				t.Errorf("%v %s conv at GOMAXPROCS(%d): %d allocs per run, want 0", tc.k, tc.dt, procs, allocs)
+			}
+		}
+		runtime.GOMAXPROCS(prev)
 	}
 }
 
@@ -273,15 +274,5 @@ func BenchmarkDenseInto(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		DenseInto(out, in, weight, bias)
-	}
-}
-
-// BenchmarkParallelForDispatch isolates scheduling overhead: many tiny
-// jobs, so the atomic-counter work queue dominates the measurement.
-func BenchmarkParallelForDispatch(b *testing.B) {
-	var sink atomic.Int64
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		parallelFor(1024, func(j int) { sink.Add(int64(j)) })
 	}
 }

@@ -292,16 +292,3 @@ func TestPropertyConvLinearity(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestParallelForCoversAllIndices(t *testing.T) {
-	n := 1000
-	seen := make([]int32, n)
-	parallelFor(n, func(i int) { seen[i]++ })
-	for i, v := range seen {
-		if v != 1 {
-			t.Fatalf("index %d executed %d times", i, v)
-		}
-	}
-	// Zero jobs must not hang.
-	parallelFor(0, func(int) { t.Fatal("should not run") })
-}

@@ -3,6 +3,7 @@ package ops
 import (
 	"math"
 
+	"unigpu/internal/par"
 	"unigpu/internal/tensor"
 )
 
@@ -19,9 +20,7 @@ const (
 // (count_include_pad=false), matching GluonCV defaults.
 func Pool2D(in *tensor.Tensor, kind PoolKind, kernel, stride, pad int) *tensor.Tensor {
 	s := in.Shape()
-	oh := (s[2]+2*pad-kernel)/stride + 1
-	ow := (s[3]+2*pad-kernel)/stride + 1
-	out := tensor.New(s[0], s[1], oh, ow)
+	out := tensor.New(s[0], s[1], (s[2]+2*pad-kernel)/stride+1, (s[3]+2*pad-kernel)/stride+1)
 	Pool2DInto(out, in, kind, kernel, stride, pad)
 	return out
 }
@@ -31,10 +30,11 @@ func Pool2D(in *tensor.Tensor, kind PoolKind, kernel, stride, pad int) *tensor.T
 const poolWindowElems = 1024
 
 // Pool2DInto applies pooling into a caller-provided (N, C, OutH, OutW)
-// tensor of any storage dtype, an output row at a time. The input rows its
-// windows touch are widened (LoadF) into a buffer whose padding columns hold
-// the reduction's identity, -Inf for max and -0 for the sum (x + -0 is x
-// for every x, -0 included), so every tap is in bounds for every output:
+// tensor of any storage dtype: the planes are fanned out (independent, each
+// job's window on its own stack), a plane goes an output row at a time. The
+// input rows its windows touch are widened (LoadF) into a buffer whose
+// padding columns hold the reduction's identity, -Inf for max and -0 for the
+// sum (x + -0 is x for every x, -0 included), so every tap is in bounds:
 // taps run outermost and outputs innermost, and the loop over a row has no
 // dependent chain. Padding rows are skipped. The average still folds an
 // output's taps in ascending (ky, kx) order into a float64 and divides by
@@ -44,9 +44,21 @@ const poolWindowElems = 1024
 // with math.Max itself.
 func Pool2DInto(out, in *tensor.Tensor, kind PoolKind, kernel, stride, pad int) {
 	s := in.Shape()
-	planes, h, w := s[0]*s[1], s[2], s[3]
-	oh := (h+2*pad-kernel)/stride + 1
-	ow := (w+2*pad-kernel)/stride + 1
+	oh, ow := (s[2]+2*pad-kernel)/stride+1, (s[3]+2*pad-kernel)/stride+1
+	per := max(1, convRowJobMACs/(oh*ow*kernel*kernel)) // small planes go several to a job, as in convRows
+	par.For((s[0]*s[1]+per-1)/per, poolJob{out, in, kind, kernel, stride, pad, oh, ow, per})
+}
+
+// poolJob is Pool2DInto's fan-out: job i pools planes [i*per, (i+1)*per).
+type poolJob struct {
+	out, in                          *tensor.Tensor
+	kind                             PoolKind
+	kernel, stride, pad, oh, ow, per int
+}
+
+func (j poolJob) Run(job int) {
+	out, in, kind, kernel, stride, pad, oh, ow := j.out, j.in, j.kind, j.kernel, j.stride, j.pad, j.oh, j.ow
+	planes, h, w := in.Shape()[0]*in.Shape()[1], in.Shape()[2], in.Shape()[3]
 	identity := math.Copysign(0, -1)
 	if kind == MaxPool {
 		identity = math.Inf(-1)
@@ -60,7 +72,7 @@ func Pool2DInto(out, in *tensor.Tensor, kind PoolKind, kernel, stride, pad int) 
 	fillRow(win[:kernel*wp], float32(identity))
 	var accs [typedRun]float64
 	var valbuf [typedRun]float32
-	for p := 0; p < planes; p++ {
+	for p := job * j.per; p < min(planes, (job+1)*j.per); p++ {
 		for y := 0; y < oh; y++ {
 			ky0, ky1 := clampKernelRange(y*stride-pad, h, kernel)
 			for ky := ky0; ky < ky1; ky++ {

@@ -1,6 +1,7 @@
 package ops
 
 import (
+	"unigpu/internal/par"
 	"unigpu/internal/tensor"
 )
 
@@ -36,11 +37,9 @@ func Conv2DWinograd(in, weight, bias *tensor.Tensor, w ConvWorkload) *tensor.Ten
 		}
 	}
 
-	tilesY := (oh + 1) / 2
-	tilesX := (ow + 1) / 2
-	parallelFor(w.N*w.COut, func(job int) {
-		n := job / w.COut
-		co := job % w.COut
+	tilesY, tilesX := (oh+1)/2, (ow+1)/2
+	for job := 0; job < w.N*w.COut; job++ { // the reference stays on one goroutine
+		n, co := job/w.COut, job%w.COut
 		var b float32
 		if bias != nil {
 			b = bias.Data()[co]
@@ -84,7 +83,7 @@ func Conv2DWinograd(in, weight, bias *tensor.Tensor, w ConvWorkload) *tensor.Ten
 				}
 			}
 		}
-	})
+	}
 	return out
 }
 
@@ -207,62 +206,67 @@ func convWinograd[O convOut, R convElem](sink *convSink[O, R], ind, packedU []fl
 	if !WinogradSupported(w) {
 		panic("ops: Winograd F(2x2,3x3) requires a dense 3x3 stride-1 convolution")
 	}
-	oh, ow := w.OutH(), w.OutW()
-	held := *sink
+	par.For(w.N*w.COut, winogradJob[O, R]{*sink, ind, packedU, w})
+}
 
-	tilesY := (oh + 1) / 2
-	tilesX := (ow + 1) / 2
-	parallelFor(w.N*w.COut, func(job int) {
-		s := held
-		n := job / w.COut
-		co := job % w.COut
-		var b float32
-		if s.bias != nil {
-			b = s.bias[co]
-		}
-		for ty := 0; ty < tilesY; ty++ {
-			for tx := 0; tx < tilesX; tx++ {
-				var acc [4][4]float32
-				for ci := 0; ci < w.CIn; ci++ {
-					var d [4][4]float32
-					iPlane := (n*w.CIn + ci) * w.H * w.W
-					for y := 0; y < 4; y++ {
-						iy := ty*2 - w.PadH + y
-						if iy < 0 || iy >= w.H {
-							continue
-						}
-						iRow := iPlane + iy*w.W
-						for x := 0; x < 4; x++ {
-							ix := tx*2 - w.PadW + x
-							if ix >= 0 && ix < w.W {
-								d[y][x] = ind[iRow+ix]
-							}
-						}
+// winogradJob is convWinograd's fan-out: job i is output plane (n, co) = i.
+type winogradJob[O convOut, R convElem] struct {
+	sink         convSink[O, R]
+	ind, packedU []float32
+	w            ConvWorkload
+}
+
+func (j winogradJob[O, R]) Run(job int) {
+	s, w, ind, packedU := &j.sink, &j.w, j.ind, j.packedU
+	oh, ow := w.OutH(), w.OutW()
+	tilesY, tilesX := (oh+1)/2, (ow+1)/2
+	n, co := job/w.COut, job%w.COut
+	var b float32
+	if s.bias != nil {
+		b = s.bias[co]
+	}
+	for ty := 0; ty < tilesY; ty++ {
+		for tx := 0; tx < tilesX; tx++ {
+			var acc [4][4]float32
+			for ci := 0; ci < w.CIn; ci++ {
+				var d [4][4]float32
+				iPlane := (n*w.CIn + ci) * w.H * w.W
+				for y := 0; y < 4; y++ {
+					iy := ty*2 - w.PadH + y
+					if iy < 0 || iy >= w.H {
+						continue
 					}
-					v := dataTransform(d)
-					u := packedU[(co*w.CIn+ci)*16:]
-					for y := 0; y < 4; y++ {
-						for x := 0; x < 4; x++ {
-							acc[y][x] += u[y*4+x] * v[y][x]
+					iRow := iPlane + iy*w.W
+					for x := 0; x < 4; x++ {
+						ix := tx*2 - w.PadW + x
+						if ix >= 0 && ix < w.W {
+							d[y][x] = ind[iRow+ix]
 						}
 					}
 				}
-				y2 := outputTransform(acc)
-				for dy := 0; dy < 2; dy++ {
-					oy := ty*2 + dy
-					if oy >= oh {
-						continue
-					}
-					oRow := ((n*w.COut+co)*oh + oy) * ow
-					for dx := 0; dx < 2; dx++ {
-						ox := tx*2 + dx
-						if ox >= ow {
-							continue
-						}
-						s.out[oRow+ox] = narrow[O](convEpilogue(y2[dy][dx]+b, s.res, oRow+ox, s.act, s.postAct))
+				v := dataTransform(d)
+				u := packedU[(co*w.CIn+ci)*16:]
+				for y := 0; y < 4; y++ {
+					for x := 0; x < 4; x++ {
+						acc[y][x] += u[y*4+x] * v[y][x]
 					}
 				}
 			}
+			y2 := outputTransform(acc)
+			for dy := 0; dy < 2; dy++ {
+				oy := ty*2 + dy
+				if oy >= oh {
+					continue
+				}
+				oRow := ((n*w.COut+co)*oh + oy) * ow
+				for dx := 0; dx < 2; dx++ {
+					ox := tx*2 + dx
+					if ox >= ow {
+						continue
+					}
+					s.out[oRow+ox] = narrow[O](convEpilogue(y2[dy][dx]+b, s.res, oRow+ox, s.act, s.postAct))
+				}
+			}
 		}
-	})
+	}
 }

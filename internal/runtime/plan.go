@@ -11,6 +11,7 @@ import (
 
 	"unigpu/internal/graph"
 	"unigpu/internal/obs"
+	"unigpu/internal/par"
 	"unigpu/internal/sim"
 	"unigpu/internal/tensor"
 )
@@ -592,12 +593,17 @@ func (s *Session) Run(feeds map[string]*tensor.Tensor) ([]*tensor.Tensor, error)
 // RunContext is Run with cancellation: the context is honoured between
 // node dispatches, inside the simulated GPU queue wait, and during retry
 // backoff, returning ctx.Err() promptly without deadlocking or leaking
-// worker lanes. A cancelled run leaves the session reusable.
+// worker lanes. A cancelled run leaves the session reusable. A run is one
+// compute stream to the host's worker pool (internal/par): its operators'
+// fan-outs share the cores with the other runs in flight, however many
+// lanes this session dispatches from.
 func (s *Session) RunContext(ctx context.Context, feeds map[string]*tensor.Tensor) ([]*tensor.Tensor, error) {
 	p := s.plan
 	if err := p.validateFeeds(feeds); err != nil {
 		return nil, err
 	}
+	par.Enter()
+	defer par.Exit()
 	for _, fa := range p.feedArgs {
 		s.args[fa.node][fa.arg] = feeds[fa.name]
 	}

@@ -280,29 +280,35 @@ func TestProfilerOverheadGate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(opts runtime.SessionOptions) float64 {
+	// The two sessions are timed turn and turn about, 2000 runs at a time, and
+	// each keeps its best of 60 turns: this host drifts by more than the gate
+	// between one second and the next, so a base measured before the profiled
+	// run says which second was the quiet one.
+	open := func(opts runtime.SessionOptions) *runtime.Session {
 		s := plan.NewSessionWith(opts)
 		if _, err := s.Run(feeds); err != nil {
 			t.Fatal(err)
 		}
-		best := 0.0
-		for i := 0; i < 5; i++ {
-			r := testing.Benchmark(func(b *testing.B) {
-				for j := 0; j < b.N; j++ {
-					if _, err := s.Run(feeds); err != nil {
-						b.Fatal(err)
-					}
+		return s
+	}
+	prof := obs.NewProfiler(obs.ProfilerOptions{Registry: obs.NewRegistry()}) // production 1-in-8 sampling
+	sessions := []*runtime.Session{open(runtime.SessionOptions{}), open(runtime.SessionOptions{Model: "gate", Profiler: prof})}
+	best := []float64{0, 0}
+	const runs = 2000
+	for turn := 0; turn < 60; turn++ {
+		for k, s := range sessions {
+			start := time.Now()
+			for j := 0; j < runs; j++ {
+				if _, err := s.Run(feeds); err != nil {
+					t.Fatal(err)
 				}
-			})
-			if ns := float64(r.NsPerOp()); best == 0 || ns < best {
-				best = ns
+			}
+			if ns := float64(time.Since(start).Nanoseconds()) / runs; best[k] == 0 || ns < best[k] {
+				best[k] = ns
 			}
 		}
-		return best
 	}
-	base := run(runtime.SessionOptions{})
-	prof := obs.NewProfiler(obs.ProfilerOptions{Registry: obs.NewRegistry()}) // production 1-in-8 sampling
-	profiled := run(runtime.SessionOptions{Model: "gate", Profiler: prof})
+	base, profiled := best[0], best[1]
 
 	limit := 12.0 // lenient: shared CI machines jitter far more than the real cost
 	if os.Getenv("UNIGPU_BENCH_GATE") == "strict" {

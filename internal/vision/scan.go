@@ -1,6 +1,6 @@
 package vision
 
-import "sync"
+import "unigpu/internal/par"
 
 // PrefixSum computes the inclusive prefix sum with the three-stage scheme
 // of Figure 3: register-blocked up-sweep, a Hillis–Steele scan over the
@@ -24,22 +24,7 @@ func PrefixSum(data []float32, numProcs int) []float32 {
 	// Up-sweep: sequential inclusive scan inside each processor's chunk,
 	// all processors in parallel.
 	sums := make([]float32, procs)
-	var wg sync.WaitGroup
-	for p := 0; p < procs; p++ {
-		lo := p * chunk
-		hi := min(lo+chunk, n)
-		wg.Add(1)
-		go func(p, lo, hi int) {
-			defer wg.Done()
-			var acc float32
-			for i := lo; i < hi; i++ {
-				acc += data[i]
-				out[i] = acc
-			}
-			sums[p] = acc
-		}(p, lo, hi)
-	}
-	wg.Wait()
+	par.For(procs, upSweepJob{data, out, sums, chunk})
 
 	// Scan: Hillis–Steele inclusive scan across the per-processor
 	// reductions (log(procs) passes over a tiny array — no global sync
@@ -47,20 +32,36 @@ func PrefixSum(data []float32, numProcs int) []float32 {
 	carries := HillisSteeleScan(sums)
 
 	// Down-sweep: add the carry of everything before each processor.
-	for p := 1; p < procs; p++ {
-		lo := p * chunk
-		hi := min(lo+chunk, n)
-		carry := carries[p-1]
-		wg.Add(1)
-		go func(lo, hi int, carry float32) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				out[i] += carry
-			}
-		}(lo, hi, carry)
-	}
-	wg.Wait()
+	par.For(procs-1, downSweepJob{out, carries, chunk})
 	return out
+}
+
+// upSweepJob scans processor p's chunk of data into out and leaves the
+// chunk's total in sums[p].
+type upSweepJob struct {
+	data, out, sums []float32
+	chunk           int
+}
+
+func (j upSweepJob) Run(p int) {
+	var acc float32
+	for i := p * j.chunk; i < min((p+1)*j.chunk, len(j.data)); i++ {
+		acc += j.data[i]
+		j.out[i] = acc
+	}
+	j.sums[p] = acc
+}
+
+// downSweepJob adds the carry of processors 0..i to processor i+1's chunk.
+type downSweepJob struct {
+	out, carries []float32
+	chunk        int
+}
+
+func (j downSweepJob) Run(i int) {
+	for k := (i + 1) * j.chunk; k < min((i+2)*j.chunk, len(j.out)); k++ {
+		j.out[k] += j.carries[i]
+	}
 }
 
 // HillisSteeleScan is the classic O(n log n) inclusive scan [15]: in pass

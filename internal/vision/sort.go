@@ -2,8 +2,8 @@
 // segmented argsort (Figure 2), the three-stage register-blocked prefix sum
 // (Figure 3), divergence-free box NMS, multibox prior/detection, ROIAlign
 // and YOLO box decoding — using the same parallel decompositions the paper
-// lowers to integrated GPUs, with host goroutines standing in for thread
-// blocks. Each operator ships with a sequential reference used by the
+// lowers to integrated GPUs, with the host's worker pool (internal/par)
+// standing in for thread blocks. Each operator ships with a sequential reference used by the
 // property tests, and internal/vision/cost.go prices the optimized and the
 // naive GPU implementations on the simulated devices for the Table 4
 // ablation.
@@ -11,7 +11,8 @@ package vision
 
 import (
 	"sort"
-	"sync"
+
+	"unigpu/internal/par"
 )
 
 // Segments describes a flattened batch of variable-length segments:
@@ -79,44 +80,15 @@ func SegmentedArgsort(data []float32, segs Segments, descending bool) []int32 {
 	}
 	less := lessFn(descending)
 
-	const blockSize = 256
-	numBlocks := (n + blockSize - 1) / blockSize
-
 	// Block sorting: one "thread block" per chunk, in parallel.
-	var wg sync.WaitGroup
-	for b := 0; b < numBlocks; b++ {
-		lo := b * blockSize
-		hi := min(lo+blockSize, n)
-		wg.Add(1)
-		go func(part []keyed) {
-			defer wg.Done()
-			sort.SliceStable(part, func(i, j int) bool { return less(part[i], part[j]) })
-		}(items[lo:hi])
-	}
-	wg.Wait()
+	par.For((n+sortBlock-1)/sortBlock, blockSortJob{items, less})
 
 	// Cooperative merge: coop 2, coop 4, ... (Figure 2). Each round merges
 	// adjacent sorted runs of `width` blocks; runs whose interface is
 	// already ordered are skipped (the "active interface" optimization).
 	buf := make([]keyed, n)
-	for width := blockSize; width < n; width *= 2 {
-		var mg sync.WaitGroup
-		for lo := 0; lo < n; lo += 2 * width {
-			mid := min(lo+width, n)
-			hi := min(lo+2*width, n)
-			if mid >= hi {
-				continue
-			}
-			if !less(items[mid], items[mid-1]) {
-				continue // interface already ordered; no work
-			}
-			mg.Add(1)
-			go func(lo, mid, hi int) {
-				defer mg.Done()
-				mergeRuns(items, buf, lo, mid, hi, less)
-			}(lo, mid, hi)
-		}
-		mg.Wait()
+	for width := sortBlock; width < n; width *= 2 {
+		par.For((n+2*width-1)/(2*width), mergeJob{items, buf, width, less})
 	}
 
 	out := make([]int32, n)
@@ -124,6 +96,38 @@ func SegmentedArgsort(data []float32, segs Segments, descending bool) []int32 {
 		out[i] = it.idx
 	}
 	return out
+}
+
+// sortBlock is the elements of one block-sorting job.
+const sortBlock = 256
+
+// blockSortJob sorts block i of items in place; the sort is stable and the
+// blocks disjoint, so the result does not depend on who runs which.
+type blockSortJob struct {
+	items []keyed
+	less  func(a, b keyed) bool
+}
+
+func (j blockSortJob) Run(i int) {
+	part := j.items[i*sortBlock : min((i+1)*sortBlock, len(j.items))]
+	sort.SliceStable(part, func(a, b int) bool { return j.less(part[a], part[b]) })
+}
+
+// mergeJob merges pair i of adjacent sorted runs of width elements through
+// its own stretch of buf.
+type mergeJob struct {
+	items, buf []keyed
+	width      int
+	less       func(a, b keyed) bool
+}
+
+func (j mergeJob) Run(i int) {
+	n := len(j.items)
+	lo := i * 2 * j.width
+	mid, hi := min(lo+j.width, n), min(lo+2*j.width, n)
+	if mid < hi && j.less(j.items[mid], j.items[mid-1]) { // else the interface is already ordered: no work
+		mergeRuns(j.items, j.buf, lo, mid, hi, j.less)
+	}
 }
 
 func lessFn(descending bool) func(a, b keyed) bool {
