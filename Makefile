@@ -79,9 +79,8 @@ bench-baseline:
 
 # soak hammers the fault-tolerant runtime: 500 session runs with seeded
 # random fault injection (transient kernels, queue hangs, device loss,
-# memory pressure) under the race detector, alternating serial and
-# concurrent schedulers, asserting bit-identical outputs and no
-# goroutine leaks throughout. The batched soak pushes the same seeded
+# memory pressure) under the race detector, asserting bit-identical
+# outputs and no goroutine leaks throughout. The batched soak pushes the same seeded
 # faults through the request-coalescing front-end (gather/batched
 # run/scatter, per-request degradation on batch faults, pool Close).
 # The fleet soak serves the same seeded load across three device
@@ -91,15 +90,17 @@ bench-baseline:
 soak:
 	UNIGPU_SOAK_RUNS=500 $(GO) test -race -run 'TestFaultSoak|TestBatchedFaultSoak|TestFleetSoak' -count=1 -v ./internal/runtime
 
-# loc prints the non-test line counts ROADMAP.md budgets, the way it
-# counts them (wc -l), so a PR's budget is a command and not a claim.
+# loc prints the line counts ROADMAP.md budgets, the way it counts them
+# (wc -l), so a PR's budget is a command and not a claim: the non-test
+# lines per area, and the test lines of internal/runtime.
 loc:
 	@n() { ls $$@ | grep -v _test.go | xargs cat | wc -l; }; \
 	echo "internal/runtime + unigpu.go:   $$(n internal/runtime/*.go unigpu.go)"; \
 	echo "internal/graph:                 $$(n internal/graph/*.go)"; \
 	echo "internal/ops + internal/tensor: $$(n internal/ops/*.go internal/tensor/*.go)"; \
 	echo "internal/par:                   $$(n internal/par/*.go)"; \
-	echo "assembly (.s):                  $$(cat internal/*/*.s | wc -l)"
+	echo "assembly (.s):                  $$(cat internal/*/*.s | wc -l)"; \
+	echo "internal/runtime tests:         $$(cat internal/runtime/*_test.go | wc -l)"
 
 # trace produces a sample Chrome trace + metrics dump from a quick run.
 trace:

@@ -50,8 +50,6 @@ func main() {
 	model := flag.String("model", "SqueezeNet1.0", "serving mode: model to serve")
 	size := flag.Int("size", 64, "serving mode: square input size")
 	requests := flag.Int("requests", 32, "serving mode: requests per client")
-	workers := flag.Int("workers", 1, "serving mode: per-session CPU worker pool for concurrent node dispatch")
-	gpuStreams := flag.Int("gpu-streams", 1, "serving mode: simulated GPU command queues per session")
 	fleetMode := flag.Bool("fleet", false, "fleet serving soak: serve -model across the three paper platforms with latency-predictive routing and breaker-aware failover; with -fleet-kill >= 0, lose that device a third of the way in and (with -fleet-heal) heal it at two thirds; prints the per-device QPS/p99 table and the per-phase healthy/lost/heal-ramp summary")
 	fleetKill := flag.Int("fleet-kill", 0, "fleet: replica index to kill mid-run (-1 = never kill)")
 	fleetHeal := flag.Bool("fleet-heal", true, "fleet: heal the killed replica at two thirds of the run (scripted HealNow)")
@@ -97,7 +95,7 @@ func main() {
 		if *faults {
 			cfg = &sim.FaultConfig{Seed: *faultSeed, Rate: *faultRate, HangLatency: *faultHang}
 		}
-		serve(ctx, *model, *size, *dtype, *streams, *requests, *workers, *gpuStreams, *batchSz, *linger, cfg, *profile, *jsonPath)
+		serve(ctx, *model, *size, *dtype, *streams, *requests, *batchSz, *linger, cfg, *profile, *jsonPath)
 		if *metrics {
 			fmt.Print(obs.DumpMetrics())
 		}
@@ -446,8 +444,6 @@ type servingReport struct {
 	Model         string                  `json:"model"`
 	Size          int                     `json:"size"`
 	Streams       int                     `json:"streams"`
-	Workers       int                     `json:"workers"`
-	GPUStreams    int                     `json:"gpu_streams"`
 	PlanNodes     int                     `json:"plan_nodes"`
 	ArenaBytes    int                     `json:"arena_bytes"`
 	Completed     int                     `json:"requests_completed"`
@@ -480,7 +476,7 @@ type servingReport struct {
 // adds the degraded-mode counters plus the rolling SLO lines. Reports
 // aggregate QPS and per-request p50/p99; jsonPath writes the full
 // machine-readable servingReport.
-func serve(ctx context.Context, model string, size int, dtype string, streams, requests, workers, gpuStreams, batch int, linger time.Duration, faultCfg *sim.FaultConfig, profile bool, jsonPath string) {
+func serve(ctx context.Context, model string, size int, dtype string, streams, requests, batch int, linger time.Duration, faultCfg *sim.FaultConfig, profile bool, jsonPath string) {
 	eng := unigpu.NewEngine()
 	cm, err := eng.Compile(model, unigpu.DeepLens, unigpu.CompileOptions{InputSize: size, SkipTuning: true, DType: dtype})
 	if err != nil {
@@ -493,7 +489,7 @@ func serve(ctx context.Context, model string, size int, dtype string, streams, r
 	log.Printf("serving %s size=%d: %d nodes, arena %d KiB (liveness peak %d KiB, %d KiB without reuse)",
 		model, size, plan.NumNodes(), plan.ArenaBytes()/1024, plan.PeakLiveBytes()/1024, plan.IntermediateBytes()/1024)
 
-	opts := unigpu.SessionOptions{Workers: workers, GPUStreams: gpuStreams}
+	var opts unigpu.SessionOptions
 	if profile {
 		// Pool serving attaches the default profiler automatically; attach
 		// it to pool-less per-client sessions too so -profile has data.
@@ -606,7 +602,7 @@ func serve(ctx context.Context, model string, size int, dtype string, streams, r
 	sort.Slice(all, func(a, b int) bool { return all[a] < all[b] })
 	pct := func(p float64) time.Duration { return all[int(p*float64(len(all)-1))] }
 	rep := servingReport{
-		Model: model, Size: size, Streams: streams, Workers: workers, GPUStreams: gpuStreams,
+		Model: model, Size: size, Streams: streams,
 		PlanNodes: plan.NumNodes(), ArenaBytes: plan.ArenaBytes(),
 		Completed: len(all), WallMs: float64(wall.Microseconds()) / 1e3,
 		QPS:   float64(len(all)) / wall.Seconds(),
@@ -614,8 +610,8 @@ func serve(ctx context.Context, model string, size int, dtype string, streams, r
 		P99Us: float64(pct(0.99).Nanoseconds()) / 1e3,
 		Shed:  totalShed,
 	}
-	fmt.Printf("streams=%d workers=%d gpu-streams=%d: %d requests in %v\n",
-		streams, workers, gpuStreams, len(all), wall.Round(time.Millisecond))
+	fmt.Printf("streams=%d: %d requests in %v\n",
+		streams, len(all), wall.Round(time.Millisecond))
 	fmt.Printf("  throughput %.1f req/s, latency p50 %v p99 %v\n",
 		rep.QPS, pct(0.50).Round(time.Microsecond), pct(0.99).Round(time.Microsecond))
 	if batch > 1 {

@@ -26,10 +26,10 @@ type chromeTrace struct {
 	DisplayTimeUnit string        `json:"displayTimeUnit"`
 }
 
-// LaneAttr is the reserved span attribute naming the dispatch lane a span
-// ran on (e.g. "gpu/0", "cpu/2"). The Chrome exporter maps each distinct
-// lane to its own tid so concurrent GPU command queues and CPU workers
-// render as separate tracks instead of stacking on one row.
+// LaneAttr is the reserved span attribute naming the lane a span ran on
+// ("gpu/0" or "cpu/0"). The Chrome exporter maps each distinct lane to its
+// own tid so GPU-placed and CPU-placed nodes render as separate tracks
+// instead of stacking on one row.
 const LaneAttr = "lane"
 
 // WriteChromeTrace exports the tracer's finished spans as Chrome

@@ -16,9 +16,9 @@ import (
 // their context. The runtime attributes wall time to segments — admission
 // wait, queue wait, per-node execution, the fault-dispatch gate
 // (retries/backoff), and CPU re-execution — and records a per-node event
-// stream with the dispatch lane each node ran on. Finished traces land in
-// a bounded ring, exportable as compact records or as a Chrome trace with
-// one process per request and one thread row per dispatch lane.
+// stream with the lane each node ran on. Finished traces land in a bounded
+// ring, exportable as compact records or as a Chrome trace with one
+// process per request and one thread row per lane.
 
 // RequestTrackerOptions configures a RequestTracker; the zero value
 // selects the defaults noted per field.
@@ -64,17 +64,16 @@ func NewRequestTracker(opts RequestTrackerOptions) *RequestTracker {
 type NodeEvent struct {
 	Name   string        `json:"name"`
 	Kind   string        `json:"kind"`
-	Lane   string        `json:"lane"` // dispatch lane, e.g. gpu/0, cpu/1
+	Lane   string        `json:"lane"` // gpu/0, or cpu/0 for CPU-placed and re-executed nodes
 	Start  time.Time     `json:"start"`
 	Dur    time.Duration `json:"dur_ns"`
 	Reexec bool          `json:"reexec,omitempty"` // CPU re-execution of a failed GPU node
 }
 
 // RequestTrace is the compact per-request record: the wall clock split
-// into non-overlapping segments plus the node event stream. For serial
-// sessions Admission+Queue+Exec+Retry+Reexec+Overhead equals Wall by
-// construction (Overhead absorbs scheduling gaps); under concurrent
-// dispatch Exec sums per-lane busy time and may exceed Wall.
+// into non-overlapping segments plus the node event stream. A session runs
+// its nodes one after another, so the segments plus Overhead equal Wall by
+// construction (Overhead absorbs scheduling gaps).
 type RequestTrace struct {
 	ID        uint64        `json:"id"`
 	Model     string        `json:"model"`
@@ -96,7 +95,8 @@ type RequestTrace struct {
 
 // ActiveRequest is the in-flight recorder for one sampled request. All
 // methods are nil-safe, so instrumented code calls them unconditionally;
-// node-level appends are mutex-guarded for concurrent worker lanes.
+// they are mutex-guarded because a batched request is recorded by the
+// batch dispatcher as well as by its own goroutine.
 type ActiveRequest struct {
 	t *RequestTracker
 
@@ -242,7 +242,7 @@ func (r *ActiveRequest) Finish(err error) {
 	r.tr.Wall = time.Since(r.tr.Start)
 	accounted := r.tr.Admission + r.tr.Queue + r.tr.Exec + r.tr.Retry + r.tr.Reexec + r.tr.Gather + r.tr.Scatter
 	if r.tr.Overhead = r.tr.Wall - accounted; r.tr.Overhead < 0 {
-		r.tr.Overhead = 0 // concurrent lanes overlap; see RequestTrace docs
+		r.tr.Overhead = 0 // a guard: the segments never overlap
 	}
 	if err != nil {
 		r.tr.Err = err.Error()
@@ -288,8 +288,8 @@ func (t *RequestTracker) WriteJSON(w io.Writer) error {
 
 // WriteChromeTrace exports the retained request traces in the Chrome
 // trace-event format: one process per request (named by ID and model),
-// a "request" thread carrying the segment spans, and one thread per
-// dispatch lane so concurrent GPU/CPU lanes render as separate tracks.
+// a "request" thread carrying the segment spans, and one thread per lane
+// so GPU-placed and CPU-placed nodes render as separate tracks.
 func (t *RequestTracker) WriteChromeTrace(w io.Writer) error {
 	traces := t.Snapshot()
 	var epoch time.Time

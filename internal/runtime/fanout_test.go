@@ -83,7 +83,7 @@ func (j fanJob) Run(i int) {
 // parent of the change that added internal/par this test cannot be written
 // without taking the test binary down, which is the bug it pins: a
 // parallelFor job ran on a goroutine spawned by `go worker()`, which
-// execNode's recover does not cover, so one bad kernel killed the server.
+// the session's recover does not cover, so one bad kernel killed the server.
 func TestFanOutPanicOnHelperIsANodeError(t *testing.T) {
 	op := &fanOp{}
 	g := graph.New()
@@ -108,31 +108,29 @@ func TestFanOutPanicOnHelperIsANodeError(t *testing.T) {
 	baseline := goruntime.NumGoroutine()
 	for _, procs := range []int{2, 4} {
 		prev := goruntime.GOMAXPROCS(procs)
-		for _, opts := range []runtime.SessionOptions{{}, {Workers: 2, GPUStreams: 2}} {
-			s := plan.NewSessionWith(opts)
-			for rep := 0; rep < 5; rep++ {
-				op.poison.Store(true)
-				_, err := s.Run(feeds)
-				var ne *runtime.NodeError
-				if !errors.As(err, &ne) || ne.Node != "fan" || !strings.Contains(ne.Cause.Error(), "poisoned job") {
-					t.Fatalf("GOMAXPROCS(%d) rep %d: got %v, want *NodeError on \"fan\" carrying the panic value", procs, rep, err)
-				}
-				if !op.helped.Load() {
-					goruntime.GOMAXPROCS(prev)
-					t.Skip("no pool worker joined the fan-out: the process started on one core")
-				}
-				if par.Streams() != 0 {
-					t.Fatalf("%d streams still running after a run that panicked", par.Streams())
-				}
-				op.poison.Store(false)
-				got, err := s.Run(feeds)
-				if err != nil {
-					t.Fatalf("GOMAXPROCS(%d) rep %d: healthy run after the panic: %v", procs, rep, err)
-				}
-				tensorsEqual(t, "healthy run after the panic", got, want)
-				if !op.helped.Load() {
-					t.Fatalf("GOMAXPROCS(%d) rep %d: the pool's worker did not serve the run after the panic", procs, rep)
-				}
+		s := plan.NewSession()
+		for rep := 0; rep < 5; rep++ {
+			op.poison.Store(true)
+			_, err := s.Run(feeds)
+			var ne *runtime.NodeError
+			if !errors.As(err, &ne) || ne.Node != "fan" || !strings.Contains(ne.Cause.Error(), "poisoned job") {
+				t.Fatalf("GOMAXPROCS(%d) rep %d: got %v, want *NodeError on \"fan\" carrying the panic value", procs, rep, err)
+			}
+			if !op.helped.Load() {
+				goruntime.GOMAXPROCS(prev)
+				t.Skip("no pool worker joined the fan-out: the process started on one core")
+			}
+			if par.Streams() != 0 {
+				t.Fatalf("%d streams still running after a run that panicked", par.Streams())
+			}
+			op.poison.Store(false)
+			got, err := s.Run(feeds)
+			if err != nil {
+				t.Fatalf("GOMAXPROCS(%d) rep %d: healthy run after the panic: %v", procs, rep, err)
+			}
+			tensorsEqual(t, "healthy run after the panic", got, want)
+			if !op.helped.Load() {
+				t.Fatalf("GOMAXPROCS(%d) rep %d: the pool's worker did not serve the run after the panic", procs, rep)
 			}
 		}
 		goruntime.GOMAXPROCS(prev)
@@ -150,9 +148,8 @@ func (o *errOp) Run(*tensor.Tensor, []*tensor.Tensor, *tensor.Tensor) error {
 
 // TestStreamEndsHoweverTheRunEnds: Session.RunContext counts as a running
 // compute stream exactly while it runs: the count is back at zero after a
-// run that succeeds, errors, is cancelled or is refused for its feeds, on
-// the serial and the concurrent scheduler (the panicking run is
-// TestFanOutPanicOnHelperIsANodeError's).
+// run that succeeds, errors, is cancelled or is refused for its feeds (the
+// panicking run is TestFanOutPanicOnHelperIsANodeError's).
 func TestStreamEndsHoweverTheRunEnds(t *testing.T) {
 	build := func(op graph.Operator) (*runtime.Plan, map[string]*tensor.Tensor) {
 		g := graph.New()
@@ -173,27 +170,23 @@ func TestStreamEndsHoweverTheRunEnds(t *testing.T) {
 	errPlan, _ := build(&errOp{})
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, opts := range []runtime.SessionOptions{{}, {Workers: 2, GPUStreams: 2}} {
-		if _, err := okPlan.NewSessionWith(opts).Run(feeds); err != nil {
-			t.Fatal(err)
-		}
-		if during.seen.Load() != 1 {
-			t.Fatalf("a node saw %d streams running during its own run, want 1", during.seen.Load())
-		}
-		if _, err := errPlan.NewSessionWith(opts).Run(feeds); err == nil {
-			t.Fatal("errOp's run succeeded")
-		}
-		// The concurrent scheduler may finish two nodes before it looks at the
-		// context; the serial one looks first.
-		if _, err := okPlan.NewSessionWith(opts).RunContext(cancelled, feeds); !errors.Is(err, context.Canceled) && (err != nil || opts.Workers == 0) {
-			t.Fatalf("cancelled run: %v", err)
-		}
-		if _, err := okPlan.NewSessionWith(opts).Run(nil); err == nil {
-			t.Fatal("run without feeds succeeded")
-		}
-		if par.Streams() != 0 {
-			t.Fatalf("%d streams still running after every run returned (options %+v)", par.Streams(), opts)
-		}
+	if _, err := okPlan.NewSession().Run(feeds); err != nil {
+		t.Fatal(err)
+	}
+	if during.seen.Load() != 1 {
+		t.Fatalf("a node saw %d streams running during its own run, want 1", during.seen.Load())
+	}
+	if _, err := errPlan.NewSession().Run(feeds); err == nil {
+		t.Fatal("errOp's run succeeded")
+	}
+	if _, err := okPlan.NewSession().RunContext(cancelled, feeds); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled run: %v", err)
+	}
+	if _, err := okPlan.NewSession().Run(nil); err == nil {
+		t.Fatal("run without feeds succeeded")
+	}
+	if par.Streams() != 0 {
+		t.Fatalf("%d streams still running after every run returned", par.Streams())
 	}
 }
 

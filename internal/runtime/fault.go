@@ -227,19 +227,15 @@ func sleepCtx(ctx context.Context, d time.Duration) bool {
 	}
 }
 
-// jitter is a tiny lock-free xorshift PRNG for backoff jitter; it avoids
-// math/rand so concurrent worker lanes never contend on a shared source.
+// jitter is a tiny xorshift PRNG for backoff jitter, private to the
+// session (which runs on one goroutine), so it needs no lock.
 func (s *Session) jitter() uint64 {
-	for {
-		old := s.jitterState.Load()
-		x := old
-		x ^= x << 13
-		x ^= x >> 7
-		x ^= x << 17
-		if s.jitterState.CompareAndSwap(old, x) {
-			return x
-		}
-	}
+	x := s.jitterState
+	x ^= x << 13
+	x ^= x >> 7
+	x ^= x << 17
+	s.jitterState = x
+	return x
 }
 
 // backoffFor returns the jittered exponential backoff before retry
@@ -259,7 +255,7 @@ func (s *Session) backoffFor(attempt int) time.Duration {
 // node may execute "on the GPU"; ok=false when the node must re-execute on
 // the CPU lane instead (persistent fault, or quarantined device). A
 // non-nil error is terminal (context cancelled during a hang or backoff).
-func (s *Session) gpuGate(ctx context.Context, i int32) (ok bool, err error) {
+func (s *Session) gpuGate(ctx context.Context, i int) (ok bool, err error) {
 	pn := &s.plan.nodes[i]
 	req := s.req // sampled request recorder, nil on the fault-free hot path
 	if !s.breaker.Allow() {

@@ -8,6 +8,7 @@ import (
 	goruntime "runtime"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -80,8 +81,9 @@ func TestPanicRecoverySerial(t *testing.T) {
 	}
 }
 
-// TestPanicRecoveryConcurrent: a worker-lane panic converts to an error
-// without deadlocking sibling lanes or leaking goroutines.
+// TestPanicRecoveryConcurrent: private sessions over one shared plan panic
+// on many goroutines at once; every panic converts to a *NodeError on its
+// own session without disturbing the others or leaking goroutines.
 func TestPanicRecoveryConcurrent(t *testing.T) {
 	g, feeds := buildPoisonedGraph()
 	plan, err := runtime.NewPlan(g)
@@ -89,13 +91,28 @@ func TestPanicRecoveryConcurrent(t *testing.T) {
 		t.Fatal(err)
 	}
 	baseline := goruntime.NumGoroutine()
-	s := plan.NewSessionWith(runtime.SessionOptions{Workers: 4, GPUStreams: 2})
-	for i := 0; i < 5; i++ {
-		_, err = s.Run(feeds)
-		var ne *runtime.NodeError
-		if !errors.As(err, &ne) || ne.Node != "poisoned" {
-			t.Fatalf("run %d: got %v, want *NodeError on \"poisoned\"", i, err)
-		}
+	const clients = 4
+	var wg sync.WaitGroup
+	errs := make(chan error, clients)
+	wg.Add(clients)
+	for c := 0; c < clients; c++ {
+		go func(c int) {
+			defer wg.Done()
+			s := plan.NewSession()
+			for i := 0; i < 5; i++ {
+				_, err := s.Run(feeds)
+				var ne *runtime.NodeError
+				if !errors.As(err, &ne) || ne.Node != "poisoned" {
+					errs <- fmt.Errorf("client %d run %d: got %v, want *NodeError on \"poisoned\"", c, i, err)
+					return
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 	assertNoGoroutineLeak(t, baseline)
 }
@@ -242,8 +259,7 @@ func TestBreakerReopensOnFailedProbe(t *testing.T) {
 
 // TestGoldenZooUnderFaults is the acceptance criterion: with every fault
 // kind injected, whole-zoo outputs stay bit-identical to the fault-free
-// reference — CPU re-execution uses the same kernels. Serial and
-// concurrent sessions both degrade correctly.
+// reference — CPU re-execution uses the same kernels.
 func TestGoldenZooUnderFaults(t *testing.T) {
 	var seed int64 = 11
 	for name, size := range goldenModelCases() {
@@ -262,23 +278,17 @@ func TestGoldenZooUnderFaults(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, conc := range []bool{false, true} {
-				seed++
-				inj := sim.NewFaultInjector(sim.FaultConfig{
-					Seed: seed, Rate: 0.4, HangLatency: 50 * time.Microsecond,
-				})
-				opts := faultSessionOpts(inj)
-				if conc {
-					opts.Workers, opts.GPUStreams = 3, 2
+			seed++
+			inj := sim.NewFaultInjector(sim.FaultConfig{
+				Seed: seed, Rate: 0.4, HangLatency: 50 * time.Microsecond,
+			})
+			s := plan.NewSessionWith(faultSessionOpts(inj))
+			for run := 0; run < 2; run++ {
+				got, err := s.Run(feeds)
+				if err != nil {
+					t.Fatalf("run %d: %v", run, err)
 				}
-				s := plan.NewSessionWith(opts)
-				for run := 0; run < 2; run++ {
-					got, err := s.Run(feeds)
-					if err != nil {
-						t.Fatalf("conc=%v run %d: %v", conc, run, err)
-					}
-					tensorsEqual(t, fmt.Sprintf("faulted conc=%v run %d", conc, run), got, want)
-				}
+				tensorsEqual(t, fmt.Sprintf("faulted run %d", run), got, want)
 			}
 		})
 	}
@@ -314,9 +324,8 @@ func TestEveryFaultKindBitIdentical(t *testing.T) {
 }
 
 // TestRunContextCancel: cancellation during an injected queue hang returns
-// context.Canceled promptly (well before the hang latency) in both serial
-// and concurrent sessions, with no goroutine leak, and the session stays
-// reusable.
+// context.Canceled promptly (well before the hang latency), with no
+// goroutine leak, and the session stays reusable.
 func TestRunContextCancel(t *testing.T) {
 	g, feeds := buildSerialOpsGraph()
 	want, err := executeReference(g, feeds)
@@ -328,34 +337,27 @@ func TestRunContextCancel(t *testing.T) {
 		t.Fatal(err)
 	}
 	baseline := goruntime.NumGoroutine()
-	for _, conc := range []bool{false, true} {
-		inj := sim.NewFaultInjector(sim.FaultConfig{HangLatency: 30 * time.Second}).
-			Script(sim.FaultQueueHang)
-		opts := faultSessionOpts(inj)
-		if conc {
-			opts.Workers, opts.GPUStreams = 3, 2
-		}
-		s := plan.NewSessionWith(opts)
-		ctx, cancel := context.WithCancel(context.Background())
-		go func() {
-			time.Sleep(20 * time.Millisecond)
-			cancel()
-		}()
-		start := time.Now()
-		_, err := s.RunContext(ctx, feeds)
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("conc=%v: got %v, want context.Canceled", conc, err)
-		}
-		if elapsed := time.Since(start); elapsed > 2*time.Second {
-			t.Fatalf("conc=%v: cancellation took %v", conc, elapsed)
-		}
-		// The cancelled session is reusable and still correct.
-		got, err := s.Run(feeds)
-		if err != nil {
-			t.Fatalf("conc=%v: session must survive cancellation: %v", conc, err)
-		}
-		tensorsEqual(t, fmt.Sprintf("post-cancel conc=%v", conc), got, want)
+	inj := sim.NewFaultInjector(sim.FaultConfig{HangLatency: 30 * time.Second}).
+		Script(sim.FaultQueueHang)
+	s := plan.NewSessionWith(faultSessionOpts(inj))
+	ctx, cancel := context.WithCancel(context.Background())
+	go func() {
+		time.Sleep(20 * time.Millisecond)
+		cancel()
+	}()
+	start := time.Now()
+	if _, err := s.RunContext(ctx, feeds); !errors.Is(err, context.Canceled) {
+		t.Fatalf("got %v, want context.Canceled", err)
 	}
+	if elapsed := time.Since(start); elapsed > 2*time.Second {
+		t.Fatalf("cancellation took %v", elapsed)
+	}
+	// The cancelled session is reusable and still correct.
+	got, err := s.Run(feeds)
+	if err != nil {
+		t.Fatalf("session must survive cancellation: %v", err)
+	}
+	tensorsEqual(t, "post-cancel", got, want)
 	assertNoGoroutineLeak(t, baseline)
 }
 
@@ -374,9 +376,10 @@ func TestRunContextDeadline(t *testing.T) {
 	}
 }
 
-// TestConcurrentFaultNoDeadlock (run with -race): mid-run faults under
-// GPUStreams>1 neither deadlock nor leak goroutines, across many runs with
-// randomized injection.
+// TestConcurrentFaultNoDeadlock (run with -race): sessions on many
+// goroutines share one plan and one breaker, as a pool's do, under
+// randomized mid-run faults. No run deadlocks, every output is
+// bit-identical to the reference, and no goroutine leaks.
 func TestConcurrentFaultNoDeadlock(t *testing.T) {
 	g, feeds := buildSerialOpsGraph()
 	want, err := executeReference(g, feeds)
@@ -388,26 +391,46 @@ func TestConcurrentFaultNoDeadlock(t *testing.T) {
 		t.Fatal(err)
 	}
 	baseline := goruntime.NumGoroutine()
-	for run := 0; run < 30; run++ {
-		inj := sim.NewFaultInjector(sim.FaultConfig{
-			Seed: int64(run), Rate: 0.5, HangLatency: 20 * time.Microsecond,
-		})
-		opts := faultSessionOpts(inj)
-		opts.Workers, opts.GPUStreams = 1+run%4, 2+run%3
-		s := plan.NewSessionWith(opts)
-		got, err := s.Run(feeds)
-		if err != nil {
-			t.Fatalf("run %d: %v", run, err)
-		}
-		tensorsEqual(t, fmt.Sprintf("run %d", run), got, want)
+	breaker := runtime.NewBreaker(runtime.BreakerOptions{})
+	const clients, runs = 4, 8
+	var wg sync.WaitGroup
+	errs := make(chan error, clients)
+	wg.Add(clients)
+	for c := 0; c < clients; c++ {
+		go func(c int) {
+			defer wg.Done()
+			for run := 0; run < runs; run++ {
+				inj := sim.NewFaultInjector(sim.FaultConfig{
+					Seed: int64(c*runs + run), Rate: 0.5, HangLatency: 20 * time.Microsecond,
+				})
+				opts := faultSessionOpts(inj)
+				opts.Breaker = breaker
+				got, err := plan.NewSessionWith(opts).Run(feeds)
+				if err != nil {
+					errs <- fmt.Errorf("client %d run %d: %v", c, run, err)
+					return
+				}
+				for i, v := range want[0].Data() {
+					if got[0].Data()[i] != v {
+						errs <- fmt.Errorf("client %d run %d: output differs at %d", c, run, i)
+						return
+					}
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 	assertNoGoroutineLeak(t, baseline)
 }
 
 // TestFaultSoak is the CI soak job (make soak): N seeded runs with random
-// faults of every kind over a real zoo model, serial and concurrent,
-// every output bit-identical to the fault-free reference. N defaults to a
-// quick 25 and is raised to 500 by UNIGPU_SOAK_RUNS in the soak job.
+// faults of every kind over a real zoo model, every output bit-identical
+// to the fault-free reference. N defaults to a quick 25 and is raised to
+// 500 by UNIGPU_SOAK_RUNS in the soak job.
 func TestFaultSoak(t *testing.T) {
 	runs := 25
 	if v := os.Getenv("UNIGPU_SOAK_RUNS"); v != "" {
@@ -438,12 +461,7 @@ func TestFaultSoak(t *testing.T) {
 		inj := sim.NewFaultInjector(sim.FaultConfig{
 			Seed: int64(run), Rate: 0.3, HangLatency: 10 * time.Microsecond,
 		})
-		opts := faultSessionOpts(inj)
-		if run%2 == 1 {
-			opts.Workers, opts.GPUStreams = 1+run%3, 1+run%4
-		}
-		s := plan.NewSessionWith(opts)
-		got, err := s.Run(feeds)
+		got, err := plan.NewSessionWith(faultSessionOpts(inj)).Run(feeds)
 		if err != nil {
 			t.Fatalf("soak run %d: %v", run, err)
 		}

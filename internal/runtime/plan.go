@@ -4,9 +4,6 @@ import (
 	"context"
 	"fmt"
 	"runtime/debug"
-	"strconv"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"unigpu/internal/graph"
@@ -16,12 +13,16 @@ import (
 	"unigpu/internal/tensor"
 )
 
-// Serving metrics. Handles are cached once: Registry.Reset zeroes metrics
-// in place, so these stay valid across resets.
-var (
-	mArenaReused   = obs.DefaultRegistry.Counter("arena.bytes_reused")
-	mQueueWait     = obs.DefaultRegistry.Histogram("sched.ready_queue_wait_ns")
-	mParallelNodes = obs.DefaultRegistry.Histogram("sched.parallel_nodes")
+// Serving metric. The handle is cached once: Registry.Reset zeroes metrics
+// in place, so it stays valid across resets.
+var mArenaReused = obs.DefaultRegistry.Counter("arena.bytes_reused")
+
+// The lanes a node span or request-trace event names: where a node ran. A
+// GPU-placed node runs on laneGPU unless the fault gate sends it back to
+// the CPU.
+const (
+	laneGPU = "gpu/0"
+	laneCPU = "cpu/0"
 )
 
 // srcKind says where a node input (or graph output) value comes from.
@@ -64,7 +65,7 @@ type planNode struct {
 	outShape tensor.Shape
 	elems    int
 	slot     int  // arena slot index
-	gpu      bool // serialized through the simulated GPU command queue
+	gpu      bool // dispatched through the simulated GPU's fault gate
 
 	// dtype is the storage type of the node's output buffer (from the
 	// graph node, set by the quantization pass; Float32 otherwise) and
@@ -76,19 +77,13 @@ type planNode struct {
 	// scratchSlot is the arena slot holding the workspace op.Scratch
 	// declares, so Session.Run stays allocation-free; -1 when it needs none.
 	scratchSlot int
-
-	// consumers are the plan-node indices to notify on completion: the data
-	// edges plus the anti-dependency (buffer-reuse) edges; pending is the
-	// matching initial countdown.
-	consumers []int32
-	pending   int32
 }
 
 // Plan is a compiled execution plan for one optimized graph: the
-// topological schedule, per-node dependency counts, and a liveness-based
-// static assignment of every intermediate tensor to an arena slot. A Plan
-// is immutable and safe to share between any number of Sessions; the graph
-// it was compiled from must not be mutated afterwards.
+// topological schedule and a liveness-based static assignment of every
+// intermediate tensor to an arena slot. A Plan is immutable and safe to
+// share between any number of Sessions; the graph it was compiled from
+// must not be mutated afterwards.
 //
 // This is the one-time half of the split the steady-state serving loop
 // needs: everything Execute used to recompute per call (validation,
@@ -138,7 +133,7 @@ func NewPlan(g *graph.Graph) (*Plan, error) {
 		refs[o]++
 	}
 
-	// Pass 1: plan nodes and data-dependency edges.
+	// Pass 1: plan nodes and their argument sources.
 	for _, n := range g.Nodes {
 		if n.Op == nil {
 			continue
@@ -165,60 +160,31 @@ func NewPlan(g *graph.Graph) (*Plan, error) {
 				pn.args[ai] = valueRef{kind: srcFeed, name: in.Name}
 				p.feedArgs = append(p.feedArgs, feedArg{node: i, arg: ai, name: in.Name})
 			default:
-				j := idx[in]
-				pn.args[ai] = valueRef{kind: srcNode, node: j}
-				pn.pending++
-				p.nodes[j].consumers = append(p.nodes[j].consumers, int32(i))
+				pn.args[ai] = valueRef{kind: srcNode, node: idx[in]}
 			}
 		}
 		p.nodes = append(p.nodes, pn)
 		gnodes = append(gnodes, n)
 	}
 
-	// Snapshot the pure data-consumer lists before anti-dependency edges
-	// are appended below: only data consumers actually read a buffer. (A
-	// consumer reading a buffer twice is listed twice; addAnti drops the
-	// repeat.)
-	readersOf := make([][]int32, len(p.nodes))
-	for i := range p.nodes {
-		readersOf[i] = p.nodes[i].consumers
-	}
-
 	// Pass 2: replay the seed executor's reference-counted liveness in
-	// serial topological order, assigning each intermediate a reusable
-	// arena slot (best fit, growing the largest free slot when nothing
-	// fits). Reusing a slot under concurrent dispatch is only safe once
-	// every reader of the previous occupant has finished, so reuse adds
-	// anti-dependency edges reader -> new occupant.
+	// topological order — the order the session runs the nodes in —
+	// assigning each intermediate a reusable arena slot (best fit, growing
+	// the largest free slot when nothing fits). A slot freed here is only
+	// re-occupied by a later node, after every reader of its previous
+	// occupant has run.
 	type slotState struct {
-		elems   int
-		dtype   tensor.DType // slots only ever hold one element width
-		readers []int32      // must complete before the slot is re-occupied
+		elems int
+		dtype tensor.DType // slots only ever hold one element width
 	}
 	var slots []slotState
 	var free []int
-	antiSeen := map[[2]int32]bool{}
-	addAnti := func(r int32, y int) {
-		if int(r) == y || antiSeen[[2]int32{r, int32(y)}] {
-			return
-		}
-		for _, a := range p.nodes[y].args {
-			if a.kind == srcNode && a.node == int(r) {
-				return // y already waits on r through a data edge
-			}
-		}
-		antiSeen[[2]int32{r, int32(y)}] = true
-		p.nodes[r].consumers = append(p.nodes[r].consumers, int32(y))
-		p.nodes[y].pending++
-	}
 
 	// acquire takes the best-fitting free slot of the right dtype for elems
 	// (growing the largest free same-dtype slot when nothing fits,
-	// appending when none are free) and anti-depends node i on every reader
-	// of the slot's previous occupant, so the buffer is never re-occupied
-	// while still being read. Slots are never reused across element widths:
-	// each lives in its dtype's arena pool.
-	acquire := func(elems int, dt tensor.DType, i int) int {
+	// appending when none are free). Slots are never reused across element
+	// widths: each lives in its dtype's arena pool.
+	acquire := func(elems int, dt tensor.DType) int {
 		s := -1
 		bestIdx, largestIdx := -1, -1
 		for fi, fs := range free {
@@ -247,10 +213,6 @@ func NewPlan(g *graph.Graph) (*Plan, error) {
 			slots = append(slots, slotState{elems: elems, dtype: dt})
 			s = len(slots) - 1
 		}
-		for _, r := range slots[s].readers {
-			addAnti(r, i)
-		}
-		slots[s].readers = nil
 		return s
 	}
 
@@ -262,19 +224,17 @@ func NewPlan(g *graph.Graph) (*Plan, error) {
 
 		// Acquire the output slot before releasing inputs, so a node never
 		// writes over a buffer it is still reading.
-		s := acquire(pn.elems, pn.dtype, i)
+		s := acquire(pn.elems, pn.dtype)
 		pn.slot = s
 
 		// An operator's scratch lives only while the node runs: acquire a
-		// slot, mark this node its sole reader, and free it at once so the
-		// very next node may reuse it (guarded by the anti-dependency
-		// edge). Scratch is deliberately excluded from the liveness
-		// accounting — peakLive/interBytes keep the seed executor's
-		// intermediate-tensor semantics.
+		// slot after the output's, and free it at once so the very next
+		// node may reuse it. Scratch is deliberately excluded from the
+		// liveness accounting — peakLive/interBytes keep the seed
+		// executor's intermediate-tensor semantics.
 		if elems, dt := pn.op.Scratch(); elems > 0 {
-			sc := acquire(elems, dt, i)
+			sc := acquire(elems, dt)
 			pn.scratchSlot = sc
-			slots[sc].readers = []int32{int32(i)}
 			free = append(free, sc)
 		}
 
@@ -292,14 +252,12 @@ func NewPlan(g *graph.Graph) (*Plan, error) {
 				j := idx[in]
 				live -= p.nodes[j].dtype.Size() * p.nodes[j].elems
 				free = append(free, p.nodes[j].slot)
-				slots[p.nodes[j].slot].readers = readersOf[j]
 			}
 		}
 		// A node with no consumers that is not an output dies immediately.
 		if refs[n] == 0 {
 			live -= bytes
 			free = append(free, s)
-			slots[s].readers = []int32{int32(i)}
 		}
 	}
 	p.peakLive = peak
@@ -353,17 +311,6 @@ func (p *Plan) NumNodes() int { return len(p.nodes) }
 
 // SessionOptions configures one execution session.
 type SessionOptions struct {
-	// Workers bounds the CPU-side worker pool for concurrent node
-	// dispatch. Values <= 1 select the serial in-place loop, which
-	// performs zero heap allocations per Run.
-	Workers int
-	// GPUStreams is the number of simulated GPU command queues. 0 or 1
-	// serializes every GPU-placed node through a single in-order queue —
-	// the paper's execution model, where only CPU-fallback nodes overlap
-	// with the GPU — while larger values admit that many GPU nodes in
-	// flight (multi-stream serving). Only meaningful with Workers > 1 or
-	// GPUStreams > 1, which enable the concurrent scheduler.
-	GPUStreams int
 	// Profile enables per-node NodeProfile collection (off by default so
 	// the hot path stays allocation-free).
 	Profile bool
@@ -400,56 +347,48 @@ type SessionOptions struct {
 
 // Session is the reusable steady-state run loop over one Plan: it owns a
 // preallocated arena holding every intermediate tensor, so Run performs no
-// heap allocations for intermediates. A Session is not safe for concurrent
-// use; concurrent serving uses one Session per goroutine over a shared
-// Plan.
+// heap allocations for intermediates, and it runs the nodes in topological
+// order on the calling goroutine. A Session is not safe for concurrent use;
+// concurrent serving uses one Session per goroutine over a shared Plan.
 type Session struct {
-	plan       *Plan
-	opts       SessionOptions
-	concurrent bool
-	arena      *tensor.Arena
-	outs       []*tensor.Tensor   // per-node arena-backed outputs
-	scratch    []*tensor.Tensor   // per-node arena-backed operator workspace (nil when unused)
-	args       [][]*tensor.Tensor // per-node inputs; feed entries refreshed per Run
-	results    []*tensor.Tensor
-	pending    []int32
-	profile    []NodeProfile
-	readyNs    []int64 // per-node enqueue time, tracing only
+	plan    *Plan
+	arena   *tensor.Arena
+	outs    []*tensor.Tensor   // per-node arena-backed outputs
+	scratch []*tensor.Tensor   // per-node arena-backed operator workspace (nil when unused)
+	args    [][]*tensor.Tensor // per-node inputs; feed entries refreshed per Run
+	results []*tensor.Tensor
+	profile []NodeProfile
 
 	// Telemetry. profH holds the per-node profiler handles resolved at
-	// construction; req and profSampled are per-run state set by RunContext
-	// before any worker lane starts (and therefore safely read by all of
-	// them). laneGPU/laneCPU are the precomputed dispatch-lane names.
+	// construction; req and profSampled are per-run state set by
+	// RunContext.
 	prof        *obs.Profiler
 	profH       []obs.ProfHandle
 	profSampled bool
 	req         *obs.ActiveRequest
-	laneGPU     []string
-	laneCPU     []string
 
 	// Fault tolerance (see SessionOptions).
 	faults       *sim.FaultInjector
 	breaker      *Breaker
 	maxRetries   int
 	retryBackoff time.Duration
-	jitterState  atomic.Uint64
+	jitterState  uint64
 }
 
-// NewSession creates a serial zero-allocation session: nodes run in
-// topological order on the calling goroutine.
+// NewSession creates a zero-allocation session with default options.
 func (p *Plan) NewSession() *Session { return p.NewSessionWith(SessionOptions{}) }
 
-// NewSessionWith creates a session with explicit scheduling options.
+// NewSessionWith creates a session with explicit options (profiling,
+// telemetry, fault tolerance).
 func (p *Plan) NewSessionWith(opts SessionOptions) *Session {
 	s := &Session{
 		plan:         p,
-		opts:         opts,
-		concurrent:   opts.Workers > 1 || opts.GPUStreams > 1,
 		arena:        tensor.NewArenaMixed(p.arenaElems, p.arenaElems16, p.arenaElems8),
 		faults:       opts.Faults,
 		breaker:      opts.Breaker,
 		maxRetries:   opts.MaxRetries,
 		retryBackoff: opts.RetryBackoff,
+		jitterState:  0x9e3779b97f4a7c15,
 	}
 	if s.maxRetries == 0 {
 		s.maxRetries = 2
@@ -462,7 +401,6 @@ func (p *Plan) NewSessionWith(opts SessionOptions) *Session {
 	if s.faults != nil && s.breaker == nil {
 		s.breaker = NewBreaker(BreakerOptions{})
 	}
-	s.jitterState.Store(0x9e3779b97f4a7c15)
 	// Carve one buffer per slot out of the width-matching arena pool.
 	slotBuf := make([][]float32, len(p.slotElems))
 	slotBuf16 := make([][]uint16, len(p.slotElems))
@@ -509,29 +447,12 @@ func (p *Plan) NewSessionWith(opts SessionOptions) *Session {
 		s.args[i] = a
 	}
 	s.results = make([]*tensor.Tensor, len(p.outputs))
-	s.pending = make([]int32, len(p.nodes))
 	if opts.Profile {
 		s.profile = make([]NodeProfile, len(p.nodes))
 	}
 
-	// Telemetry: dispatch-lane names (serial sessions use gpu/0 and cpu/0)
-	// and, with a profiler attached, one pre-resolved handle per node so
-	// sampled runs record without a map lookup or allocation.
-	gpuLanes, cpuLanes := 1, 1
-	if opts.GPUStreams > gpuLanes {
-		gpuLanes = opts.GPUStreams
-	}
-	if opts.Workers > cpuLanes {
-		cpuLanes = opts.Workers
-	}
-	s.laneGPU = make([]string, gpuLanes)
-	for i := range s.laneGPU {
-		s.laneGPU[i] = "gpu/" + strconv.Itoa(i)
-	}
-	s.laneCPU = make([]string, cpuLanes)
-	for i := range s.laneCPU {
-		s.laneCPU[i] = "cpu/" + strconv.Itoa(i)
-	}
+	// Telemetry: with a profiler attached, one pre-resolved handle per node
+	// so sampled runs record without a map lookup or allocation.
 	if opts.Profiler != nil {
 		model := opts.Model
 		if model == "" {
@@ -591,12 +512,12 @@ func (s *Session) Run(feeds map[string]*tensor.Tensor) ([]*tensor.Tensor, error)
 }
 
 // RunContext is Run with cancellation: the context is honoured between
-// node dispatches, inside the simulated GPU queue wait, and during retry
-// backoff, returning ctx.Err() promptly without deadlocking or leaking
-// worker lanes. A cancelled run leaves the session reusable. A run is one
-// compute stream to the host's worker pool (internal/par): its operators'
-// fan-outs share the cores with the other runs in flight, however many
-// lanes this session dispatches from.
+// nodes, inside a simulated GPU queue hang and during retry backoff,
+// returning ctx.Err() promptly. A cancelled run leaves the session
+// reusable. The nodes run in topological order on the calling goroutine;
+// with no fault injector attached the run performs zero heap allocations.
+// A run is one compute stream to the host's worker pool (internal/par):
+// its operators' fan-outs share the cores with the other runs in flight.
 func (s *Session) RunContext(ctx context.Context, feeds map[string]*tensor.Tensor) ([]*tensor.Tensor, error) {
 	p := s.plan
 	if err := p.validateFeeds(feeds); err != nil {
@@ -610,8 +531,7 @@ func (s *Session) RunContext(ctx context.Context, feeds map[string]*tensor.Tenso
 
 	traceOn := obs.Enabled()
 	// Per-run telemetry state: the request recorder rides the context (only
-	// sampled requests carry one), and the profiler admits 1 in N runs. Both
-	// are read-only while worker lanes exist, so setting them here is safe.
+	// sampled requests carry one), and the profiler admits 1 in N runs.
 	s.req = obs.RequestFromContext(ctx)
 	s.profSampled = s.profH != nil && s.prof.SampleRun()
 	defer s.clearRunTelemetry()
@@ -622,14 +542,26 @@ func (s *Session) RunContext(ctx context.Context, feeds map[string]*tensor.Tenso
 	}
 	defer sp.End()
 
-	var err error
-	if s.concurrent {
-		err = s.runConcurrent(ctx, sp, traceOn)
-	} else {
-		err = s.runSerial(ctx, sp, traceOn)
-	}
-	if err != nil {
-		return nil, err
+	for i := range p.nodes {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		redo := false
+		if p.nodes[i].gpu && s.faults != nil {
+			ok, err := s.gpuGate(ctx, i)
+			if err != nil {
+				return nil, err
+			}
+			if !ok {
+				// Persistent GPU failure or quarantined device: re-execute
+				// on the host CPU with the same bit-identical kernels.
+				mCPUReexec.Inc()
+				redo = true
+			}
+		}
+		if err := s.runNode(i, sp, traceOn, redo); err != nil {
+			return nil, err
+		}
 	}
 	for k, vr := range p.outputs {
 		switch vr.kind {
@@ -644,58 +576,6 @@ func (s *Session) RunContext(ctx context.Context, feeds map[string]*tensor.Tenso
 	return s.results, nil
 }
 
-// runSerial executes the schedule in topological order on the calling
-// goroutine, checking for cancellation between node dispatches. With no
-// fault injector attached this loop performs zero heap allocations.
-func (s *Session) runSerial(ctx context.Context, sp *obs.Span, traceOn bool) error {
-	p := s.plan
-	for i := range p.nodes {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		redo := false
-		if p.nodes[i].gpu && s.faults != nil {
-			ok, err := s.gpuGate(ctx, int32(i))
-			if err != nil {
-				return err
-			}
-			if !ok {
-				// Persistent GPU failure or quarantined device: re-execute
-				// on the host CPU with the same bit-identical kernels.
-				mCPUReexec.Inc()
-				redo = true
-			}
-		}
-		lane := s.laneCPU[0]
-		if p.nodes[i].gpu && !redo {
-			lane = s.laneGPU[0]
-		}
-		if err := s.execNode(int32(i), sp, traceOn, lane, redo); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// execNode runs one node, converting an operator panic into a structured
-// *NodeError carrying the node, its device and the goroutine stack —
-// mirroring exec.Run's recovery — so a poisoned kernel surfaces as an
-// error instead of crashing the process (or deadlocking sibling lanes
-// under the concurrent scheduler).
-func (s *Session) execNode(i int32, parent *obs.Span, traceOn bool, lane string, redo bool) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			pn := &s.plan.nodes[i]
-			err = &NodeError{
-				Node: pn.name, Device: pn.device,
-				Cause: fmt.Errorf("panic: %v", r),
-				Stack: debug.Stack(),
-			}
-		}
-	}()
-	return s.runNode(i, parent, traceOn, lane, redo)
-}
-
 // clearRunTelemetry drops the per-run telemetry state when RunContext
 // returns, so a finished request is not held past its run.
 func (s *Session) clearRunTelemetry() {
@@ -703,13 +583,29 @@ func (s *Session) clearRunTelemetry() {
 	s.profSampled = false
 }
 
-// runNode executes one scheduled node into its arena slot. lane names the
-// dispatch lane the node ran on (e.g. gpu/0, cpu/1) and redo marks a CPU
-// re-execution of a failed GPU dispatch; both flow into the node's trace
-// span, the sampled profiler, and the request recorder when present.
-func (s *Session) runNode(i int32, parent *obs.Span, traceOn bool, lane string, redo bool) error {
+// runNode executes one scheduled node into its arena slot. redo marks a
+// CPU re-execution of a failed GPU dispatch; it and the lane the node ran
+// on (laneGPU, or laneCPU for CPU-placed and re-executed nodes) flow into
+// the node's trace span and the request recorder when present. An operator
+// panic becomes a structured *NodeError carrying the node, its device and
+// the goroutine stack, so a poisoned kernel surfaces as an error instead of
+// crashing the process.
+func (s *Session) runNode(i int, parent *obs.Span, traceOn bool, redo bool) (err error) {
 	pn := &s.plan.nodes[i]
+	defer func() {
+		if r := recover(); r != nil {
+			err = &NodeError{
+				Node: pn.name, Device: pn.device,
+				Cause: fmt.Errorf("panic: %v", r),
+				Stack: debug.Stack(),
+			}
+		}
+	}()
 	ins := s.args[i]
+	lane := laneCPU
+	if pn.gpu && !redo {
+		lane = laneGPU
+	}
 	var nsp *obs.Span
 	if traceOn {
 		nsp = parent.Child("node:"+pn.name,
@@ -747,150 +643,4 @@ func (s *Session) runNode(i int32, parent *obs.Span, traceOn bool, lane string, 
 		s.req.AddNode(pn.name, pn.profKind, lane, start, wall, redo) // nil-safe
 	}
 	return nil
-}
-
-// redoFlag marks a channel entry as a CPU re-execution of a GPU-placed
-// node whose dispatch failed persistently (or whose device is
-// quarantined): the node runs on the CPU lane without re-entering the
-// fault gate. Plans are far below 2^30 nodes, so the bit is free.
-const redoFlag int32 = 1 << 30
-
-// runConcurrent dispatches nodes whose dependency count hits zero to a
-// bounded worker pool. Device semantics are honoured structurally: every
-// GPU-placed node goes through the GPU command-queue lane(s) (a single
-// in-order queue by default), CPU-fallback nodes run on the CPU pool and
-// overlap with the GPU, and device_copy nodes — placed on their consumer's
-// device — mark the queue-crossing points. With a fault injector attached,
-// GPU dispatches pass through the gate (breaker + retries) and persistent
-// failures bounce the node to the CPU lane; a panic in any worker lane
-// converts to a *NodeError without deadlocking sibling lanes. Context
-// cancellation is honoured between dispatches and inside the queue wait.
-func (s *Session) runConcurrent(ctx context.Context, sp *obs.Span, traceOn bool) error {
-	p := s.plan
-	n := len(p.nodes)
-	if n == 0 {
-		return ctx.Err()
-	}
-	for i := range p.nodes {
-		s.pending[i] = p.nodes[i].pending
-	}
-	if traceOn && s.readyNs == nil {
-		s.readyNs = make([]int64, n)
-	}
-
-	gpuCh := make(chan int32, n)
-	cpuCh := make(chan int32, 2*n) // original CPU nodes + every possible GPU redo
-	done := make(chan struct{})
-	var closeOnce sync.Once
-	finish := func() { closeOnce.Do(func() { close(done) }) }
-	var errMu sync.Mutex
-	var firstErr error
-	setErr := func(err error) {
-		errMu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		errMu.Unlock()
-		finish()
-	}
-	var remaining, inflight atomic.Int32
-	remaining.Store(int32(n))
-
-	enqueue := func(i int32) {
-		if traceOn {
-			s.readyNs[i] = time.Now().UnixNano()
-		}
-		if p.nodes[i].gpu {
-			gpuCh <- i
-		} else {
-			cpuCh <- i
-		}
-	}
-	worker := func(ch <-chan int32, lane string) {
-		for {
-			select {
-			case i := <-ch:
-				redo := i&redoFlag != 0
-				i &^= redoFlag
-				if traceOn && !redo {
-					mQueueWait.Observe(float64(time.Now().UnixNano() - s.readyNs[i]))
-				}
-				if p.nodes[i].gpu && !redo && s.faults != nil {
-					ok, gerr := s.gpuGate(ctx, i)
-					if gerr != nil {
-						setErr(gerr)
-						return
-					}
-					if !ok {
-						// Bounce to the CPU lane: the node re-executes
-						// there with the same bit-identical kernels.
-						mCPUReexec.Inc()
-						cpuCh <- i | redoFlag
-						continue
-					}
-				}
-				if traceOn {
-					mParallelNodes.Observe(float64(inflight.Add(1)))
-				}
-				err := s.execNode(i, sp, traceOn, lane, redo)
-				if traceOn {
-					inflight.Add(-1)
-				}
-				if err != nil {
-					setErr(err)
-					return
-				}
-				for _, c := range p.nodes[i].consumers {
-					if atomic.AddInt32(&s.pending[c], -1) == 0 {
-						enqueue(c)
-					}
-				}
-				if remaining.Add(-1) == 0 {
-					finish()
-				}
-			case <-done:
-				return
-			}
-		}
-	}
-
-	for i := range p.nodes {
-		if s.pending[i] == 0 {
-			enqueue(int32(i))
-		}
-	}
-	gpuWorkers := s.opts.GPUStreams
-	if gpuWorkers < 1 {
-		gpuWorkers = 1
-	}
-	cpuWorkers := s.opts.Workers
-	if cpuWorkers < 1 {
-		cpuWorkers = 1
-	}
-	var wg sync.WaitGroup
-	wg.Add(gpuWorkers + cpuWorkers)
-	for w := 0; w < gpuWorkers; w++ {
-		lane := s.laneGPU[w]
-		go func() { defer wg.Done(); worker(gpuCh, lane) }()
-	}
-	for w := 0; w < cpuWorkers; w++ {
-		lane := s.laneCPU[w]
-		go func() { defer wg.Done(); worker(cpuCh, lane) }()
-	}
-	// Cancellation watcher: closing done releases every worker blocked on
-	// its queue (the "GPU queue wait"), so RunContext returns promptly.
-	// The watcher itself exits through done on normal completion.
-	if ctx.Done() != nil {
-		go func() {
-			select {
-			case <-ctx.Done():
-				setErr(ctx.Err())
-			case <-done:
-			}
-		}()
-	}
-	wg.Wait()
-	errMu.Lock()
-	defer errMu.Unlock()
-	return firstErr
 }

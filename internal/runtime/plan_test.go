@@ -16,7 +16,7 @@ import (
 
 // executeReference is a frozen copy of the seed serial executor (pre-plan,
 // pre-arena): functional Execute with fresh allocations per node. The
-// pooled and concurrent runtimes must stay bit-identical to it.
+// plan-and-arena runtime must stay bit-identical to it.
 func executeReference(g *graph.Graph, feeds map[string]*tensor.Tensor) ([]*tensor.Tensor, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
@@ -111,9 +111,8 @@ func goldenModelCases() map[string]int {
 }
 
 // TestGoldenAllModels runs every model in the zoo through the pooled
-// serial session AND the concurrent scheduler and requires both to be
-// bit-identical to the frozen reference executor — arena reuse and
-// out-of-order dispatch must never change a single ULP.
+// session and requires it to be bit-identical to the frozen reference
+// executor — arena reuse must never change a single ULP.
 func TestGoldenAllModels(t *testing.T) {
 	for name, size := range goldenModelCases() {
 		t.Run(name, func(t *testing.T) {
@@ -133,30 +132,21 @@ func TestGoldenAllModels(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			serial := plan.NewSession()
+			s := plan.NewSession()
 			for run := 0; run < 2; run++ { // second run reuses the arena
-				got, err := serial.Run(feeds)
+				got, err := s.Run(feeds)
 				if err != nil {
 					t.Fatal(err)
 				}
-				tensorsEqual(t, fmt.Sprintf("serial run %d", run), got, want)
-			}
-
-			conc := plan.NewSessionWith(runtime.SessionOptions{Workers: 4, GPUStreams: 4})
-			for run := 0; run < 2; run++ {
-				got, err := conc.Run(feeds)
-				if err != nil {
-					t.Fatal(err)
-				}
-				tensorsEqual(t, fmt.Sprintf("concurrent run %d", run), got, want)
+				tensorsEqual(t, fmt.Sprintf("run %d", run), got, want)
 			}
 		})
 	}
 }
 
 // TestGoldenDetectionWithFallback covers the heterogeneous schedule:
-// box_nms/multibox_detection on the CPU with device_copy queue crossings,
-// GPU nodes overlapping CPU ones under the concurrent scheduler.
+// box_nms/multibox_detection on the CPU with device_copy handoffs between
+// the GPU-placed and CPU-placed nodes.
 func TestGoldenDetectionWithFallback(t *testing.T) {
 	size := 128
 	if raceEnabled {
@@ -182,16 +172,16 @@ func TestGoldenDetectionWithFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := plan.NewSessionWith(runtime.SessionOptions{Workers: 3, GPUStreams: 2}).Run(feeds)
+	got, err := plan.NewSession().Run(feeds)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tensorsEqual(t, "fallback concurrent", got, want)
+	tensorsEqual(t, "fallback", got, want)
 }
 
 // TestSharedPlanConcurrentSessions exercises many goroutines running
 // private sessions off one shared Plan simultaneously (run with -race).
-// A cheap branchy graph keeps every iteration in the scheduler, not the
+// A cheap branchy graph keeps every iteration in the run loop, not the
 // conv kernels, so the race detector sees many full Run interleavings.
 func TestSharedPlanConcurrentSessions(t *testing.T) {
 	g, feeds := buildSerialOpsGraph()
@@ -211,8 +201,7 @@ func TestSharedPlanConcurrentSessions(t *testing.T) {
 	for c := 0; c < clients; c++ {
 		go func(c int) {
 			defer wg.Done()
-			// Mix serial and concurrent sessions over the same plan.
-			s := plan.NewSessionWith(runtime.SessionOptions{Workers: 1 + c%3, GPUStreams: 1 + c%2})
+			s := plan.NewSession()
 			for run := 0; run < 50; run++ {
 				got, err := s.Run(feeds)
 				if err != nil {
@@ -504,7 +493,9 @@ func BenchmarkExecuteLegacy(b *testing.B) {
 	}
 }
 
-func benchmarkSqueezeNet(b *testing.B, opts runtime.SessionOptions) {
+// BenchmarkSessionSqueezeNetSerial: one session over SqueezeNet's branchy
+// Fire modules; the name is kept so earlier records stay comparable.
+func BenchmarkSessionSqueezeNetSerial(b *testing.B) {
 	m := models.Build("SqueezeNet1.0", 64, false)
 	graph.Optimize(m.Graph)
 	graph.PlaceDevices(m.Graph, graph.PlacementOptions{})
@@ -512,7 +503,7 @@ func benchmarkSqueezeNet(b *testing.B, opts runtime.SessionOptions) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	s := plan.NewSessionWith(opts)
+	s := plan.NewSession()
 	feed := tensor.New(1, 3, 64, 64)
 	feed.FillRandom(2)
 	feeds := map[string]*tensor.Tensor{"data": feed}
@@ -526,16 +517,4 @@ func benchmarkSqueezeNet(b *testing.B, opts runtime.SessionOptions) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// BenchmarkSessionSqueezeNetSerial vs ...Concurrent: the branchy Fire
-// modules admit node-level parallelism; on a multi-core host the
-// concurrent variant shows the dispatch win (on a single-core CI box the
-// two are expected to tie).
-func BenchmarkSessionSqueezeNetSerial(b *testing.B) {
-	benchmarkSqueezeNet(b, runtime.SessionOptions{})
-}
-
-func BenchmarkSessionSqueezeNetConcurrent(b *testing.B) {
-	benchmarkSqueezeNet(b, runtime.SessionOptions{Workers: 4, GPUStreams: 4})
 }

@@ -4,9 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"sync"
 	"testing"
-	"time"
 	"unsafe"
 
 	"unigpu/internal/graph"
@@ -15,25 +13,20 @@ import (
 )
 
 // scratchOp is a fake operator that is its own graph.PreparedOp: it
-// declares a workspace, checks the one it is handed, stamps it, holds it
-// for a moment and checks the stamp survived — so a second node writing the
-// same buffer meanwhile is caught — then copies its input to its output.
+// declares a workspace, checks the one it is handed, records its base
+// pointer, stamps it, writes its output (a copy of its input) and checks the
+// stamp survived — so a workspace that aliases the node's output is caught.
 type scratchOp struct {
 	name    string
 	elems   int
 	dt      tensor.DType
 	prepErr error
 	ledger  *scratchLedger
-	// meet, when set, is a rendezvous: Run waits until as many nodes as the
-	// channel holds have entered Run, proving they were live at the same
-	// time.
-	meet chan struct{}
 }
 
-// scratchLedger records which workspace buffers are in use right now.
+// scratchLedger records the workspace each node was handed.
 type scratchLedger struct {
-	mu     sync.Mutex
-	inUse  map[unsafe.Pointer]string
+	base   map[string]unsafe.Pointer
 	faults []string
 }
 
@@ -72,57 +65,33 @@ func (o *scratchOp) Run(out *tensor.Tensor, ins []*tensor.Tensor, scratch *tenso
 		}
 		base = unsafe.Pointer(&buf[0])
 	}
-	l := o.ledger
-	l.mu.Lock()
-	if other, busy := l.inUse[base]; busy {
-		l.faults = append(l.faults, fmt.Sprintf("%s was handed the scratch %s is still using", o.name, other))
-	}
-	l.inUse[base] = o.name
-	l.mu.Unlock()
+	o.ledger.base[o.name] = base
 
 	stamp := func(i int) float32 { return float32((int(o.name[0])*31 + i) % 100) }
 	for i := 0; i < o.elems; i++ {
 		scratch.SetF(i, stamp(i))
 	}
-	if o.meet != nil {
-		o.meet <- struct{}{}
-		for deadline := time.Now().Add(5 * time.Second); len(o.meet) < cap(o.meet); {
-			if time.Now().After(deadline) {
-				return fmt.Errorf("%d nodes never ran at the same time", cap(o.meet))
-			}
-			time.Sleep(50 * time.Microsecond)
-		}
-	}
-	time.Sleep(200 * time.Microsecond)
+	tensor.Copy(out, ins[0])
 	for i := 0; i < o.elems; i++ {
 		if scratch.GetF(i) != stamp(i) {
-			l.mu.Lock()
-			l.faults = append(l.faults, fmt.Sprintf("%s's scratch was overwritten while it ran", o.name))
-			l.mu.Unlock()
+			o.ledger.faults = append(o.ledger.faults, fmt.Sprintf("%s's scratch was overwritten while it ran", o.name))
 			break
 		}
 	}
-
-	l.mu.Lock()
-	delete(l.inUse, base)
-	l.mu.Unlock()
-	tensor.Copy(out, ins[0])
 	return nil
 }
 
 // TestPreparedOpScratchContract drives the plan through a test-local
 // PreparedOp. Three nodes read the one input and are all graph outputs, in
 // fp16 storage, so no output buffer is ever freed and no fp32 or int8 slot
-// exists but scratch: a (fp32 scratch) and b (int8 scratch) share nothing
-// and may run together; c's fp32 scratch reuses a's slot, which the planner
-// must guard with an anti-dependency.
+// exists but scratch: a's fp32 scratch is freed as soon as a has run, b's
+// is int8, and c's fp32 scratch reuses a's slot, grown to c's need.
 func TestPreparedOpScratchContract(t *testing.T) {
 	const outElems, aElems, bElems, cElems = 2 * 3 * 4, 96, 40, 160
-	ledger := &scratchLedger{inUse: map[unsafe.Pointer]string{}}
-	meet := make(chan struct{}, 2)
+	ledger := &scratchLedger{base: map[string]unsafe.Pointer{}}
 	fakes := []*scratchOp{
-		{name: "a", elems: aElems, dt: tensor.Float32, ledger: ledger, meet: meet},
-		{name: "b", elems: bElems, dt: tensor.Int8, ledger: ledger, meet: meet},
+		{name: "a", elems: aElems, dt: tensor.Float32, ledger: ledger},
+		{name: "b", elems: bElems, dt: tensor.Int8, ledger: ledger},
 		{name: "c", elems: cElems, dt: tensor.Float32, ledger: ledger},
 	}
 	g := graph.New()
@@ -157,11 +126,8 @@ func TestPreparedOpScratchContract(t *testing.T) {
 	feed.FillRandom(5)
 	want := tensor.Convert(feed, tensor.Float16, 0)
 	feeds := map[string]*tensor.Tensor{"data": feed}
-	sess := plan.NewSessionWith(runtime.SessionOptions{Workers: 2})
-	for rep := 0; rep < 20; rep++ {
-		for len(meet) > 0 {
-			<-meet
-		}
+	sess := plan.NewSession()
+	for rep := 0; rep < 3; rep++ {
 		got, err := sess.Run(feeds)
 		if err != nil {
 			t.Fatal(err)
@@ -171,9 +137,12 @@ func TestPreparedOpScratchContract(t *testing.T) {
 				t.Fatalf("rep %d: output %s differs from the fp16-rounded input", rep, fakes[k].name)
 			}
 		}
+		if ledger.base["c"] != ledger.base["a"] {
+			t.Fatalf("rep %d: c's scratch %p is not a's freed buffer %p", rep, ledger.base["c"], ledger.base["a"])
+		}
 	}
 	if len(ledger.faults) > 0 {
-		t.Fatalf("scratch shared between live nodes:\n%s", strings.Join(ledger.faults, "\n"))
+		t.Fatalf("scratch overwritten:\n%s", strings.Join(ledger.faults, "\n"))
 	}
 }
 

@@ -1,9 +1,11 @@
 // Package runtime executes optimized computational graphs — the
 // heterogeneous graph executor of the stack. Execution is split into a
 // one-time compilation step (NewPlan: validation, topological scheduling,
-// dependency counting, liveness-based arena-slot assignment) and a
-// reusable steady-state run loop (Plan.NewSession / Session.Run) that
-// performs zero heap allocations for intermediate tensors.
+// liveness-based arena-slot assignment) and a reusable steady-state run
+// loop (Plan.NewSession / Session.Run) that runs the nodes in order on the
+// calling goroutine and performs zero heap allocations for intermediate
+// tensors. Parallelism lives inside operators, in the host worker pool
+// (internal/par), not between them.
 //
 // There is one way to run a node: NewPlan turns every operator into a
 // graph.PreparedOp (whatever it packs from its constant operands, the
@@ -18,9 +20,8 @@
 // Nodes tagged OnCPU and OnGPU both run on the host here (the GPU is
 // simulated; see internal/sim for latency), but the executor honours the
 // placement structurally: device_copy nodes materialise buffer handoffs,
-// GPU-placed nodes serialize through a simulated in-order command queue
-// under the concurrent scheduler, and per-node profiles record which
-// device each operator was assigned to.
+// GPU-placed nodes pass through the simulated device's fault gate, and
+// per-node profiles record which device each operator was assigned to.
 package runtime
 
 import (

@@ -21,8 +21,8 @@
 //	ms := cm.PredictedLatencyMs        // simulated device latency
 //
 // Repeated inference should open a Session, which executes a compiled
-// plan with pooled arena memory (zero steady-state allocations) and
-// optional concurrent node dispatch:
+// plan with pooled arena memory (zero steady-state allocations), one node
+// after another, each operator fanning out over the host's cores:
 //
 //	sess, err := cm.NewSession()
 //	out, err := sess.Run(input)        // out valid until the next sess.Run
@@ -388,8 +388,8 @@ func (cm *CompiledModel) InputShape() []int {
 }
 
 // Plan returns the model's compiled execution plan (topological schedule,
-// dependency counts, arena-slot assignment), building it on first use. The
-// plan is immutable and shared by every session of this model.
+// arena-slot assignment), building it on first use. The plan is immutable
+// and shared by every session of this model.
 func (cm *CompiledModel) Plan() (*runtime.Plan, error) { return cm.PlanForBatch(1) }
 
 // PlanForBatch returns a plan compiled for a (n, 3, s, s) input, rebuilding
@@ -447,11 +447,10 @@ func (cm *CompiledModel) NewSession() (*Session, error) {
 	return cm.NewSessionWith(SessionOptions{})
 }
 
-// NewSessionWith opens a session with explicit scheduling options
-// (concurrent worker pool, simulated GPU command-queue streams, profiling,
-// fault tolerance). When no injector is given explicitly, the session
-// picks up the one attached to the platform's GPU device, so faults
-// injected at the device level reach every session automatically.
+// NewSessionWith opens a session with explicit options (profiling,
+// telemetry, fault tolerance). When no injector is given explicitly, the
+// session picks up the one attached to the platform's GPU device, so
+// faults injected at the device level reach every session automatically.
 func (cm *CompiledModel) NewSessionWith(opts SessionOptions) (*Session, error) {
 	plan, err := cm.Plan()
 	if err != nil {
@@ -476,8 +475,8 @@ func (s *Session) Run(input *Tensor) (*Tensor, error) {
 }
 
 // RunContext is Run with cancellation: the context is honoured between
-// node dispatches and inside the simulated GPU queue wait, and a cancelled
-// run leaves the session reusable.
+// nodes and inside a simulated GPU queue hang, and a cancelled run leaves
+// the session reusable.
 func (s *Session) RunContext(ctx context.Context, input *Tensor) (*Tensor, error) {
 	s.feeds["data"] = input
 	outs, err := s.sess.RunContext(ctx, s.feeds)
