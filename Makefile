@@ -25,10 +25,11 @@ race:
 # frame layouts on amd64. The import checks keep the graph executor from
 # learning what is inside an operator again (it sees graph.PreparedOp only)
 # and the worker pool a leaf that anything may call: internal/par imports
-# the standard library and nothing of this module. The pool and the kernels
-# that fan out through it run under the race detector at one, two and four
-# cores (-cpu raises GOMAXPROCS past the host's cores too): no job's result
-# may depend on which worker ran it.
+# the standard library and nothing of this module. The pool, the kernels
+# that fan out through it and the vision operators (whose block sort, merge
+# and scan fan out through it too) run under the race detector at one, two
+# and four cores (-cpu raises GOMAXPROCS past the host's cores too): no
+# job's result may depend on which worker ran it.
 verify:
 	$(GO) build ./...
 	$(GO) vet ./...
@@ -38,7 +39,7 @@ verify:
 		echo "internal/par must import the standard library only"; exit 1; fi
 	GOARCH=arm64 $(GO) build ./...
 	GOARCH=arm64 $(GO) vet ./internal/ops ./internal/tensor ./internal/cpu
-	$(GO) test -race -cpu 1,2,4 ./internal/par ./internal/ops
+	$(GO) test -race -cpu 1,2,4 ./internal/par ./internal/ops ./internal/vision
 	$(GO) test -race -timeout 25m ./...
 
 # bench runs the runtime, ops and worker-pool benchmarks (session hot path,
@@ -99,6 +100,7 @@ loc:
 	echo "internal/graph:                 $$(n internal/graph/*.go)"; \
 	echo "internal/ops + internal/tensor: $$(n internal/ops/*.go internal/tensor/*.go)"; \
 	echo "internal/par:                   $$(n internal/par/*.go)"; \
+	echo "internal/vision:                $$(n internal/vision/*.go)"; \
 	echo "assembly (.s):                  $$(cat internal/*/*.s | wc -l)"; \
 	echo "internal/runtime tests:         $$(cat internal/runtime/*_test.go | wc -l)"
 

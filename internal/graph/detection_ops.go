@@ -29,17 +29,12 @@ func (o *HeadReshapeOp) Execute(ins []*tensor.Tensor) *tensor.Tensor {
 func (o *HeadReshapeOp) ExecuteInto(out *tensor.Tensor, ins []*tensor.Tensor) {
 	in := ins[0]
 	s := in.Shape()
-	batch, h, w := s[0], s[2], s[3]
-	for b := 0; b < batch; b++ {
-		for a := 0; a < o.Anchors; a++ {
-			for k := 0; k < o.Attrs; k++ {
-				for y := 0; y < h; y++ {
-					for x := 0; x < w; x++ {
-						row := (y*w+x)*o.Anchors + a
-						out.Set(in.At(b, a*o.Attrs+k, y, x), b, row, k)
-					}
-				}
-			}
+	hw, cell := s[2]*s[3], o.Anchors*o.Attrs // a cell's rows are cell elements of out
+	for c := 0; c < s[0]*s[1]; c++ {         // input plane c = (b, a*Attrs+k)
+		b, a, k := c/s[1], c%s[1]/o.Attrs, c%o.Attrs
+		src, dst := c*hw, (b*hw*o.Anchors+a)*o.Attrs+k
+		for p := 0; p < hw; p++ {
+			out.SetF(dst+p*cell, in.GetF(src+p))
 		}
 	}
 }
@@ -61,11 +56,10 @@ func (o *SSDDetectionOp) Execute(ins []*tensor.Tensor) *tensor.Tensor {
 	// Transpose rows into the (batch, classes, anchors) layout the vision
 	// kernel consumes.
 	clsProb := tensor.New(batch, k, num)
-	for b := 0; b < batch; b++ {
-		for a := 0; a < num; a++ {
-			for c := 0; c < k; c++ {
-				clsProb.Set(clsRows.At(b, a, c), b, c, a)
-			}
+	for r := 0; r < batch*num; r++ { // row r = (b, a) to column a of image b
+		b, a := r/num, r%num
+		for c := 0; c < k; c++ {
+			clsProb.SetF((b*k+c)*num+a, clsRows.GetF(r*k+c))
 		}
 	}
 	loc := locRows.Reshape(batch, num*4)

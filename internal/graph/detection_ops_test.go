@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"math"
 	"testing"
 
 	"unigpu/internal/tensor"
@@ -65,16 +66,7 @@ func TestSSDDetectionOpMatchesVisionKernel(t *testing.T) {
 	op := &SSDDetectionOp{Cfg: cfg}
 	got := op.Execute([]*tensor.Tensor{clsRows, locRows, anchors})
 
-	clsProb := tensor.New(1, numClasses, numAnchors)
-	for a := 0; a < numAnchors; a++ {
-		for c := 0; c < numClasses; c++ {
-			clsProb.Set(clsRows.At(0, a, c), 0, c, a)
-		}
-	}
-	want := vision.MultiboxDetection(clsProb, locRows.Reshape(1, numAnchors*4), anchors, cfg)
-	if !tensor.AllClose(got, want, 1e-6) {
-		t.Fatalf("SSDDetectionOp diverges from vision kernel: %g", tensor.MaxAbsDiff(got, want))
-	}
+	sameBits(t, "SSDDetectionOp vs the vision kernel", got, refSSDDetection(op, clsRows, locRows, anchors))
 	if !op.InferShape([]tensor.Shape{clsRows.Shape(), locRows.Shape(), anchors.Shape()}).Equal(got.Shape()) {
 		t.Fatal("InferShape mismatch")
 	}
@@ -91,6 +83,85 @@ func TestDetectionOpsAreGPUFriendly(t *testing.T) {
 	} {
 		if !op.GPUFriendly() {
 			t.Errorf("%s should be GPU friendly in the optimized stack", op.Kind())
+		}
+	}
+}
+
+// refHeadReshape and refSSDDetection are the head rearrangement and the SSD
+// class transpose as they were written before they indexed flat: every
+// element through the coordinate accessors At/Set. They are the flat
+// versions' bit-for-bit references.
+func refHeadReshape(o *HeadReshapeOp, out, in *tensor.Tensor) {
+	s := in.Shape()
+	for b := 0; b < s[0]; b++ {
+		for a := 0; a < o.Anchors; a++ {
+			for k := 0; k < o.Attrs; k++ {
+				for y := 0; y < s[2]; y++ {
+					for x := 0; x < s[3]; x++ {
+						out.Set(in.At(b, a*o.Attrs+k, y, x), b, (y*s[3]+x)*o.Anchors+a, k)
+					}
+				}
+			}
+		}
+	}
+}
+
+func refSSDDetection(o *SSDDetectionOp, clsRows, locRows, anchors *tensor.Tensor) *tensor.Tensor {
+	s := clsRows.Shape()
+	batch, num, k := s[0], s[1], s[2]
+	clsProb := tensor.New(batch, k, num)
+	for b := 0; b < batch; b++ {
+		for a := 0; a < num; a++ {
+			for c := 0; c < k; c++ {
+				clsProb.Set(clsRows.At(b, a, c), b, c, a)
+			}
+		}
+	}
+	return vision.MultiboxDetection(clsProb, locRows.Reshape(batch, num*4), anchors, o.Cfg)
+}
+
+func sameBits(t *testing.T, name string, got, want *tensor.Tensor) {
+	t.Helper()
+	if !got.Shape().Equal(want.Shape()) || got.DType() != want.DType() {
+		t.Fatalf("%s: %v %v, want %v %v", name, got.DType(), got.Shape(), want.DType(), want.Shape())
+	}
+	for i := 0; i < got.Size(); i++ {
+		if g, w := got.GetF(i), want.GetF(i); math.Float32bits(g) != math.Float32bits(w) {
+			t.Fatalf("%s: element %d = %v, want %v", name, i, g, w)
+		}
+	}
+}
+
+// TestFlatDetectionTailMatchesCoordinateLoops: on random heads, batch 1 and
+// 2, fp32 and fp16 carriers (in and out), the flat loops give the
+// coordinate-indexed ones' bits.
+func TestFlatDetectionTailMatchesCoordinateLoops(t *testing.T) {
+	dts := []tensor.DType{tensor.Float32, tensor.Float16}
+	for _, batch := range []int{1, 2} {
+		op := &HeadReshapeOp{Anchors: 3, Attrs: 5}
+		in := tensor.New(batch, 15, 3, 2)
+		in.FillRandom(int64(batch))
+		for _, idt := range dts {
+			for _, odt := range dts {
+				src := tensor.Convert(in, idt, 0)
+				got, want := tensor.NewTyped(odt, batch, 18, 5), tensor.NewTyped(odt, batch, 18, 5)
+				op.ExecuteInto(got, []*tensor.Tensor{src})
+				refHeadReshape(op, want, src)
+				sameBits(t, "head_reshape "+idt.String()+" to "+odt.String(), got, want)
+			}
+		}
+
+		num, classes := 70, 4
+		cls, loc, anchors := tensor.New(batch, num, classes), tensor.New(batch, num, 4), tensor.New(1, num, 4)
+		cls.FillFunc(func(i int) float32 { return float32(i*7%11) / 11 })
+		loc.FillRandom(int64(10 + batch))
+		anchors.FillFunc(func(i int) float32 { return float32(i%num)/float32(num) + float32(i%4/2)*0.3 })
+		for _, cfg := range []vision.NMSConfig{{IoUThreshold: 2}, {IoUThreshold: 0.45, ScoreThreshold: 0.01, TopK: 40, MaxOutput: 20}} {
+			det := &SSDDetectionOp{Cfg: cfg}
+			for _, dt := range dts {
+				c, l := tensor.Convert(cls, dt, 0), tensor.Convert(loc, dt, 0)
+				sameBits(t, "multibox_detection "+dt.String(), det.Execute([]*tensor.Tensor{c, l, anchors}), refSSDDetection(det, c, l, anchors))
+			}
 		}
 	}
 }

@@ -10,10 +10,13 @@ import (
 	"unigpu/internal/vision"
 )
 
-// The dense-compute and data-movement operators implement IntoOperator so
-// the pooled runtime can execute them against preallocated arena buffers;
-// the vision post-processing operators (dynamic-size sorting/suppression
-// pipelines) keep the allocating Execute path.
+// The dense-compute and data-movement operators (the SSD head's
+// HeadReshapeOp among them) implement IntoOperator so the pooled runtime
+// can execute them against preallocated arena buffers; the vision
+// post-processing operators (dynamic-size sorting/suppression pipelines)
+// keep the allocating Execute path. Neither loops over elements through
+// the coordinate accessors At/Set: row offsets are worked out once and
+// elements read and written flat (GetF/SetF).
 
 // ConvOp is a 2-D convolution; inputs: data, weight[, bias][, residual].
 //

@@ -253,10 +253,11 @@ func convRowsPlane[A gemmAcc, S convElem, W gemmElem, O convOut, R convElem](s *
 // convPixels computes output plane p one output at a time, its in-bounds
 // taps found once per output and folded in the same ascending (ci, ky, kx)
 // order: the form for a plane whose flattened band would be shorter than
-// one vector (2x2 outputs and smaller: MobileNet's last two depthwise
-// layers, SSD's head convs over a 1x1 feature map), where widening a band
-// per input channel costs more than the chain of adds it would replace. A
-// 1x1 output of many input channels stays bound by that chain.
+// one vector (2x2 outputs and smaller), where widening a band per input
+// channel costs more than the chain of adds it would replace. A prepared
+// direct conv runs such planes over its output channels instead (SSD's
+// convs over 1x1 maps; convChannels), so depthwise planes, too few
+// channels and Conv2DInto, its reference, are what reach this chain.
 func convPixels[A gemmAcc, S convElem, W gemmElem, O convOut, R convElem](s *convSink[O, R], sc *rowScratch[A], src []S, wt []W, g *rowGeom, p int, start A, scale, b float32) {
 	hw, kk := g.H*g.W, g.KH*g.KW
 	acc := sc.band[:g.oh*g.ow]
@@ -284,6 +285,107 @@ func convPixels[A gemmAcc, S convElem, W gemmElem, O convOut, R convElem](s *con
 		}
 	}
 	finishBand(s, sc, acc, g.oh, g.ow, g.ow, p*g.oh*g.ow, scale, b)
+}
+
+const chanBlock = 64 // output channels (eight vectors) per convChannels job
+
+// chanGeom is convChannels' geometry: the row kernel's, and the box of taps
+// some output reads in bounds, the only ones packed (a 1x1 map under a
+// padded 3x3 kernel reads its centre alone).
+type chanGeom struct {
+	rowGeom
+	ky0, nky, kx0, nkx int
+	blocks             int // of chanBlock channels per group, the last maybe short
+}
+
+// newChanGeom returns convChannels' geometry for kernel k on w, or nil
+// where it does not apply: it takes a direct conv's planes that convPixels
+// would, given a vector of output channels per group.
+func newChanGeom(w ConvWorkload, k ConvKernel) *chanGeom {
+	g := &chanGeom{rowGeom: newRowGeom(w)}
+	if k != KernelDirect || (g.oh-1)*g.wq+g.ow >= axpyLanes || g.coutPerG < axpyLanes {
+		return nil
+	}
+	// An output's in-bounds taps move down as the output moves up: the box
+	// runs from the last output's first tap to the first output's last.
+	g.ky0, _ = clampKernelRange((g.oh-1)*g.StrideH-g.PadH, g.H, g.KH)
+	g.kx0, _ = clampKernelRange((g.ow-1)*g.StrideW-g.PadW, g.W, g.KW)
+	_, ky1 := clampKernelRange(-g.PadH, g.H, g.KH)
+	_, kx1 := clampKernelRange(-g.PadW, g.W, g.KW)
+	g.nky, g.nkx, g.blocks = ky1-g.ky0, kx1-g.kx0, (g.coutPerG+chanBlock-1)/chanBlock
+	return g
+}
+
+// packChannels packs OIHW weights in blocks of a group's chanBlock output
+// channels (fewer in its last): tap t = (ci, ky, kx) of the box, counted in
+// ascending order, of the block of nb channels from co is at co*taps + t*nb.
+func packChannels(wd []float32, g *chanGeom) []float32 {
+	kk, taps := g.KH*g.KW, g.cinPerG*g.nky*g.nkx
+	packed := make([]float32, g.COut*taps)
+	for co := 0; co < g.COut; co++ {
+		j := co % g.coutPerG % chanBlock
+		blk, nb := packed[(co-j)*taps:], min(chanBlock, g.coutPerG-co%g.coutPerG+j)
+		for t := 0; t < taps; t++ {
+			ci, ky, kx := t/(g.nky*g.nkx), g.ky0+t/g.nkx%g.nky, g.kx0+t%g.nkx
+			blk[t*nb+j] = wd[(co*g.cinPerG+ci)*kk+ky*g.KW+kx]
+		}
+	}
+	return packed
+}
+
+// convChannels runs a prepared direct conv over planes too short for the row
+// kernel's vectors (newChanGeom) with the lanes over output channels, which
+// NCHW keeps contiguous there. Job (n, group, block) starts the block's
+// accumulators of each output pixel from the bias and adds every in-bounds
+// tap (ci, ky, kx), ascending, as one axpy of its packed weights by the input
+// element under it: convPixels' rounded products in convPixels' order.
+func convChannels[S convElem, O convOut, R convElem](sink *convSink[O, R], ind []S, wd []float32, g *chanGeom) {
+	par.For(g.N*g.COut/g.coutPerG*g.blocks, chansJob[S, O, R]{*sink, ind, wd, g})
+}
+
+type chansJob[S convElem, O convOut, R convElem] struct {
+	sink convSink[O, R]
+	ind  []S
+	wd   []float32
+	g    *chanGeom
+}
+
+func (j chansJob[S, O, R]) Run(i int) {
+	var sc rowScratch[float32]
+	g := j.g
+	ng, c0 := i/g.blocks, i%g.blocks*chanBlock // ng = n*groups + group
+	co, nb := ng%(g.COut/g.coutPerG)*g.coutPerG+c0, min(chanBlock, g.coutPerG-c0)
+	hw, taps, pix := g.H*g.W, g.cinPerG*g.nky*g.nkx, g.oh*g.ow
+	src, wb := j.ind[ng*g.cinPerG*hw:][:g.cinPerG*hw], j.wd[co*taps:][:nb*taps]
+	// Output pixel q's accumulators a go to run[c*pix+q]: channel-major, the
+	// block's outputs are one run from channel co's plane on.
+	a, run := sc.band[:nb], sc.band[chanBlock:][:pix*nb]
+	for q := range pix {
+		iy0, ix0 := q/g.ow*g.StrideH-g.PadH, q%g.ow*g.StrideW-g.PadW
+		ky0, ky1 := clampKernelRange(iy0, g.H, g.KH)
+		kx0, kx1 := clampKernelRange(ix0, g.W, g.KW)
+		if clear(a); j.sink.bias != nil {
+			copy(a, j.sink.bias[co:])
+		}
+		for ci := 0; ci < g.cinPerG; ci++ {
+			for ky := ky0; ky < ky1; ky++ {
+				off, t := ci*hw+(iy0+ky)*g.W+ix0, ((ci*g.nky+ky-g.ky0)*g.nkx-g.kx0)*nb
+				for kx := kx0; kx < kx1; kx++ {
+					e := src[off+kx]
+					f := float32(e)
+					if unsafe.Sizeof(e) == 2 {
+						f = tensor.F16Decode(uint16(e))
+					}
+					axpy(a, wb[t+kx*nb:], f)
+				}
+			}
+		}
+		for c, v := range a {
+			run[c*pix+q] = v
+		}
+	}
+	finishBand(&j.sink, &sc, run, 1, len(run), len(run), (ng*g.coutPerG+c0)*pix, 0, 0)
+	finishRun(&j.sink, &sc)
 }
 
 // fillBand widens the rows of input plane src under output rows y0.. into

@@ -150,6 +150,7 @@ type PreparedConv struct {
 	// OIHW for depthwise) and per-output-channel scales.
 	wq     []int8
 	wscale []float32
+	chans  *chanGeom // set when wd holds packChannels' blocks for convChannels
 }
 
 // PrepareConv resolves kernel k for workload w (KernelAuto picks
@@ -165,7 +166,8 @@ func PrepareConv(w ConvWorkload, k ConvKernel, weight *tensor.Tensor) *PreparedC
 // variant and falls back to the GEMM path). Int8 quantizes the weights
 // with symmetric per-output-channel scales and runs the depthwise loop
 // when asked for it and the quantized GEMM otherwise; the input's
-// per-tensor scale is read off the tensor at run time.
+// per-tensor scale is read off the tensor at run time. A float direct conv
+// over too short a plane runs convChannels (newChanGeom), still direct.
 func PrepareConvDType(w ConvWorkload, k ConvKernel, weight *tensor.Tensor, dt tensor.DType) *PreparedConv {
 	if k == KernelAuto {
 		k = DefaultKernel(w)
@@ -191,10 +193,16 @@ func PrepareConvDType(w ConvWorkload, k ConvKernel, weight *tensor.Tensor, dt te
 		}
 		if k == KernelGEMM {
 			p.wd = packRowPanels(p.wd, w)
+		} else if p.chans = newChanGeom(w, k); p.chans != nil {
+			p.wd = packChannels(p.wd, p.chans)
 		}
 	}
 	return p
 }
+
+// ChannelRoutine reports whether the conv runs over output channels
+// (convChannels) rather than over the pixels of its planes.
+func (p *PreparedConv) ChannelRoutine() bool { return p.chans != nil }
 
 // Kernel returns the concrete kernel this conv was prepared for.
 func (p *PreparedConv) Kernel() ConvKernel { return p.kernel }
@@ -308,6 +316,8 @@ func runConv[O convOut, R convElem](r convRun, od []O, rd []R) {
 func runFloatConv[S convElem, O convOut, R convElem](p *PreparedConv, s *convSink[O, R], ind []S, scratch []float32) {
 	if p.kernel == KernelGEMM {
 		convGEMM[float32](s, ind, p.wd, scratch, p.w)
+	} else if p.chans != nil {
+		convChannels(s, ind, p.wd, p.chans)
 	} else { // direct and depthwise are one loop
 		convRows[float32](s, ind, p.wd, p.w)
 	}

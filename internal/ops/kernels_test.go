@@ -83,6 +83,12 @@ func kernelEdgeCases() []ConvWorkload {
 		// time: a 2x2 depthwise plane and a detection head over a 1x1 map
 		{N: 1, CIn: 6, COut: 6, H: 4, W: 4, KH: 3, KW: 3, StrideH: 2, StrideW: 2, PadH: 1, PadW: 1, Groups: 6, HasBias: true, FusedActivation: ActReLU},
 		{N: 2, CIn: 5, COut: 3, H: 1, W: 1, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1, HasBias: true},
+		// the same short planes with a vector of output channels per group,
+		// which a prepared direct conv runs over its channels: a head over a
+		// 1x1 map (a 64-channel block and a tail), and 2x2 outputs of a
+		// grouped stride-2 conv
+		{N: 2, CIn: 5, COut: 84, H: 1, W: 1, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1, HasBias: true},
+		{N: 1, CIn: 6, COut: 40, H: 3, W: 4, KH: 3, KW: 3, StrideH: 2, StrideW: 2, PadH: 1, PadW: 1, Groups: 2, HasBias: true, FusedActivation: ActReLU},
 		// planes larger than the row kernel's scratch: three bands of output
 		// rows over stride-2 phase planes, and a plane wider than the scratch
 		{N: 1, CIn: 2, COut: 3, H: 40, W: 100, KH: 3, KW: 3, StrideH: 2, StrideW: 2, PadH: 1, PadW: 1, HasBias: true, FusedActivation: ActLeakyReLU},

@@ -54,19 +54,20 @@ func MultiboxDetection(clsProb, locPred, anchors *tensor.Tensor, cfg NMSConfig) 
 			// Pick the best foreground class.
 			bestCls, bestScore := -1, float32(0)
 			for c := 1; c < numClasses; c++ {
-				if p := clsProb.At(b, c, a); p > bestScore {
+				if p := clsProb.GetF((b*numClasses+c)*numAnchors + a); p > bestScore {
 					bestScore = p
 					bestCls = c - 1
 				}
 			}
+			ba := b*numAnchors + a // the anchor's row of locPred and of dets
 			box := DecodeBox(
-				[4]float32{anchors.At(0, a, 0), anchors.At(0, a, 1), anchors.At(0, a, 2), anchors.At(0, a, 3)},
-				[4]float32{locPred.At(b, a*4), locPred.At(b, a*4+1), locPred.At(b, a*4+2), locPred.At(b, a*4+3)},
+				[4]float32{anchors.GetF(a * 4), anchors.GetF(a*4 + 1), anchors.GetF(a*4 + 2), anchors.GetF(a*4 + 3)},
+				[4]float32{locPred.GetF(ba * 4), locPred.GetF(ba*4 + 1), locPred.GetF(ba*4 + 2), locPred.GetF(ba*4 + 3)},
 			)
-			dets.Set(float32(bestCls), b, a, 0)
-			dets.Set(bestScore, b, a, 1)
-			for k := 0; k < 4; k++ {
-				dets.Set(box[k], b, a, 2+k)
+			dets.SetF(ba*DetWidth, float32(bestCls))
+			dets.SetF(ba*DetWidth+1, bestScore)
+			for k, v := range box {
+				dets.SetF(ba*DetWidth+2+k, v)
 			}
 		}
 	}
@@ -168,20 +169,17 @@ func YoloDecode(feat *tensor.Tensor, anchorsWH [][2]float32, numClasses, stride 
 	attrs := 5 + numClasses
 	out := tensor.New(batch, gh*gw*na, DetWidth)
 	sig := func(v float32) float32 { return float32(1 / (1 + math.Exp(-float64(v)))) }
+	plane, r := gh*gw, 0 // r: the next output row's offset
 	for b := 0; b < batch; b++ {
-		idx := 0
 		for y := 0; y < gh; y++ {
 			for x := 0; x < gw; x++ {
 				for a := 0; a < na; a++ {
-					ch := a * attrs
-					tx := sig(feat.At(b, ch+0, y, x))
-					ty := sig(feat.At(b, ch+1, y, x))
-					tw := feat.At(b, ch+2, y, x)
-					th := feat.At(b, ch+3, y, x)
-					obj := sig(feat.At(b, ch+4, y, x))
+					o := (b*s[1]+a*attrs)*plane + y*gw + x // attribute j of the anchor at o + j*plane
+					tx, ty := sig(feat.GetF(o)), sig(feat.GetF(o+plane))
+					tw, th, obj := feat.GetF(o+2*plane), feat.GetF(o+3*plane), sig(feat.GetF(o+4*plane))
 					bestCls, bestP := 0, float32(0)
 					for c := 0; c < numClasses; c++ {
-						if p := sig(feat.At(b, ch+5+c, y, x)); p > bestP {
+						if p := sig(feat.GetF(o + (5+c)*plane)); p > bestP {
 							bestP = p
 							bestCls = c
 						}
@@ -190,13 +188,10 @@ func YoloDecode(feat *tensor.Tensor, anchorsWH [][2]float32, numClasses, stride 
 					cy := (float32(y) + ty) * float32(stride)
 					bw := anchorsWH[a][0] * float32(math.Exp(float64(tw)))
 					bh := anchorsWH[a][1] * float32(math.Exp(float64(th)))
-					out.Set(float32(bestCls), b, idx, 0)
-					out.Set(obj*bestP, b, idx, 1)
-					out.Set(cx-bw/2, b, idx, 2)
-					out.Set(cy-bh/2, b, idx, 3)
-					out.Set(cx+bw/2, b, idx, 4)
-					out.Set(cy+bh/2, b, idx, 5)
-					idx++
+					for k, v := range [DetWidth]float32{float32(bestCls), obj * bestP, cx - bw/2, cy - bh/2, cx + bw/2, cy + bh/2} {
+						out.SetF(r+k, v)
+					}
+					r += DetWidth
 				}
 			}
 		}

@@ -71,10 +71,8 @@ func BoxNMS(dets *tensor.Tensor, cfg NMSConfig) *tensor.Tensor {
 
 	// One segmented sort across the whole batch (scores descending).
 	scores := make([]float32, batch*num)
-	for b := 0; b < batch; b++ {
-		for i := 0; i < num; i++ {
-			scores[b*num+i] = dets.At(b, i, 1)
-		}
+	for r := range scores {
+		scores[r] = dets.GetF(r*DetWidth + 1)
 	}
 	sizes := make([]int, batch)
 	for b := range sizes {
@@ -100,11 +98,11 @@ func nmsOneBatch(dets, out *tensor.Tensor, order []int32, b, num int, cfg NMSCon
 	}
 	cands := make([]cand, 0, limit)
 	for _, flat := range order[:limit] {
-		i := int(flat) - b*num
+		r := int(flat) * DetWidth // flat = b*num + i: row i of batch b
 		c := cand{
-			cls:   dets.At(b, i, 0),
-			score: dets.At(b, i, 1),
-			box:   [4]float32{dets.At(b, i, 2), dets.At(b, i, 3), dets.At(b, i, 4), dets.At(b, i, 5)},
+			cls:   dets.GetF(r),
+			score: dets.GetF(r + 1),
+			box:   [4]float32{dets.GetF(r + 2), dets.GetF(r + 3), dets.GetF(r + 4), dets.GetF(r + 5)},
 		}
 		if c.cls < 0 || c.score < cfg.ScoreThreshold {
 			continue
@@ -126,10 +124,11 @@ func nmsOneBatch(dets, out *tensor.Tensor, order []int32, b, num int, cfg NMSCon
 			continue
 		}
 		c := cands[i]
-		out.Set(c.cls, b, kept, 0)
-		out.Set(c.score, b, kept, 1)
-		for k := 0; k < 4; k++ {
-			out.Set(c.box[k], b, kept, 2+k)
+		r := (b*num + kept) * DetWidth
+		out.SetF(r, c.cls)
+		out.SetF(r+1, c.score)
+		for k, v := range c.box {
+			out.SetF(r+2+k, v)
 		}
 		kept++
 		// Predicated parallel suppression sweep over later candidates.
@@ -153,8 +152,8 @@ func SequentialNMS(dets *tensor.Tensor, cfg NMSConfig) *tensor.Tensor {
 	}
 	for b := 0; b < batch; b++ {
 		scores := make([]float32, num)
-		for i := 0; i < num; i++ {
-			scores[i] = dets.At(b, i, 1)
+		for i := range scores {
+			scores[i] = dets.GetF((b*num+i)*DetWidth + 1)
 		}
 		order := NaiveSegmentedArgsort(scores, NewEvenSegments(num), true)
 		ord := make([]int32, num)

@@ -10,6 +10,7 @@
 package vision
 
 import (
+	"slices"
 	"sort"
 
 	"unigpu/internal/par"
@@ -78,17 +79,17 @@ func SegmentedArgsort(data []float32, segs Segments, descending bool) []int32 {
 	for i := range items {
 		items[i] = keyed{key: data[i], seg: int32(segs.SegmentOf(i)), idx: int32(i)}
 	}
-	less := lessFn(descending)
+	cmp := compareFn(descending)
 
 	// Block sorting: one "thread block" per chunk, in parallel.
-	par.For((n+sortBlock-1)/sortBlock, blockSortJob{items, less})
+	par.For((n+sortBlock-1)/sortBlock, blockSortJob{items, cmp})
 
 	// Cooperative merge: coop 2, coop 4, ... (Figure 2). Each round merges
 	// adjacent sorted runs of `width` blocks; runs whose interface is
 	// already ordered are skipped (the "active interface" optimization).
 	buf := make([]keyed, n)
 	for width := sortBlock; width < n; width *= 2 {
-		par.For((n+2*width-1)/(2*width), mergeJob{items, buf, width, less})
+		par.For((n+2*width-1)/(2*width), mergeJob{items, buf, width, cmp})
 	}
 
 	out := make([]int32, n)
@@ -102,15 +103,15 @@ func SegmentedArgsort(data []float32, segs Segments, descending bool) []int32 {
 const sortBlock = 256
 
 // blockSortJob sorts block i of items in place; the sort is stable and the
-// blocks disjoint, so the result does not depend on who runs which.
+// blocks disjoint, so the result does not depend on who runs which. The
+// typed sort needs neither a reflective swapper nor a closure per block.
 type blockSortJob struct {
 	items []keyed
-	less  func(a, b keyed) bool
+	cmp   func(a, b keyed) int
 }
 
 func (j blockSortJob) Run(i int) {
-	part := j.items[i*sortBlock : min((i+1)*sortBlock, len(j.items))]
-	sort.SliceStable(part, func(a, b int) bool { return j.less(part[a], part[b]) })
+	slices.SortStableFunc(j.items[i*sortBlock:min((i+1)*sortBlock, len(j.items))], j.cmp)
 }
 
 // mergeJob merges pair i of adjacent sorted runs of width elements through
@@ -118,45 +119,41 @@ func (j blockSortJob) Run(i int) {
 type mergeJob struct {
 	items, buf []keyed
 	width      int
-	less       func(a, b keyed) bool
+	cmp        func(a, b keyed) int
 }
 
 func (j mergeJob) Run(i int) {
 	n := len(j.items)
 	lo := i * 2 * j.width
 	mid, hi := min(lo+j.width, n), min(lo+2*j.width, n)
-	if mid < hi && j.less(j.items[mid], j.items[mid-1]) { // else the interface is already ordered: no work
-		mergeRuns(j.items, j.buf, lo, mid, hi, j.less)
+	if mid < hi && j.cmp(j.items[mid], j.items[mid-1]) < 0 { // else the interface is already ordered: no work
+		mergeRuns(j.items, j.buf, lo, mid, hi, j.cmp)
 	}
 }
 
-func lessFn(descending bool) func(a, b keyed) bool {
-	if descending {
-		return func(a, b keyed) bool {
-			if a.seg != b.seg {
-				return a.seg < b.seg
+// compareFn orders items by segment, then key (descending or ascending),
+// then original position, which keeps equal keys stable; a is before b
+// exactly when the result is negative. A NaN key is never before another
+// key, nor another key before it.
+func compareFn(descending bool) func(a, b keyed) int {
+	return func(a, b keyed) int {
+		switch {
+		case a.seg != b.seg:
+			return int(a.seg - b.seg)
+		case a.key != b.key:
+			if descending && a.key > b.key || !descending && a.key < b.key {
+				return -1
 			}
-			if a.key != b.key {
-				return a.key > b.key
-			}
-			return a.idx < b.idx // stable within equal keys
+			return 1
 		}
-	}
-	return func(a, b keyed) bool {
-		if a.seg != b.seg {
-			return a.seg < b.seg
-		}
-		if a.key != b.key {
-			return a.key < b.key
-		}
-		return a.idx < b.idx
+		return int(a.idx - b.idx)
 	}
 }
 
-func mergeRuns(items, buf []keyed, lo, mid, hi int, less func(a, b keyed) bool) {
+func mergeRuns(items, buf []keyed, lo, mid, hi int, cmp func(a, b keyed) int) {
 	i, j, k := lo, mid, lo
 	for i < mid && j < hi {
-		if less(items[j], items[i]) {
+		if cmp(items[j], items[i]) < 0 {
 			buf[k] = items[j]
 			j++
 		} else {
