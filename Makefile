@@ -22,10 +22,10 @@ race:
 # the portable GEMM tile and row loops to compiling (and vetting, tests
 # included) where the amd64 assembly of internal/ops, internal/tensor and
 # internal/cpu does not exist; vet's asmdecl check covers the assembly's
-# frame layouts on amd64. The import checks keep the graph executor from
-# learning what is inside an operator again (it sees graph.PreparedOp only)
-# and the worker pool a leaf that anything may call: internal/par imports
-# the standard library and nothing of this module. The pool, the kernels
+# frame layouts on amd64. The module's import layering (the harness a
+# leaf of the product, internal/par on the standard library only,
+# internal/runtime blind to internal/ops) is TestModuleLayers in
+# layers_test.go, which the test runs below include. The pool, the kernels
 # that fan out through it and the vision operators (whose block sort, merge
 # and scan fan out through it too) run under the race detector at one, two
 # and four cores (-cpu raises GOMAXPROCS past the host's cores too): no
@@ -33,10 +33,6 @@ race:
 verify:
 	$(GO) build ./...
 	$(GO) vet ./...
-	@if $(GO) list -f '{{join .Imports "\n"}}' ./internal/runtime | grep -qx unigpu/internal/ops; then \
-		echo "internal/runtime must not import unigpu/internal/ops"; exit 1; fi
-	@if $(GO) list -f '{{join .Imports "\n"}}' ./internal/par | grep -q '^unigpu/'; then \
-		echo "internal/par must import the standard library only"; exit 1; fi
 	GOARCH=arm64 $(GO) build ./...
 	GOARCH=arm64 $(GO) vet ./internal/ops ./internal/tensor ./internal/cpu
 	$(GO) test -race -cpu 1,2,4 ./internal/par ./internal/ops ./internal/vision

@@ -17,6 +17,7 @@ import (
 	"sync"
 	"testing"
 
+	"unigpu/internal/autotvm"
 	"unigpu/internal/bench"
 	"unigpu/internal/graphtuner"
 	"unigpu/internal/ops"
@@ -219,7 +220,7 @@ func BenchmarkAblationGraphTuner_DPvsGreedy(b *testing.B) {
 			KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1})
 	}
 	d := sim.MaliT860
-	cands := make([][]graphtuner.Candidate, len(chain))
+	cands := make([][]autotvm.Candidate, len(chain))
 	for i, w := range chain {
 		cands[i] = graphtuner.CandidatesFor(w, d, 16, 1)
 	}

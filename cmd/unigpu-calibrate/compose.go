@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"unigpu/internal/bench"
+	"unigpu/internal/price"
 	"unigpu/internal/sim"
 )
 
@@ -14,7 +15,7 @@ func compose(e *bench.Estimator, name string, p *sim.Platform) {
 	m := e.Model(name, p)
 	plan := e.TunedConvMs(m, p.GPU)
 	other := e.OtherOpsMs(m, p.GPU)
-	vis := bench.OptimizedVisionMs(m.Vision, p.GPU)
+	vis := price.OptimizedVisionMs(m.Vision, p.GPU)
 	fmt.Printf("%s on %s: conv %.1f (kernel %.1f + transform %.1f) other %.1f vision %.1f\n",
 		name, p.Name, plan.TotalMs, plan.KernelMs, plan.TransformMs, other, vis)
 	type kv struct {

@@ -37,7 +37,7 @@ func main() {
 
 	// The paper's measurement, at full 512x512 on the simulated DeepLens:
 	// entire model on the integrated GPU vs NMS fallen back to the CPU.
-	res := eng.Experiments().FallbackExperiment()
+	res := bench.NewEstimator().FallbackExperiment()
 	fmt.Printf("\nSSD_ResNet50 on AWS DeepLens (512x512):\n")
 	fmt.Printf("  all on integrated GPU : %8.2f ms   (paper: %.2f ms)\n", res.AllGPUMs, bench.PaperFallback.AllGPUMs)
 	fmt.Printf("  NMS fallback to CPU   : %8.2f ms   (paper: %.2f ms)\n", res.FallbackMs, bench.PaperFallback.FallbackMs)

@@ -9,8 +9,8 @@ import (
 	"log"
 
 	"unigpu"
-	"unigpu/internal/bench"
 	"unigpu/internal/models"
+	"unigpu/internal/price"
 	"unigpu/internal/sim"
 )
 
@@ -48,13 +48,9 @@ func main() {
 	fmt.Println("\nvision-specific operator pipeline, SSD_MobileNet1.0 (full size):")
 	fmt.Printf("%-22s %14s %14s %9s\n", "platform", "naive (ms)", "optimized (ms)", "gain")
 	for _, p := range sim.Platforms() {
-		size := models.DefaultInputSize("SSD_MobileNet1.0")
-		if p == sim.AiSage {
-			size = 300
-		}
-		m := models.Build("SSD_MobileNet1.0", size, true)
-		naive := bench.NaiveVisionMs(m.Vision, p.GPU)
-		opt := bench.OptimizedVisionMs(m.Vision, p.GPU)
+		m := models.Build("SSD_MobileNet1.0", price.InputSize("SSD_MobileNet1.0", p), true)
+		naive := price.NaiveVisionMs(m.Vision, p.GPU)
+		opt := price.OptimizedVisionMs(m.Vision, p.GPU)
 		fmt.Printf("%-22s %14.2f %14.2f %8.1fx\n", p.Name, naive, opt, naive/opt)
 	}
 	fmt.Println("\nMali (no shared memory) gains the most — §4.3's observation.")

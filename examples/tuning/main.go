@@ -66,7 +66,7 @@ func main() {
 		{N: 1, CIn: 64, H: 112, W: 112, COut: 64, KH: 1, KW: 1, StrideH: 1, StrideW: 1},
 		{N: 1, CIn: 64, H: 112, W: 112, COut: 128, KH: 3, KW: 3, StrideH: 2, StrideW: 2, PadH: 1, PadW: 1},
 	}
-	cands := make([][]graphtuner.Candidate, len(chain))
+	cands := make([][]autotvm.Candidate, len(chain))
 	for i, cw := range chain {
 		cands[i] = graphtuner.CandidatesFor(cw, d, 24, 1)
 	}

@@ -34,10 +34,11 @@ const KindCandidates = "candidates"
 // cost model.
 const KindKernel = "kernel"
 
-// StoredCandidate is one per-layout (block, schedule) choice of a
-// graph-tuner search, mirroring graphtuner.Candidate without importing it.
-type StoredCandidate struct {
-	Block    int              `json:"block"`
+// Candidate is one per-layout (block, schedule) choice of a graph-tuner
+// search (internal/graphtuner), as the tuner ranks it and the records
+// database stores it.
+type Candidate struct {
+	Block    int              `json:"block"` // channel block x of NCHW[x]c (1 = plain NCHW)
 	Config   templates.Config `json:"config"`
 	KernelMs float64          `json:"kernel_ms"`
 }
@@ -53,8 +54,8 @@ type StoredRecord struct {
 	// Budget is the per-layout search budget a candidate-set record was
 	// produced with; a lookup asking for a bigger budget misses so a cheap
 	// early search never permanently shadows a better one.
-	Budget     int               `json:"budget,omitempty"`
-	Candidates []StoredCandidate `json:"candidates,omitempty"`
+	Budget     int         `json:"budget,omitempty"`
+	Candidates []Candidate `json:"candidates,omitempty"`
 	// Kernel is the conv algorithm name of a KindKernel record.
 	Kernel string `json:"kernel,omitempty"`
 	// DType is the storage dtype a KindKernel record was selected for.
@@ -127,7 +128,10 @@ func (db *DB) Save() error {
 		if recs[i].Kind != recs[j].Kind {
 			return recs[i].Kind < recs[j].Kind
 		}
-		return recs[i].Workload < recs[j].Workload
+		if recs[i].Workload != recs[j].Workload {
+			return recs[i].Workload < recs[j].Workload
+		}
+		return recs[i].DType < recs[j].DType
 	})
 	data, err := json.MarshalIndent(recs, "", "  ")
 	if err != nil {
@@ -231,28 +235,28 @@ func (db *DB) lookupWithBudget(t Task, budget int) (Result, bool) {
 // LookupCandidates returns the stored graph-tuner candidate set for a
 // (device, workload) pair, provided it was produced with at least
 // minBudget trials per layout.
-func (db *DB) LookupCandidates(device, workload string, minBudget int) ([]StoredCandidate, bool) {
+func (db *DB) LookupCandidates(device, workload string, minBudget int) ([]Candidate, bool) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	r, ok := db.records[device+"|"+KindCandidates+"|"+workload]
 	if !ok || r.Budget < minBudget {
 		return nil, false
 	}
-	out := make([]StoredCandidate, len(r.Candidates))
+	out := make([]Candidate, len(r.Candidates))
 	copy(out, r.Candidates)
 	return out, true
 }
 
 // StoreCandidates records a graph-tuner candidate set for a (device,
 // workload) pair, replacing any smaller-budget set.
-func (db *DB) StoreCandidates(device, workload string, budget int, cands []StoredCandidate) {
+func (db *DB) StoreCandidates(device, workload string, budget int, cands []Candidate) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	key := device + "|" + KindCandidates + "|" + workload
 	if old, ok := db.records[key]; ok && old.Budget > budget {
 		return // an existing deeper search wins
 	}
-	stored := make([]StoredCandidate, len(cands))
+	stored := make([]Candidate, len(cands))
 	copy(stored, cands)
 	db.records[key] = StoredRecord{
 		Device:     device,

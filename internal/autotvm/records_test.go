@@ -119,7 +119,7 @@ func TestTuneKeepsFasterEarlierResult(t *testing.T) {
 func TestCandidateRecordsRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "records.json")
 	db := NewDB(path)
-	cands := []StoredCandidate{
+	cands := []Candidate{
 		{Block: 1, Config: templates.Config{TileCo: 1, TileH: 1, TileW: 4, VecW: 1, TileK: 1}, KernelMs: 0.75},
 		{Block: 4, Config: templates.Config{TileCo: 4, TileH: 2, TileW: 8, VecW: 4, TileK: 2, UnrollKernel: true}, KernelMs: 0.25},
 	}
@@ -284,6 +284,31 @@ func TestKernelChoiceDTypeRoundTrip(t *testing.T) {
 	for _, dt := range []string{"", "fp32"} {
 		if got, ok := ldb.LookupKernelChoiceDType(dev, wl, dt); !ok || got != "direct" {
 			t.Errorf("legacy file dtype %q: got %q/%v, want direct", dt, got, ok)
+		}
+	}
+}
+
+// TestSaveIsDeterministic holds Save to one byte stream however the map
+// iterates, including kernel records that differ only in dtype.
+func TestSaveIsDeterministic(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "records.json")
+	db := NewDB(path)
+	for _, dt := range []string{"", "fp16", "int8"} {
+		db.StoreKernelChoiceDType("testdev", "conv n1c64", dt, "gemm", 1)
+	}
+	var first []byte
+	for i := 0; i < 20; i++ {
+		if err := db.Save(); err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			first = data
+		} else if string(data) != string(first) {
+			t.Fatalf("save %d wrote different bytes from the first", i)
 		}
 	}
 }

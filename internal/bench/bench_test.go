@@ -2,6 +2,7 @@ package bench
 
 import (
 	"math"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -238,5 +239,18 @@ func TestExperimentsReportRenders(t *testing.T) {
 	irL, cuL, clL := IRSizeExperiment()
 	if irL <= 0 || irL >= cuL || cuL+clL < 2*irL {
 		t.Errorf("IR size experiment inconsistent: %d IR, %d CUDA, %d OpenCL", irL, cuL, clL)
+	}
+}
+
+// TestExperimentsMDIsCurrent pins EXPERIMENTS.md's generated section, the
+// document's head, to what the stack prints today.
+func TestExperimentsMDIsCurrent(t *testing.T) {
+	artifacts()
+	doc, err := os.ReadFile("../../EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasPrefix(string(doc), est.ExperimentsReport()) {
+		t.Error("EXPERIMENTS.md does not begin with ExperimentsReport(); regenerate its head with go run ./cmd/unigpu-bench -table experiments")
 	}
 }

@@ -8,8 +8,6 @@ import (
 	"unigpu/internal/vision"
 )
 
-func platforms() []*sim.Platform { return sim.Platforms() }
-
 // Figure2Demo traces the segmented-sort pipeline of Figure 2 on a small
 // example: per-segment data, block sorting, and the final per-segment
 // ordering, with the modelled GPU cost comparison.
@@ -32,7 +30,7 @@ func Figure2Demo() string {
 	}
 
 	b.WriteString("\nmodelled GPU cost, 24528 boxes (SSD512), 20 classes:\n")
-	for _, p := range platforms() {
+	for _, p := range sim.Platforms() {
 		fmt.Fprintf(&b, "  %-22s naive per-segment %8.2f ms   segmented %6.2f ms\n",
 			p.Name, vision.NaiveSortCost(p.GPU, 24528, 20)*1e3, vision.SegmentedSortCost(p.GPU, 24528)*1e3)
 	}
@@ -83,7 +81,7 @@ func Figure3Demo() string {
 	fmt.Fprintf(&b, "\ndown-sweep (add carries back):\n  %v\n", out)
 
 	b.WriteString("\nmodelled GPU cost, 1M elements:\n")
-	for _, p := range platforms() {
+	for _, p := range sim.Platforms() {
 		fmt.Fprintf(&b, "  %-22s Hillis–Steele %8.2f ms   3-stage register-blocked %6.2f ms\n",
 			p.Name, vision.NaiveScanCost(p.GPU, 1<<20)*1e3, vision.ScanCost(p.GPU, 1<<20)*1e3)
 	}

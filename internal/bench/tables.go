@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"unigpu/internal/baselines"
+	"unigpu/internal/price"
 	"unigpu/internal/sim"
 )
 
@@ -28,17 +29,10 @@ type Table struct {
 // OverallTable regenerates Table 1 (DeepLens vs OpenVINO), Table 2 (aiSage
 // vs ACL) or Table 3 (Jetson Nano vs cuDNN).
 func (e *Estimator) OverallTable(num int) Table {
-	var p *sim.Platform
-	switch num {
-	case 1:
-		p = sim.DeepLens
-	case 2:
-		p = sim.AiSage
-	case 3:
-		p = sim.JetsonNano
-	default:
+	if num < 1 || num > 3 {
 		panic("bench: tables 1-3 only")
 	}
+	p := sim.Platforms()[num-1]
 	prof := baselines.ForPlatform(p)
 	t := Table{Number: num, Platform: p, Baseline: prof.Name}
 	for _, name := range modelOrder {
@@ -69,28 +63,26 @@ type AblationRow struct {
 // VisionAblation regenerates Table 4: detection models with and without
 // the §3.1 vision-specific operator optimizations, per device.
 func (e *Estimator) VisionAblation() []AblationRow {
-	var rows []AblationRow
-	for _, p := range sim.Platforms() {
-		for _, name := range modelOrder[3:] {
-			before := e.OursMs(name, p, true, false)
-			after := e.OursMs(name, p, true, true)
-			rows = append(rows, AblationRow{
-				Device: p.Name, Model: name,
-				BeforeMs: before, AfterMs: after, Speedup: before / after,
-			})
-		}
-	}
-	return rows
+	return e.ablation(modelOrder[3:], func(name string, p *sim.Platform, on bool) float64 {
+		return e.OursMs(name, p, true, on)
+	})
 }
 
 // TuningAblation regenerates Table 5: classification models with default
 // vs searched convolution schedules, per device.
 func (e *Estimator) TuningAblation() []AblationRow {
+	return e.ablation(modelOrder[:3], func(name string, p *sim.Platform, on bool) float64 {
+		return e.OursMs(name, p, on, true)
+	})
+}
+
+// ablation prices each model on each platform with one optimization off
+// (before) and on (after).
+func (e *Estimator) ablation(names []string, ms func(name string, p *sim.Platform, on bool) float64) []AblationRow {
 	var rows []AblationRow
 	for _, p := range sim.Platforms() {
-		for _, name := range modelOrder[:3] {
-			before := e.OursMs(name, p, false, true)
-			after := e.OursMs(name, p, true, true)
+		for _, name := range names {
+			before, after := ms(name, p, false), ms(name, p, true)
 			rows = append(rows, AblationRow{
 				Device: p.Name, Model: name,
 				BeforeMs: before, AfterMs: after, Speedup: before / after,
@@ -113,9 +105,8 @@ type FallbackResult struct {
 func (e *Estimator) FallbackExperiment() FallbackResult {
 	p := sim.DeepLens
 	m := e.Model("SSD_ResNet50", p)
-	base := e.TunedConvMs(m, p.GPU).TotalMs + e.OtherOpsMs(m, p.GPU)
-	all := base + OptimizedVisionMs(m.Vision, p.GPU)
-	fb := base + FallbackVisionMs(m.Vision, p)
+	all := e.Price(m, p, true, price.Optimized).TotalMs
+	fb := e.Price(m, p, true, price.Fallback).TotalMs
 	return FallbackResult{
 		AllGPUMs:    all,
 		FallbackMs:  fb,

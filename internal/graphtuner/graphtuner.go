@@ -14,18 +14,12 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"unigpu/internal/autotvm"
 	"unigpu/internal/obs"
 	"unigpu/internal/ops"
 	"unigpu/internal/sim"
 	"unigpu/internal/templates"
 )
-
-// Candidate is one (layout, schedule) choice for a conv node.
-type Candidate struct {
-	Block    int // channel block x of NCHW[x]c (1 = plain NCHW)
-	Config   templates.Config
-	KernelMs float64
-}
 
 // LayoutBlocks are the channel blockings considered per node.
 var LayoutBlocks = []int{1, 2, 4, 8, 16, 32}
@@ -34,7 +28,7 @@ var LayoutBlocks = []int{1, 2, 4, 8, 16, 32}
 // restricted to schedules whose output-channel blocking equals the layout
 // block, so the candidate's kernel time reflects operating natively in
 // that layout.
-func CandidatesFor(w ops.ConvWorkload, d *sim.Device, budget int, seed int64) []Candidate {
+func CandidatesFor(w ops.ConvWorkload, d *sim.Device, budget int, seed int64) []autotvm.Candidate {
 	return CandidatesForUnder(nil, w, d, budget, seed)
 }
 
@@ -44,7 +38,7 @@ func CandidatesFor(w ops.ConvWorkload, d *sim.Device, budget int, seed int64) []
 // concurrently — each layout has an independent restricted space and its
 // own deterministic RNG (seed + block), so the result is identical to the
 // sequential search.
-func CandidatesForUnder(parent *obs.Span, w ops.ConvWorkload, d *sim.Device, budget int, seed int64) []Candidate {
+func CandidatesForUnder(parent *obs.Span, w ops.ConvWorkload, d *sim.Device, budget int, seed int64) []autotvm.Candidate {
 	var sp *obs.Span
 	if parent != nil {
 		sp = parent.Child("graphtuner.candidates",
@@ -55,7 +49,7 @@ func CandidatesForUnder(parent *obs.Span, w ops.ConvWorkload, d *sim.Device, bud
 	}
 	defer sp.End()
 	space := templates.ConfigSpace(w, d)
-	results := make([]*Candidate, len(LayoutBlocks))
+	results := make([]*autotvm.Candidate, len(LayoutBlocks))
 	var measured atomic.Int64
 	var wg sync.WaitGroup
 	for bi, b := range LayoutBlocks {
@@ -80,7 +74,7 @@ func CandidatesForUnder(parent *obs.Span, w ops.ConvWorkload, d *sim.Device, bud
 				return
 			}
 			rng := rand.New(rand.NewSource(seed + int64(b)))
-			best := Candidate{Block: b, KernelMs: math.Inf(1)}
+			best := autotvm.Candidate{Block: b, KernelMs: math.Inf(1)}
 			trials := budget
 			if trials >= len(restricted) {
 				trials = len(restricted) // grid when affordable
@@ -105,7 +99,7 @@ func CandidatesForUnder(parent *obs.Span, w ops.ConvWorkload, d *sim.Device, bud
 		}(bi, b)
 	}
 	wg.Wait()
-	out := make([]Candidate, 0, len(results))
+	out := make([]autotvm.Candidate, 0, len(results))
 	for _, r := range results {
 		if r != nil {
 			out = append(out, *r)
@@ -129,7 +123,7 @@ func TransformMs(w ops.ConvWorkload, fromBlock, toBlock int, d *sim.Device) floa
 
 // Plan is the tuner's decision for a conv sequence.
 type Plan struct {
-	Choices      []Candidate // one per workload
+	Choices      []autotvm.Candidate // one per workload
 	KernelMs     float64
 	TransformMs  float64
 	TotalMs      float64
@@ -141,7 +135,7 @@ type Plan struct {
 // transform between consecutive blocks. The first conv additionally pays
 // the NCHW -> blocked packing of the network input when it picks a blocked
 // layout.
-func Optimize(workloads []ops.ConvWorkload, cands [][]Candidate, d *sim.Device) Plan {
+func Optimize(workloads []ops.ConvWorkload, cands [][]autotvm.Candidate, d *sim.Device) Plan {
 	n := len(workloads)
 	if n == 0 {
 		return Plan{}
@@ -180,7 +174,7 @@ func Optimize(workloads []ops.ConvWorkload, cands [][]Candidate, d *sim.Device) 
 			best, bestJ = v, j
 		}
 	}
-	plan := Plan{Choices: make([]Candidate, n), TotalMs: best}
+	plan := Plan{Choices: make([]autotvm.Candidate, n), TotalMs: best}
 	j := bestJ
 	for i := n - 1; i >= 0; i-- {
 		plan.Choices[i] = cands[i][j]
@@ -202,11 +196,11 @@ func Optimize(workloads []ops.ConvWorkload, cands [][]Candidate, d *sim.Device) 
 
 // Greedy is the ablation baseline: every node takes its individually
 // fastest kernel and pays whatever transforms result.
-func Greedy(workloads []ops.ConvWorkload, cands [][]Candidate, d *sim.Device) Plan {
+func Greedy(workloads []ops.ConvWorkload, cands [][]autotvm.Candidate, d *sim.Device) Plan {
 	n := len(workloads)
-	plan := Plan{Choices: make([]Candidate, n)}
+	plan := Plan{Choices: make([]autotvm.Candidate, n)}
 	for i := range workloads {
-		best := Candidate{KernelMs: math.Inf(1)}
+		best := autotvm.Candidate{KernelMs: math.Inf(1)}
 		for _, c := range cands[i] {
 			if c.KernelMs < best.KernelMs {
 				best = c
@@ -234,7 +228,7 @@ func TuneSequence(workloads []ops.ConvWorkload, d *sim.Device, budget int, seed 
 	sp := obs.Start("graphtuner.tune_sequence",
 		obs.KVInt("convs", len(workloads)), obs.KV("device", d.Name))
 	defer sp.End()
-	cands := make([][]Candidate, len(workloads))
+	cands := make([][]autotvm.Candidate, len(workloads))
 	for i, w := range workloads {
 		cands[i] = CandidatesFor(w, d, budget, seed)
 	}

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"unigpu/internal/autotvm"
 	"unigpu/internal/ops"
 	"unigpu/internal/sim"
 )
@@ -60,7 +61,7 @@ func TestDPNeverWorseThanGreedy(t *testing.T) {
 		conv(64, 56, 16, 1, 1, 0),
 	}
 	for _, d := range []*sim.Device{sim.IntelHD505, sim.MaliT860, sim.MaxwellNano} {
-		cands := make([][]Candidate, len(chain))
+		cands := make([][]autotvm.Candidate, len(chain))
 		for i, w := range chain {
 			cands[i] = CandidatesFor(w, d, 12, 7)
 		}
@@ -80,7 +81,7 @@ func TestDPAvoidsTransformsWhenKernelsTie(t *testing.T) {
 	// must pick matching layouts (zero transforms); a transform-oblivious
 	// choice could alternate.
 	w := conv(16, 28, 16, 3, 1, 1)
-	cands := [][]Candidate{
+	cands := [][]autotvm.Candidate{
 		{{Block: 4, KernelMs: 1.0}, {Block: 8, KernelMs: 1.0}},
 		{{Block: 4, KernelMs: 1.0}, {Block: 8, KernelMs: 1.0}},
 	}
@@ -93,7 +94,7 @@ func TestDPAvoidsTransformsWhenKernelsTie(t *testing.T) {
 func TestDPAcceptsTransformWhenKernelGainDominates(t *testing.T) {
 	w := conv(16, 28, 16, 3, 1, 1)
 	// Node 2's block-8 kernel is massively faster: worth a transform.
-	cands := [][]Candidate{
+	cands := [][]autotvm.Candidate{
 		{{Block: 4, KernelMs: 1.0}, {Block: 8, KernelMs: 5.0}},
 		{{Block: 4, KernelMs: 50.0}, {Block: 8, KernelMs: 1.0}},
 	}

@@ -209,7 +209,7 @@ func BuildN(name string, inputSize, batch int, lite bool) *Model {
 }
 
 // DefaultInputSize mirrors §4.1: classification at 224, detection at 512
-// (reduced to 300 on aiSage by the caller). The paper does not state the
+// (reduced to 300 on aiSage by price.InputSize). The paper does not state the
 // YOLOv3 input size; 320 (a standard GluonCV yolo3 option) is the size at
 // which the reported latencies are consistent with the ResNet-calibrated
 // device efficiencies on all three platforms, so the reproduction uses it.

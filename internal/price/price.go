@@ -1,9 +1,11 @@
-// Package bench is the experiment harness: it regenerates every table and
-// figure of the paper's evaluation (§4) from the stack — tuned and untuned
-// schedules from templates+autotvm+graphtuner, vision-operator costs from
-// internal/vision, vendor baselines from internal/baselines, all priced on
-// the simulated platforms of internal/sim.
-package bench
+// Package price is the simulated-latency half of the compiler (§3.2.3,
+// §4): tuned and default conv schedules from templates+autotvm+graphtuner,
+// the layout DP's transforms, the other operators' bandwidth cost and the
+// vision-operator pipeline, all priced on the devices of internal/sim.
+// Engine.Compile and the paper's table harness (internal/bench) both price
+// a model through Estimator.Price, so a compiled model and a table cell
+// agree to the bit.
+package price
 
 import (
 	"runtime"
@@ -35,9 +37,8 @@ type Estimator struct {
 	// before the first search; nil keeps the cache in-memory only.
 	DB *autotvm.DB
 
-	mu     sync.Mutex
-	cands  map[string]*candEntry
-	graphs map[string]*models.Model
+	mu    sync.Mutex
+	cands map[string]*candEntry
 }
 
 // candEntry is one singleflight slot of the candidates cache: the first
@@ -46,61 +47,29 @@ type Estimator struct {
 // duplicating the search.
 type candEntry struct {
 	once  sync.Once
-	cands []graphtuner.Candidate
+	cands []autotvm.Candidate
 }
 
 // NewEstimator returns an estimator with the default search budget.
 func NewEstimator() *Estimator {
-	return &Estimator{Budget: 48, Seed: 1,
-		cands: map[string]*candEntry{}, graphs: map[string]*models.Model{}}
+	return &Estimator{Budget: 48, Seed: 1, cands: map[string]*candEntry{}}
 }
 
-// jobs resolves the tuning worker-pool size.
-func (e *Estimator) jobs() int {
-	if e.Jobs > 0 {
-		return e.Jobs
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// Model returns the (lite, graph-optimized) model for pricing, cached.
-// Input size follows §4.1: the model default, except SSD on aiSage at 300.
-func (e *Estimator) Model(name string, p *sim.Platform) *models.Model {
-	size := models.DefaultInputSize(name)
+// InputSize is the square input a model is priced and compiled at on a
+// platform (§4.1): the model default, except SSD on aiSage at 300, the
+// memory limitation of the Mali GPU (§4.2).
+func InputSize(name string, p *sim.Platform) int {
 	if p == sim.AiSage && (name == "SSD_MobileNet1.0" || name == "SSD_ResNet50") {
-		size = 300 // memory limitation of the Mali GPU (§4.2)
+		return 300
 	}
-	key := name + "@" + itoa(size)
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if m, ok := e.graphs[key]; ok {
-		return m
-	}
-	m := models.Build(name, size, true)
-	graph.Optimize(m.Graph)
-	e.graphs[key] = m
-	return m
-}
-
-func itoa(v int) string {
-	if v == 0 {
-		return "0"
-	}
-	var buf [8]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return string(buf[i:])
+	return models.DefaultInputSize(name)
 }
 
 // candidates tunes one workload per candidate layout, cached per device
 // with singleflight semantics: concurrent callers of the same key share
 // one search. With a DB attached, the database is consulted before
 // searching and the winners stored after.
-func (e *Estimator) candidates(w ops.ConvWorkload, d *sim.Device, parent *obs.Span) []graphtuner.Candidate {
+func (e *Estimator) candidates(w ops.ConvWorkload, d *sim.Device, parent *obs.Span) []autotvm.Candidate {
 	key := d.Name + "|" + w.Key()
 	e.mu.Lock()
 	ent, ok := e.cands[key]
@@ -112,35 +81,17 @@ func (e *Estimator) candidates(w ops.ConvWorkload, d *sim.Device, parent *obs.Sp
 	ent.once.Do(func() {
 		if e.DB != nil {
 			if stored, ok := e.DB.LookupCandidates(d.Name, w.Key(), e.Budget); ok {
-				ent.cands = candidatesFromStored(stored)
+				ent.cands = stored
 				obs.Count("tune.db_hits", 1)
 				return
 			}
 		}
 		ent.cands = graphtuner.CandidatesForUnder(parent, w, d, e.Budget, e.Seed)
 		if e.DB != nil {
-			e.DB.StoreCandidates(d.Name, w.Key(), e.Budget, candidatesToStored(ent.cands))
+			e.DB.StoreCandidates(d.Name, w.Key(), e.Budget, ent.cands)
 		}
 	})
 	return ent.cands
-}
-
-// candidatesFromStored / candidatesToStored round-trip graph-tuner
-// candidate sets through the records database.
-func candidatesFromStored(stored []autotvm.StoredCandidate) []graphtuner.Candidate {
-	out := make([]graphtuner.Candidate, len(stored))
-	for i, s := range stored {
-		out[i] = graphtuner.Candidate{Block: s.Block, Config: s.Config, KernelMs: s.KernelMs}
-	}
-	return out
-}
-
-func candidatesToStored(cands []graphtuner.Candidate) []autotvm.StoredCandidate {
-	out := make([]autotvm.StoredCandidate, len(cands))
-	for i, c := range cands {
-		out[i] = autotvm.StoredCandidate{Block: c.Block, Config: c.Config, KernelMs: c.KernelMs}
-	}
-	return out
 }
 
 // TunedConvMs runs the graph tuner's DP over the model's conv sequence and
@@ -152,29 +103,23 @@ func (e *Estimator) TunedConvMs(m *models.Model, d *sim.Device) graphtuner.Plan 
 	sp := obs.Start("tune.conv_plan",
 		obs.KVInt("convs", len(m.Convs)), obs.KV("device", d.Name))
 	defer sp.End()
-	cands := make([][]graphtuner.Candidate, len(m.Convs))
-	jobs := e.jobs()
-	if jobs > len(m.Convs) {
-		jobs = len(m.Convs)
+	cands := make([][]autotvm.Candidate, len(m.Convs))
+	jobs := e.Jobs
+	if jobs <= 0 {
+		jobs = runtime.GOMAXPROCS(0)
 	}
-	if jobs <= 1 {
-		for i, w := range m.Convs {
+	var wg sync.WaitGroup
+	sem := make(chan struct{}, jobs)
+	for i, w := range m.Convs {
+		wg.Add(1)
+		sem <- struct{}{}
+		go func(i int, w ops.ConvWorkload) {
+			defer wg.Done()
+			defer func() { <-sem }()
 			cands[i] = e.candidates(w, d, sp)
-		}
-	} else {
-		var wg sync.WaitGroup
-		sem := make(chan struct{}, jobs)
-		for i, w := range m.Convs {
-			wg.Add(1)
-			sem <- struct{}{}
-			go func(i int, w ops.ConvWorkload) {
-				defer wg.Done()
-				defer func() { <-sem }()
-				cands[i] = e.candidates(w, d, sp)
-			}(i, w)
-		}
-		wg.Wait()
+		}(i, w)
 	}
+	wg.Wait()
 	plan := graphtuner.Optimize(m.Convs, cands, d)
 	sp.SetAttrs(obs.KVFloat("total_ms", plan.TotalMs))
 	return plan
@@ -257,23 +202,46 @@ func FallbackVisionMs(v *models.VisionProfile, p *sim.Platform) float64 {
 	return s * 1e3
 }
 
-// OursMs is the end-to-end latency of our stack for a model on a platform.
-// tuned selects searched vs default conv schedules (Table 5); visionOpt
-// selects the §3.1.1 operators vs the naive formulation (Table 4).
-func (e *Estimator) OursMs(name string, p *sim.Platform, tuned, visionOpt bool) float64 {
-	m := e.Model(name, p)
-	var conv float64
+// Vision selects how a detection model's post-processing is priced.
+type Vision int
+
+const (
+	Optimized Vision = iota // the §3.1.1 operators on the integrated GPU
+	Naive                   // the formulation before them (Table 4's "Before")
+	Fallback                // NMS on the companion CPU (§3.1.2)
+)
+
+// Latency is a model's simulated end-to-end latency and its breakdown.
+type Latency struct {
+	ConvKernelMs float64 // conv kernels, scaled to their storage dtypes
+	TransformMs  float64 // the layout DP's transforms (0 untuned)
+	VisionMs     float64
+	TotalMs      float64 // the above plus the other operators
+}
+
+// Price is the end-to-end latency of a model on a platform: searched
+// (tuned) or default conv schedules (Table 5), the layout transforms the
+// graph tuner chose, every other operator, and the vision pipeline in
+// variant v (Table 4, §3.1.2).
+func (e *Estimator) Price(m *models.Model, p *sim.Platform, tuned bool, v Vision) Latency {
+	var l Latency
 	if tuned {
-		conv = e.TunedConvMs(m, p.GPU).TotalMs
+		plan := e.TunedConvMs(m, p.GPU)
+		l.ConvKernelMs, l.TransformMs = plan.KernelMs, plan.TransformMs
 	} else {
-		conv = e.UntunedConvMs(m, p.GPU)
+		l.ConvKernelMs = e.UntunedConvMs(m, p.GPU)
 	}
-	other := e.OtherOpsMs(m, p.GPU)
-	var vis float64
-	if visionOpt {
-		vis = OptimizedVisionMs(m.Vision, p.GPU)
-	} else {
-		vis = NaiveVisionMs(m.Vision, p.GPU)
+	// Tuning searches schedules in fp32; narrowed convolutions scale the
+	// tuned kernel time by the roofline dtype ratio (exactly 1 for fp32).
+	l.ConvKernelMs *= graph.DTypeConvScale(m.Graph, p.GPU)
+	switch v {
+	case Fallback:
+		l.VisionMs = FallbackVisionMs(m.Vision, p)
+	case Naive:
+		l.VisionMs = NaiveVisionMs(m.Vision, p.GPU)
+	default:
+		l.VisionMs = OptimizedVisionMs(m.Vision, p.GPU)
 	}
-	return conv + other + vis
+	l.TotalMs = l.ConvKernelMs + l.TransformMs + e.OtherOpsMs(m, p.GPU) + l.VisionMs
+	return l
 }

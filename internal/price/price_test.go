@@ -1,4 +1,4 @@
-package bench
+package price
 
 import (
 	"path/filepath"

@@ -36,10 +36,10 @@ import (
 	"sync"
 
 	"unigpu/internal/autotvm"
-	"unigpu/internal/bench"
 	"unigpu/internal/graph"
 	"unigpu/internal/models"
 	"unigpu/internal/obs"
+	"unigpu/internal/price"
 	"unigpu/internal/runtime"
 	"unigpu/internal/sim"
 	"unigpu/internal/tensor"
@@ -160,7 +160,7 @@ func NewTuningDB(path string) *TuningDB { return autotvm.NewDB(path) }
 // Engine owns the tuning caches shared across compilations (the per-
 // platform schedule database of §3.2.3).
 type Engine struct {
-	est *bench.Estimator
+	est *price.Estimator
 }
 
 // EngineOptions configures the tuning pipeline shared by an engine's
@@ -180,12 +180,12 @@ type EngineOptions struct {
 }
 
 // NewEngine creates an engine with default search budgets.
-func NewEngine() *Engine { return &Engine{est: bench.NewEstimator()} }
+func NewEngine() *Engine { return &Engine{est: price.NewEstimator()} }
 
 // NewEngineWith creates an engine with an attached tuning database and
 // explicit parallelism/budget settings.
 func NewEngineWith(opts EngineOptions) *Engine {
-	est := bench.NewEstimator()
+	est := price.NewEstimator()
 	est.DB = opts.DB
 	est.Jobs = opts.Jobs
 	if opts.Budget > 0 {
@@ -319,10 +319,7 @@ func (e *Engine) Compile(name string, p *Platform, opts CompileOptions) (*Compil
 	}
 	size := opts.InputSize
 	if size == 0 {
-		size = models.DefaultInputSize(name)
-		if p == AiSage && (name == "SSD_MobileNet1.0" || name == "SSD_ResNet50") {
-			size = 300 // Mali memory limitation (§4.2)
-		}
+		size = price.InputSize(name, p)
 	}
 	mode, ok := graph.ParseQuantMode(opts.DType)
 	if !ok {
@@ -350,32 +347,19 @@ func (e *Engine) Compile(name string, p *Platform, opts CompileOptions) (*Compil
 
 	// Latency prediction on the simulated device.
 	psp := obs.Start("price", obs.KV("device", p.GPU.Name))
-	var convMs, transformMs float64
-	if opts.SkipTuning {
-		convMs = e.est.UntunedConvMs(m, p.GPU)
-	} else {
-		plan := e.est.TunedConvMs(m, p.GPU)
-		convMs = plan.KernelMs
-		transformMs = plan.TransformMs
-	}
-	// Tuning searches schedules in fp32; narrowed convolutions scale the
-	// tuned kernel time by the roofline dtype ratio (exactly 1 for fp32).
-	convMs *= graph.DTypeConvScale(m.Graph, p.GPU)
-	var visMs float64
+	vis := price.Optimized
 	switch {
-	case m.Vision == nil:
 	case opts.FallbackNMS:
-		visMs = bench.FallbackVisionMs(m.Vision, p)
+		vis = price.Fallback
 	case opts.NaiveVisionOps:
-		visMs = bench.NaiveVisionMs(m.Vision, p.GPU)
-	default:
-		visMs = bench.OptimizedVisionMs(m.Vision, p.GPU)
+		vis = price.Naive
 	}
+	lat := e.est.Price(m, p, !opts.SkipTuning, vis)
 	psp.End()
-	cm.ConvKernelMs = convMs
-	cm.TransformMs = transformMs
-	cm.VisionMs = visMs
-	cm.PredictedLatencyMs = convMs + transformMs + e.est.OtherOpsMs(m, p.GPU) + visMs
+	cm.ConvKernelMs = lat.ConvKernelMs
+	cm.TransformMs = lat.TransformMs
+	cm.VisionMs = lat.VisionMs
+	cm.PredictedLatencyMs = lat.TotalMs
 	sp.SetAttrs(obs.KVFloat("predicted_ms", cm.PredictedLatencyMs),
 		obs.KVInt("copies", cm.CopiesInserted))
 	return cm, nil
@@ -571,9 +555,9 @@ func (cm *CompiledModel) RunContext(ctx context.Context, input *Tensor) (*Tensor
 // GraphStats summarises the optimized graph.
 func (cm *CompiledModel) GraphStats() graph.Stats { return cm.model.Graph.Summary() }
 
-// Experiments exposes the paper's evaluation harness (Tables 1-5, the
-// fallback experiment) on this engine's caches.
-func (e *Engine) Experiments() *bench.Estimator { return e.est }
+// Experiments exposes the engine's price estimator: its tuning cache and
+// the conv, vision and other-operator prices Compile composes.
+func (e *Engine) Experiments() *price.Estimator { return e.est }
 
 // ---- Fleet serving ----
 
