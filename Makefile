@@ -89,7 +89,8 @@ soak:
 
 # loc prints the line counts ROADMAP.md budgets, the way it counts them
 # (wc -l), so a PR's budget is a command and not a claim: the non-test
-# lines per area, and the test lines of internal/runtime.
+# lines per area (cmd/ is every command's main package), and the test lines
+# of internal/runtime.
 loc:
 	@n() { ls $$@ | grep -v _test.go | xargs cat | wc -l; }; \
 	echo "internal/runtime + unigpu.go:   $$(n internal/runtime/*.go unigpu.go)"; \
@@ -97,6 +98,7 @@ loc:
 	echo "internal/ops + internal/tensor: $$(n internal/ops/*.go internal/tensor/*.go)"; \
 	echo "internal/par:                   $$(n internal/par/*.go)"; \
 	echo "internal/vision:                $$(n internal/vision/*.go)"; \
+	echo "cmd/:                           $$(n cmd/*/*.go)"; \
 	echo "assembly (.s):                  $$(cat internal/*/*.s | wc -l)"; \
 	echo "internal/runtime tests:         $$(cat internal/runtime/*_test.go | wc -l)"
 

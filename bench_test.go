@@ -188,9 +188,10 @@ func BenchmarkNMS_BoxNMS(b *testing.B) {
 		dets.Set(y+5+rng.Float32()*40, 0, i, 5)
 	}
 	cfg := vision.NMSConfig{IoUThreshold: 0.45, ScoreThreshold: 0.01, TopK: 400, MaxOutput: 100}
+	out := tensor.New(1, num, vision.DetWidth)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		vision.BoxNMS(dets, cfg)
+		vision.BoxNMS(out, dets, cfg)
 	}
 }
 
@@ -203,10 +204,11 @@ func BenchmarkConv2D_ResNetBlock(b *testing.B) {
 	in.FillRandom(1)
 	weight := tensor.New(w.COut, w.CIn, w.KH, w.KW)
 	weight.FillRandom(2)
+	out := tensor.New(w.N, w.COut, w.OutH(), w.OutW())
 	b.SetBytes(int64(w.Bytes()))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ops.Conv2D(in, weight, nil, w)
+		ops.Conv2DInto(out, in, weight, nil, w)
 	}
 }
 
@@ -312,22 +314,5 @@ func BenchmarkFamilyVariants_ResNet(b *testing.B) {
 	}
 	for i, name := range names {
 		b.ReportMetric(ms[i], metricName(name))
-	}
-}
-
-// BenchmarkConv2DWinograd measures the F(2x2,3x3) algorithm against the
-// direct convolution on the same workload — the 2.25x multiply reduction
-// behind the vendor libraries' 3x3 kernels.
-func BenchmarkConv2DWinograd_ResNetBlock(b *testing.B) {
-	w := ops.ConvWorkload{N: 1, CIn: 64, H: 56, W: 56, COut: 64, KH: 3, KW: 3,
-		StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
-	in := tensor.New(w.N, w.CIn, w.H, w.W)
-	in.FillRandom(1)
-	weight := tensor.New(w.COut, w.CIn, w.KH, w.KW)
-	weight.FillRandom(2)
-	b.SetBytes(int64(w.Bytes()))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ops.Conv2DWinograd(in, weight, nil, w)
 	}
 }

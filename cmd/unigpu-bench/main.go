@@ -189,7 +189,7 @@ func main() {
 
 // kernelsTable measures real wall-clock inference per zoo model with every
 // convolution forced to the direct kernel versus the cost-model selection
-// (GEMM/depthwise/direct; Winograd stays off so outputs are bit-identical),
+// (GEMM/depthwise/direct, every one bit-identical to direct),
 // and prints the selection breakdown. This is the source of the
 // EXPERIMENTS.md "Convolution kernel selection" table. Inputs are shrunk
 // from the paper sizes so the table regenerates in seconds on a laptop.
@@ -222,7 +222,7 @@ func kernelsTable() {
 		}
 		return best
 	}
-	fmt.Println("Convolution kernel selection: direct-only vs selected (wall clock, Winograd off)")
+	fmt.Println("Convolution kernel selection: direct-only vs selected (wall clock)")
 	fmt.Printf("%-18s %6s %12s %12s %8s  %s\n", "model", "size", "direct ms", "selected ms", "speedup", "selection")
 	for _, mc := range sizes {
 		direct := buildModelPlanInput(mc.name, mc.size)

@@ -29,7 +29,7 @@ type DB struct {
 const KindCandidates = "candidates"
 
 // KindKernel marks a record holding a conv algorithm choice (direct /
-// depthwise / winograd / gemm) for a workload, as written by the graph
+// depthwise / gemm) for a workload, as written by the graph
 // kernel-selection pass and consulted on later compiles to override the
 // cost model.
 const KindKernel = "kernel"

@@ -207,13 +207,13 @@ func TestKernelChoiceRecordsRoundTrip(t *testing.T) {
 	// Kernel, candidate, and schedule records share a workload key space
 	// without clobbering each other.
 	task := testTask()
-	db.StoreKernelChoice(task.Device.Name, task.Workload.Key(), "winograd", 0.2)
+	db.StoreKernelChoice(task.Device.Name, task.Workload.Key(), "depthwise", 0.2)
 	db.Store(task, Result{Ms: 0.25, Trials: 8})
 	db.StoreCandidates(task.Device.Name, task.Workload.Key(), 8, nil)
 	if _, ok := db.Lookup(task); !ok {
 		t.Fatal("schedule record lost after StoreKernelChoice on the same workload")
 	}
-	if name, ok := db.LookupKernelChoice(task.Device.Name, task.Workload.Key()); !ok || name != "winograd" {
+	if name, ok := db.LookupKernelChoice(task.Device.Name, task.Workload.Key()); !ok || name != "depthwise" {
 		t.Fatalf("kernel record lost: %q, %v", name, ok)
 	}
 
@@ -243,7 +243,7 @@ func TestKernelChoiceDTypeRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "records.json")
 	db := NewDB(path)
 	const dev, wl = "testdev", "conv n1c64"
-	db.StoreKernelChoice(dev, wl, "winograd", 1.5)
+	db.StoreKernelChoice(dev, wl, "depthwise", 1.5)
 	db.StoreKernelChoiceDType(dev, wl, "fp16", "gemm", 0.9)
 	db.StoreKernelChoiceDType(dev, wl, "int8", "gemm", 0.7)
 	// "fp32" must alias the legacy record, not create a second key.

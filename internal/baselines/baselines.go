@@ -74,10 +74,10 @@ type Profile struct {
 var OpenVINO = &Profile{
 	Name: "OpenVINO", Device: sim.IntelHD505, CPU: sim.AtomE3930,
 	SupportsDetection: false, LaunchUs: 30,
-	// Fitted to Table 1: clDNN's Winograd 3x3 kernels beat direct-conv
-	// flop counting — eff > 1 corresponds to the F(2x2,3x3) multiply
-	// reduction demonstrated by ops.Conv2DWinograd — while its depthwise
-	// coverage is weak.
+	// Fitted to Table 1: clDNN's minimal-filtering 3x3 kernels beat
+	// direct-conv flop counting — eff > 1 corresponds to the F(2x2,3x3)
+	// multiply reduction (36/16 = 2.25x) — while its depthwise coverage is
+	// weak.
 	eff: map[Class]float64{
 		Conv3x3: 5.9, Conv3x3Big: 0.93, Conv1x1: 0.71, ConvLarge: 0.73,
 		Depthwise: 0.084, DenseFC: 5.9,

@@ -20,12 +20,6 @@ func (o *HeadReshapeOp) InferShape(ins []tensor.Shape) tensor.Shape {
 	s := ins[0]
 	return tensor.Shape{s[0], s[2] * s[3] * o.Anchors, o.Attrs}
 }
-func (o *HeadReshapeOp) Execute(ins []*tensor.Tensor) *tensor.Tensor {
-	s := ins[0].Shape()
-	out := tensor.New(s[0], s[2]*s[3]*o.Anchors, o.Attrs)
-	o.ExecuteInto(out, ins)
-	return out
-}
 func (o *HeadReshapeOp) ExecuteInto(out *tensor.Tensor, ins []*tensor.Tensor) {
 	in := ins[0]
 	s := in.Shape()
@@ -49,7 +43,7 @@ func (o *SSDDetectionOp) Kind() string { return "multibox_detection" }
 func (o *SSDDetectionOp) InferShape(ins []tensor.Shape) tensor.Shape {
 	return tensor.Shape{ins[0][0], ins[0][1], vision.DetWidth}
 }
-func (o *SSDDetectionOp) Execute(ins []*tensor.Tensor) *tensor.Tensor {
+func (o *SSDDetectionOp) ExecuteInto(out *tensor.Tensor, ins []*tensor.Tensor) {
 	clsRows, locRows, anchors := ins[0], ins[1], ins[2]
 	s := clsRows.Shape()
 	batch, num, k := s[0], s[1], s[2]
@@ -63,6 +57,6 @@ func (o *SSDDetectionOp) Execute(ins []*tensor.Tensor) *tensor.Tensor {
 		}
 	}
 	loc := locRows.Reshape(batch, num*4)
-	return vision.MultiboxDetection(clsProb, loc, anchors, o.Cfg)
+	vision.MultiboxDetection(out, clsProb, loc, anchors, o.Cfg)
 }
 func (o *SSDDetectionOp) GPUFriendly() bool { return true }

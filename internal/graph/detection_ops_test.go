@@ -24,10 +24,8 @@ func TestHeadReshapeOrdering(t *testing.T) {
 			}
 		}
 	}
-	out := op.Execute([]*tensor.Tensor{in})
-	if !out.Shape().Equal(tensor.Shape{1, h * w * a, k}) {
-		t.Fatalf("shape = %v", out.Shape())
-	}
+	out := tensor.New(1, h*w*a, k)
+	op.ExecuteInto(out, []*tensor.Tensor{in})
 	for y := 0; y < h; y++ {
 		for x := 0; x < w; x++ {
 			for ai := 0; ai < a; ai++ {
@@ -41,7 +39,6 @@ func TestHeadReshapeOrdering(t *testing.T) {
 			}
 		}
 	}
-	// InferShape agrees with Execute.
 	if !op.InferShape([]tensor.Shape{in.Shape()}).Equal(out.Shape()) {
 		t.Fatal("InferShape mismatch")
 	}
@@ -64,12 +61,12 @@ func TestSSDDetectionOpMatchesVisionKernel(t *testing.T) {
 	}
 	cfg := vision.NMSConfig{IoUThreshold: 0.5, ScoreThreshold: 0.05}
 	op := &SSDDetectionOp{Cfg: cfg}
-	got := op.Execute([]*tensor.Tensor{clsRows, locRows, anchors})
-
-	sameBits(t, "SSDDetectionOp vs the vision kernel", got, refSSDDetection(op, clsRows, locRows, anchors))
-	if !op.InferShape([]tensor.Shape{clsRows.Shape(), locRows.Shape(), anchors.Shape()}).Equal(got.Shape()) {
+	if !op.InferShape([]tensor.Shape{clsRows.Shape(), locRows.Shape(), anchors.Shape()}).Equal(tensor.Shape{1, numAnchors, vision.DetWidth}) {
 		t.Fatal("InferShape mismatch")
 	}
+	got := tensor.New(1, numAnchors, vision.DetWidth)
+	op.ExecuteInto(got, []*tensor.Tensor{clsRows, locRows, anchors})
+	sameBits(t, "SSDDetectionOp vs the vision kernel", got, refSSDDetection(op, clsRows, locRows, anchors))
 }
 
 func TestDetectionOpsAreGPUFriendly(t *testing.T) {
@@ -117,7 +114,9 @@ func refSSDDetection(o *SSDDetectionOp, clsRows, locRows, anchors *tensor.Tensor
 			}
 		}
 	}
-	return vision.MultiboxDetection(clsProb, locRows.Reshape(batch, num*4), anchors, o.Cfg)
+	out := tensor.New(batch, num, vision.DetWidth)
+	vision.MultiboxDetection(out, clsProb, locRows.Reshape(batch, num*4), anchors, o.Cfg)
+	return out
 }
 
 func sameBits(t *testing.T, name string, got, want *tensor.Tensor) {
@@ -160,7 +159,9 @@ func TestFlatDetectionTailMatchesCoordinateLoops(t *testing.T) {
 			det := &SSDDetectionOp{Cfg: cfg}
 			for _, dt := range dts {
 				c, l := tensor.Convert(cls, dt, 0), tensor.Convert(loc, dt, 0)
-				sameBits(t, "multibox_detection "+dt.String(), det.Execute([]*tensor.Tensor{c, l, anchors}), refSSDDetection(det, c, l, anchors))
+				got := tensor.New(batch, num, vision.DetWidth)
+				det.ExecuteInto(got, []*tensor.Tensor{c, l, anchors})
+				sameBits(t, "multibox_detection "+dt.String(), got, refSSDDetection(det, c, l, anchors))
 			}
 		}
 	}

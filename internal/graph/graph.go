@@ -33,21 +33,13 @@ type Operator interface {
 	Kind() string
 	// InferShape computes the output shape from input shapes.
 	InferShape(ins []tensor.Shape) tensor.Shape
-	// Execute computes the output functionally.
-	Execute(ins []*tensor.Tensor) *tensor.Tensor
+	// ExecuteInto computes the output into out, a tensor of the inferred
+	// shape, overwriting every element: out may be a reused buffer that
+	// still holds an earlier run's values.
+	ExecuteInto(out *tensor.Tensor, ins []*tensor.Tensor)
 	// GPUFriendly reports whether the operator appears in the list of
 	// known GPU-performant operators used by the placement pass (§3.1.2).
 	GPUFriendly() bool
-}
-
-// IntoOperator is implemented by operators that can compute into a
-// caller-provided output tensor of the inferred shape without allocating.
-// Prepare runs these against the plan's arena-backed buffers; operators
-// lacking the method fall back to Execute plus a copy.
-type IntoOperator interface {
-	Operator
-	// ExecuteInto computes the output into out, overwriting every element.
-	ExecuteInto(out *tensor.Tensor, ins []*tensor.Tensor)
 }
 
 // PreparedOp is the one form in which the runtime executes a node: an
@@ -76,20 +68,16 @@ type Preparer interface {
 }
 
 // Prepare returns node n's PreparedOp: the operator's own when it is a
-// Preparer, else its ExecuteInto, else its allocating Execute followed by a
-// copy into the output buffer.
+// Preparer, else its ExecuteInto.
 func Prepare(n *Node) (PreparedOp, error) {
-	switch op := n.Op.(type) {
-	case Preparer:
+	if op, ok := n.Op.(Preparer); ok {
 		return op.Prepare(n)
-	case IntoOperator:
-		return intoOp{op}, nil
 	}
-	return execOp{n.Op, n.OutShape}, nil
+	return intoOp{n.Op}, nil
 }
 
-// intoOp adapts an IntoOperator: no scratch, no plan-time state.
-type intoOp struct{ IntoOperator }
+// intoOp adapts an Operator's ExecuteInto: no scratch, no plan-time state.
+type intoOp struct{ Operator }
 
 func (o intoOp) Scratch() (int, tensor.DType) { return 0, tensor.Float32 }
 func (o intoOp) Label() string                { return o.Kind() }
@@ -98,22 +86,17 @@ func (o intoOp) Run(out *tensor.Tensor, ins []*tensor.Tensor, _ *tensor.Tensor) 
 	return nil
 }
 
-// execOp adapts an operator that can only allocate its result (the vision
-// pipelines): the result is checked against the inferred shape and copied.
-type execOp struct {
-	Operator
-	shape tensor.Shape
-}
-
-func (o execOp) Scratch() (int, tensor.DType) { return 0, tensor.Float32 }
-func (o execOp) Label() string                { return o.Kind() }
-func (o execOp) Run(out *tensor.Tensor, ins []*tensor.Tensor, _ *tensor.Tensor) error {
-	res := o.Execute(ins)
-	if !res.Shape().Equal(o.shape) {
-		return fmt.Errorf("produced %v, inferred %v", res.Shape(), o.shape)
+// Eval computes op node n on ins into a fresh tensor: n.OutShape at
+// n.DType (under QScale when int8), the buffer a plan gives the node.
+// Calibration and constant pre-computation evaluate nodes one at a time
+// through it.
+func Eval(n *Node, ins []*tensor.Tensor) *tensor.Tensor {
+	out := tensor.NewTyped(n.DType, n.OutShape...)
+	if n.DType == tensor.Int8 {
+		out.SetScale(n.QScale)
 	}
-	tensor.Copy(out, res)
-	return nil
+	n.Op.ExecuteInto(out, ins)
+	return out
 }
 
 // Node is one vertex of the computational graph.

@@ -10,13 +10,12 @@ import (
 	"unigpu/internal/vision"
 )
 
-// The dense-compute and data-movement operators (the SSD head's
-// HeadReshapeOp among them) implement IntoOperator so the pooled runtime
-// can execute them against preallocated arena buffers; the vision
-// post-processing operators (dynamic-size sorting/suppression pipelines)
-// keep the allocating Execute path. Neither loops over elements through
-// the coordinate accessors At/Set: row offsets are worked out once and
-// elements read and written flat (GetF/SetF).
+// Every operator computes into the output buffer it is handed (ExecuteInto)
+// and overwrites all of it, so the pooled runtime executes the dense
+// kernels, the data movement and the vision post-processing pipelines alike
+// against reused arena buffers. None loops over elements through the
+// coordinate accessors At/Set: row offsets are worked out once and elements
+// read and written flat (GetF/SetF).
 
 // ConvOp is a 2-D convolution; inputs: data, weight[, bias][, residual].
 //
@@ -63,17 +62,6 @@ func (o *ConvOp) ArgIndices(n int) (bias, residual int) {
 
 func (o *ConvOp) InferShape(ins []tensor.Shape) tensor.Shape {
 	return tensor.Shape{o.W.N, o.W.COut, o.W.OutH(), o.W.OutW()}
-}
-func (o *ConvOp) Execute(ins []*tensor.Tensor) *tensor.Tensor {
-	// A reduced-precision conv produces an fp16 carrier (int8 is a compute
-	// format here, not a carrier: the epilogue dequantizes to real values).
-	dt := tensor.Float32
-	if o.DType != tensor.Float32 {
-		dt = tensor.Float16
-	}
-	out := tensor.NewTyped(dt, o.W.N, o.W.COut, o.W.OutH(), o.W.OutW())
-	o.ExecuteInto(out, ins)
-	return out
 }
 func (o *ConvOp) ExecuteInto(out *tensor.Tensor, ins []*tensor.Tensor) {
 	o.bind(ins[1], len(ins)).Run(out, ins, nil)
@@ -156,9 +144,6 @@ type BatchNormOp struct{ Eps float32 }
 
 func (o *BatchNormOp) Kind() string                               { return "batch_norm" }
 func (o *BatchNormOp) InferShape(ins []tensor.Shape) tensor.Shape { return ins[0].Clone() }
-func (o *BatchNormOp) Execute(ins []*tensor.Tensor) *tensor.Tensor {
-	return ops.BatchNormInference(ins[0], ins[1], ins[2], ins[3], ins[4], o.Eps)
-}
 func (o *BatchNormOp) ExecuteInto(out *tensor.Tensor, ins []*tensor.Tensor) {
 	ops.BatchNormInferenceInto(out, ins[0], ins[1], ins[2], ins[3], ins[4], o.Eps)
 }
@@ -177,12 +162,6 @@ func (o *ActivationOp) Kind() string {
 	return "relu"
 }
 func (o *ActivationOp) InferShape(ins []tensor.Shape) tensor.Shape { return ins[0].Clone() }
-func (o *ActivationOp) Execute(ins []*tensor.Tensor) *tensor.Tensor {
-	if o.Act == ops.ActLeakyReLU {
-		return ops.LeakyReLU(ins[0], o.Alpha)
-	}
-	return ops.ReLU(ins[0])
-}
 func (o *ActivationOp) ExecuteInto(out *tensor.Tensor, ins []*tensor.Tensor) {
 	if o.Act == ops.ActLeakyReLU {
 		ops.LeakyReLUInto(out, ins[0], o.Alpha)
@@ -195,9 +174,8 @@ func (o *ActivationOp) GPUFriendly() bool { return true }
 // SigmoidOp is the logistic activation.
 type SigmoidOp struct{}
 
-func (o *SigmoidOp) Kind() string                                { return "sigmoid" }
-func (o *SigmoidOp) InferShape(ins []tensor.Shape) tensor.Shape  { return ins[0].Clone() }
-func (o *SigmoidOp) Execute(ins []*tensor.Tensor) *tensor.Tensor { return ops.Sigmoid(ins[0]) }
+func (o *SigmoidOp) Kind() string                               { return "sigmoid" }
+func (o *SigmoidOp) InferShape(ins []tensor.Shape) tensor.Shape { return ins[0].Clone() }
 func (o *SigmoidOp) ExecuteInto(out *tensor.Tensor, ins []*tensor.Tensor) {
 	ops.SigmoidInto(out, ins[0])
 }
@@ -216,9 +194,6 @@ func (o *PoolOp) InferShape(ins []tensor.Shape) tensor.Shape {
 	ow := (s[3]+2*o.Pad-o.Kernel)/o.Stride + 1
 	return tensor.Shape{s[0], s[1], oh, ow}
 }
-func (o *PoolOp) Execute(ins []*tensor.Tensor) *tensor.Tensor {
-	return ops.Pool2D(ins[0], o.PoolKind, o.Kernel, o.Stride, o.Pad)
-}
 func (o *PoolOp) ExecuteInto(out *tensor.Tensor, ins []*tensor.Tensor) {
 	ops.Pool2DInto(out, ins[0], o.PoolKind, o.Kernel, o.Stride, o.Pad)
 }
@@ -230,9 +205,6 @@ type GlobalPoolOp struct{}
 func (o *GlobalPoolOp) Kind() string { return "global_avg_pool" }
 func (o *GlobalPoolOp) InferShape(ins []tensor.Shape) tensor.Shape {
 	return tensor.Shape{ins[0][0], ins[0][1], 1, 1}
-}
-func (o *GlobalPoolOp) Execute(ins []*tensor.Tensor) *tensor.Tensor {
-	return ops.GlobalAvgPool(ins[0])
 }
 func (o *GlobalPoolOp) ExecuteInto(out *tensor.Tensor, ins []*tensor.Tensor) {
 	ops.GlobalAvgPoolInto(out, ins[0])
@@ -250,11 +222,6 @@ func (o *DenseOp) Kind() string { return "dense" }
 func (o *DenseOp) InferShape(ins []tensor.Shape) tensor.Shape {
 	return tensor.Shape{ins[0][0], ins[1][0]}
 }
-func (o *DenseOp) Execute(ins []*tensor.Tensor) *tensor.Tensor {
-	out := tensor.New(ins[0].Shape()[0], ins[1].Shape()[0])
-	o.ExecuteInto(out, ins)
-	return out
-}
 func (o *DenseOp) ExecuteInto(out *tensor.Tensor, ins []*tensor.Tensor) {
 	var bias *tensor.Tensor
 	if len(ins) > 2 {
@@ -267,9 +234,8 @@ func (o *DenseOp) GPUFriendly() bool { return true }
 // SoftmaxOp normalizes along the last axis.
 type SoftmaxOp struct{}
 
-func (o *SoftmaxOp) Kind() string                                { return "softmax" }
-func (o *SoftmaxOp) InferShape(ins []tensor.Shape) tensor.Shape  { return ins[0].Clone() }
-func (o *SoftmaxOp) Execute(ins []*tensor.Tensor) *tensor.Tensor { return ops.Softmax(ins[0]) }
+func (o *SoftmaxOp) Kind() string                               { return "softmax" }
+func (o *SoftmaxOp) InferShape(ins []tensor.Shape) tensor.Shape { return ins[0].Clone() }
 func (o *SoftmaxOp) ExecuteInto(out *tensor.Tensor, ins []*tensor.Tensor) {
 	ops.SoftmaxInto(out, ins[0])
 }
@@ -282,7 +248,6 @@ func (o *FlattenOp) Kind() string { return "flatten" }
 func (o *FlattenOp) InferShape(ins []tensor.Shape) tensor.Shape {
 	return tensor.Shape{ins[0][0], ins[0].NumElements() / ins[0][0]}
 }
-func (o *FlattenOp) Execute(ins []*tensor.Tensor) *tensor.Tensor { return ops.Flatten(ins[0]) }
 func (o *FlattenOp) ExecuteInto(out *tensor.Tensor, ins []*tensor.Tensor) {
 	// Row-major data is identical across the reshape, so copy raw storage
 	// without materializing a reshaped view — the shapes differ only in
@@ -298,9 +263,8 @@ func (o *FlattenOp) GPUFriendly() bool { return true }
 // AddOp is an elementwise residual sum.
 type AddOp struct{}
 
-func (o *AddOp) Kind() string                                { return "add" }
-func (o *AddOp) InferShape(ins []tensor.Shape) tensor.Shape  { return ins[0].Clone() }
-func (o *AddOp) Execute(ins []*tensor.Tensor) *tensor.Tensor { return ops.Add(ins[0], ins[1]) }
+func (o *AddOp) Kind() string                               { return "add" }
+func (o *AddOp) InferShape(ins []tensor.Shape) tensor.Shape { return ins[0].Clone() }
 func (o *AddOp) ExecuteInto(out *tensor.Tensor, ins []*tensor.Tensor) {
 	ops.AddInto(out, ins[0], ins[1])
 }
@@ -317,11 +281,6 @@ type FusedElementwiseOp struct {
 
 func (o *FusedElementwiseOp) Kind() string                               { return "fused_elementwise" }
 func (o *FusedElementwiseOp) InferShape(ins []tensor.Shape) tensor.Shape { return ins[0].Clone() }
-func (o *FusedElementwiseOp) Execute(ins []*tensor.Tensor) *tensor.Tensor {
-	out := tensor.New(ins[0].Shape()...)
-	o.ExecuteInto(out, ins)
-	return out
-}
 func (o *FusedElementwiseOp) ExecuteInto(out *tensor.Tensor, ins []*tensor.Tensor) {
 	ops.FusedElementwiseInto(out, ins[0], ins[1:], o.Stages)
 }
@@ -337,11 +296,6 @@ func (o *ConcatOp) InferShape(ins []tensor.Shape) tensor.Shape {
 	for _, s := range ins[1:] {
 		out[1] += s[1]
 	}
-	return out
-}
-func (o *ConcatOp) Execute(ins []*tensor.Tensor) *tensor.Tensor {
-	out := tensor.New(o.InferShape(shapesOf(ins))...)
-	o.ExecuteInto(out, ins)
 	return out
 }
 func (o *ConcatOp) ExecuteInto(out *tensor.Tensor, ins []*tensor.Tensor) {
@@ -366,15 +320,6 @@ func (o *ConcatOp) ExecuteInto(out *tensor.Tensor, ins []*tensor.Tensor) {
 }
 func (o *ConcatOp) GPUFriendly() bool { return true }
 
-// shapesOf collects the input shapes for shape inference at execute time.
-func shapesOf(ins []*tensor.Tensor) []tensor.Shape {
-	shapes := make([]tensor.Shape, len(ins))
-	for i, t := range ins {
-		shapes[i] = t.Shape()
-	}
-	return shapes
-}
-
 // UpsampleOp is 2x nearest-neighbour upsampling.
 type UpsampleOp struct{}
 
@@ -382,9 +327,6 @@ func (o *UpsampleOp) Kind() string { return "upsample" }
 func (o *UpsampleOp) InferShape(ins []tensor.Shape) tensor.Shape {
 	s := ins[0]
 	return tensor.Shape{s[0], s[1], 2 * s[2], 2 * s[3]}
-}
-func (o *UpsampleOp) Execute(ins []*tensor.Tensor) *tensor.Tensor {
-	return ops.UpsampleNearest2x(ins[0])
 }
 func (o *UpsampleOp) ExecuteInto(out *tensor.Tensor, ins []*tensor.Tensor) {
 	ops.UpsampleNearest2xInto(out, ins[0])
@@ -396,8 +338,8 @@ type BoxNMSOp struct{ Cfg vision.NMSConfig }
 
 func (o *BoxNMSOp) Kind() string                               { return "box_nms" }
 func (o *BoxNMSOp) InferShape(ins []tensor.Shape) tensor.Shape { return ins[0].Clone() }
-func (o *BoxNMSOp) Execute(ins []*tensor.Tensor) *tensor.Tensor {
-	return vision.BoxNMS(ins[0], o.Cfg)
+func (o *BoxNMSOp) ExecuteInto(out *tensor.Tensor, ins []*tensor.Tensor) {
+	vision.BoxNMS(out, ins[0], o.Cfg)
 }
 func (o *BoxNMSOp) GPUFriendly() bool { return true }
 
@@ -408,8 +350,8 @@ func (o *MultiboxDetectionOp) Kind() string { return "multibox_detection" }
 func (o *MultiboxDetectionOp) InferShape(ins []tensor.Shape) tensor.Shape {
 	return tensor.Shape{ins[0][0], ins[0][2], vision.DetWidth}
 }
-func (o *MultiboxDetectionOp) Execute(ins []*tensor.Tensor) *tensor.Tensor {
-	return vision.MultiboxDetection(ins[0], ins[1], ins[2], o.Cfg)
+func (o *MultiboxDetectionOp) ExecuteInto(out *tensor.Tensor, ins []*tensor.Tensor) {
+	vision.MultiboxDetection(out, ins[0], ins[1], ins[2], o.Cfg)
 }
 func (o *MultiboxDetectionOp) GPUFriendly() bool { return true }
 
@@ -425,8 +367,8 @@ func (o *YoloDecodeOp) InferShape(ins []tensor.Shape) tensor.Shape {
 	s := ins[0]
 	return tensor.Shape{s[0], s[2] * s[3] * len(o.Anchors), vision.DetWidth}
 }
-func (o *YoloDecodeOp) Execute(ins []*tensor.Tensor) *tensor.Tensor {
-	return vision.YoloDecode(ins[0], o.Anchors, o.NumClasses, o.Stride)
+func (o *YoloDecodeOp) ExecuteInto(out *tensor.Tensor, ins []*tensor.Tensor) {
+	vision.YoloDecode(out, ins[0], o.Anchors, o.NumClasses, o.Stride)
 }
 func (o *YoloDecodeOp) GPUFriendly() bool { return true }
 
@@ -441,8 +383,8 @@ func (o *ROIAlignOp) Kind() string { return "roi_align" }
 func (o *ROIAlignOp) InferShape(ins []tensor.Shape) tensor.Shape {
 	return tensor.Shape{ins[1][0], ins[0][1], o.PooledH, o.PooledW}
 }
-func (o *ROIAlignOp) Execute(ins []*tensor.Tensor) *tensor.Tensor {
-	return vision.ROIAlign(ins[0], ins[1], o.PooledH, o.PooledW, o.SpatialScale, o.SamplingRatio)
+func (o *ROIAlignOp) ExecuteInto(out *tensor.Tensor, ins []*tensor.Tensor) {
+	vision.ROIAlign(out, ins[0], ins[1], o.PooledH, o.PooledW, o.SpatialScale, o.SamplingRatio)
 }
 func (o *ROIAlignOp) GPUFriendly() bool { return true }
 
@@ -455,7 +397,6 @@ func (o *DeviceCopyOp) Kind() string { return "device_copy" }
 func (o *DeviceCopyOp) InferShape(ins []tensor.Shape) tensor.Shape {
 	return ins[0].Clone()
 }
-func (o *DeviceCopyOp) Execute(ins []*tensor.Tensor) *tensor.Tensor { return ins[0].Clone() }
 func (o *DeviceCopyOp) ExecuteInto(out *tensor.Tensor, ins []*tensor.Tensor) {
 	tensor.Copy(out, ins[0])
 }
@@ -473,14 +414,6 @@ type CastOp struct {
 
 func (o *CastOp) Kind() string                               { return "cast" }
 func (o *CastOp) InferShape(ins []tensor.Shape) tensor.Shape { return ins[0].Clone() }
-func (o *CastOp) Execute(ins []*tensor.Tensor) *tensor.Tensor {
-	out := tensor.NewTyped(o.To, ins[0].Shape()...)
-	if o.To == tensor.Int8 {
-		out.SetScale(o.Scale)
-	}
-	tensor.Copy(out, ins[0])
-	return out
-}
 func (o *CastOp) ExecuteInto(out *tensor.Tensor, ins []*tensor.Tensor) {
 	if out.DType() == tensor.Int8 {
 		out.SetScale(o.Scale)

@@ -336,7 +336,7 @@ func PrecomputeConstants(g *Graph) int {
 			for i, in := range n.Inputs {
 				vals[i] = in.Value
 			}
-			c := g.Constant(n.Name+"_precomputed", n.Op.Execute(vals))
+			c := g.Constant(n.Name+"_precomputed", Eval(n, vals))
 			g.replaceUses(n, c)
 			done++
 			progress = true

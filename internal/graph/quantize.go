@@ -302,7 +302,7 @@ func pickConvDType(w ops.ConvWorkload, n *Node, d *sim.Device) tensor.DType {
 	for _, dt := range []tensor.DType{tensor.Float32, tensor.Float16, tensor.Int8} {
 		sec := math.Inf(1)
 		for _, k := range ops.ConvKernels {
-			if !ops.KernelSupported(k, w) || k == ops.KernelWinograd {
+			if !ops.KernelSupported(k, w) {
 				continue
 			}
 			if dt == tensor.Int8 && k != ops.KernelGEMM {
@@ -352,7 +352,7 @@ func calibrate(g *Graph, opts QuantizeOptions) (map[*Node][]float64, error) {
 						return nil, fmt.Errorf("graph: quantize calibration: node %q input %q has no value", n.Name, in.Name)
 					}
 				}
-				vals[n] = n.Op.Execute(ins)
+				vals[n] = Eval(n, ins)
 			}
 			t := vals[n]
 			if t == nil || n.IsConstant() {

@@ -16,24 +16,17 @@ type KernelSelection struct {
 	// (device, workload) pair overrides the cost model, and cost-model
 	// decisions are written back so later compiles replay them.
 	DB *autotvm.DB
-	// AllowWinograd permits the F(2x2,3x3) kernel, which reassociates the
-	// reduction and so changes numerics (~1e-4 vs direct). Off by default:
-	// without it every selectable kernel is bit-identical to direct, so
-	// whole-model golden outputs are unchanged by selection.
-	AllowWinograd bool
 }
 
 // kernelAllowed reports whether the selector may run w at storage dtype dt
-// with kernel k. Winograd has no reduced-precision variant (its transform
-// reassociation compounds badly with narrowed storage) and is gated even
-// for fp32; int8 computes through the quantized GEMM or, for depthwise
-// workloads, the int32-accumulating depthwise loop.
-func (sel KernelSelection) kernelAllowed(k ops.ConvKernel, w ops.ConvWorkload, dt tensor.DType) bool {
+// with kernel k: every selectable kernel is bit-identical to direct, so
+// whole-model golden outputs are unchanged by selection. Int8 computes
+// through the quantized GEMM or, for depthwise workloads, the
+// int32-accumulating depthwise loop.
+func kernelAllowed(k ops.ConvKernel, w ops.ConvWorkload, dt tensor.DType) bool {
 	switch {
 	case !ops.KernelSupported(k, w):
 		return false
-	case k == ops.KernelWinograd:
-		return sel.AllowWinograd && dt == tensor.Float32
 	case dt == tensor.Int8:
 		return k == ops.KernelGEMM || k == ops.KernelDepthwise
 	}
@@ -54,7 +47,7 @@ func dbDType(dt tensor.DType) string {
 func (sel KernelSelection) pick(w ops.ConvWorkload, dt tensor.DType) (ops.ConvKernel, float64) {
 	if sel.DB != nil && sel.Device != nil {
 		if name, ok := sel.DB.LookupKernelChoiceDType(sel.Device.Name, w.Key(), dbDType(dt)); ok {
-			if k, ok := ops.ParseConvKernel(name); ok && k != ops.KernelAuto && sel.kernelAllowed(k, w, dt) {
+			if k, ok := ops.ParseConvKernel(name); ok && k != ops.KernelAuto && kernelAllowed(k, w, dt) {
 				return k, 0
 			}
 		}
@@ -64,7 +57,7 @@ func (sel KernelSelection) pick(w ops.ConvWorkload, dt tensor.DType) (ops.ConvKe
 	}
 	best, bestSec := ops.KernelAuto, 0.0
 	for _, k := range ops.ConvKernels {
-		if !sel.kernelAllowed(k, w, dt) {
+		if !kernelAllowed(k, w, dt) {
 			continue
 		}
 		sec := sel.Device.AlgoSeconds(kernelCost(w, k, dt))
@@ -101,7 +94,7 @@ func SelectConvKernels(g *Graph, sel KernelSelection) map[ops.ConvKernel]int {
 		if sel.DB != nil && sel.Device != nil {
 			// Record cost-model decisions, but never clobber an existing
 			// kernel record — it may be a pinned choice this pass merely
-			// gated out (e.g. a winograd record with AllowWinograd off).
+			// gated out (e.g. a name this build does not parse).
 			dtype := dbDType(convOp.DType)
 			if _, exists := sel.DB.LookupKernelChoiceDType(sel.Device.Name, convOp.W.Key(), dtype); !exists {
 				sel.DB.StoreKernelChoiceDType(sel.Device.Name, convOp.W.Key(), dtype, k.String(), ms)

@@ -26,8 +26,7 @@ func buildSelectGraph() (*Graph, *Node, *Node, *Node) {
 }
 
 // TestSelectConvKernels: the roofline cost model sends large 3x3 stride-1
-// convs to GEMM, depthwise convs to the depthwise kernel, and never picks
-// Winograd unless allowed.
+// convs to GEMM and depthwise convs to the depthwise kernel.
 func TestSelectConvKernels(t *testing.T) {
 	g, c3, cdw, c1 := buildSelectGraph()
 	counts := SelectConvKernels(g, KernelSelection{Device: sim.IntelHD505})
@@ -40,32 +39,12 @@ func TestSelectConvKernels(t *testing.T) {
 	if got := opMust[*ConvOp](t, c1).Kernel; got != ops.KernelGEMM {
 		t.Fatalf("1x1 s2 conv got %v, want gemm", got)
 	}
-	if counts[ops.KernelWinograd] != 0 {
-		t.Fatal("winograd selected without AllowWinograd")
-	}
 	total := 0
 	for _, c := range counts {
 		total += c
 	}
 	if total != 3 {
 		t.Fatalf("selected %d convs, want 3", total)
-	}
-}
-
-// TestSelectConvKernelsWinogradOptIn: with AllowWinograd the 2.25x multiply
-// saving makes F(2x2,3x3) win the big stride-1 conv; unsupported shapes
-// (depthwise, 1x1 stride-2) are untouched by it.
-func TestSelectConvKernelsWinogradOptIn(t *testing.T) {
-	g, c3, cdw, c1 := buildSelectGraph()
-	SelectConvKernels(g, KernelSelection{Device: sim.IntelHD505, AllowWinograd: true})
-	if got := opMust[*ConvOp](t, c3).Kernel; got != ops.KernelWinograd {
-		t.Fatalf("3x3 s1 conv got %v, want winograd", got)
-	}
-	if got := opMust[*ConvOp](t, cdw).Kernel; got == ops.KernelWinograd {
-		t.Fatal("winograd selected for a depthwise conv")
-	}
-	if got := opMust[*ConvOp](t, c1).Kernel; got == ops.KernelWinograd {
-		t.Fatal("winograd selected for a 1x1 conv")
 	}
 }
 
@@ -91,37 +70,18 @@ func TestSelectConvKernelsDBOverride(t *testing.T) {
 	}
 }
 
-// TestSelectConvKernelsDBWinogradGate: a stored winograd record must not
-// leak through when AllowWinograd is off — selection falls back to the
-// cost model.
-func TestSelectConvKernelsDBWinogradGate(t *testing.T) {
-	g, c3, _, _ := buildSelectGraph()
-	dev := sim.IntelHD505
-	db := autotvm.NewDB("")
-	db.StoreKernelChoice(dev.Name, opMust[*ConvOp](t, c3).W.Key(), "winograd", 1.0)
-
-	SelectConvKernels(g, KernelSelection{Device: dev, DB: db})
-	if got := opMust[*ConvOp](t, c3).Kernel; got == ops.KernelWinograd {
-		t.Fatal("winograd DB record honoured despite AllowWinograd=false")
-	}
-	SelectConvKernels(g, KernelSelection{Device: dev, DB: db, AllowWinograd: true})
-	if got := opMust[*ConvOp](t, c3).Kernel; got != ops.KernelWinograd {
-		t.Fatalf("winograd DB record ignored with AllowWinograd=true: got %v", got)
-	}
-}
-
 // TestForceConvKernel: the ablation helper sets every conv, falling back
 // to direct where the kernel does not apply.
 func TestForceConvKernel(t *testing.T) {
 	g, c3, cdw, c1 := buildSelectGraph()
-	if n := ForceConvKernel(g, ops.KernelWinograd); n != 3 {
+	if n := ForceConvKernel(g, ops.KernelDepthwise); n != 3 {
 		t.Fatalf("touched %d convs, want 3", n)
 	}
-	if got := opMust[*ConvOp](t, c3).Kernel; got != ops.KernelWinograd {
-		t.Fatalf("3x3 s1 conv got %v, want winograd", got)
+	if got := opMust[*ConvOp](t, c3).Kernel; got != ops.KernelDirect {
+		t.Fatalf("3x3 s1 conv got %v, want direct fallback", got)
 	}
-	if got := opMust[*ConvOp](t, cdw).Kernel; got != ops.KernelDirect {
-		t.Fatalf("depthwise conv got %v, want direct fallback", got)
+	if got := opMust[*ConvOp](t, cdw).Kernel; got != ops.KernelDepthwise {
+		t.Fatalf("depthwise conv got %v, want depthwise", got)
 	}
 	if got := opMust[*ConvOp](t, c1).Kernel; got != ops.KernelDirect {
 		t.Fatalf("1x1 s2 conv got %v, want direct fallback", got)

@@ -8,20 +8,12 @@ import (
 	"unigpu/internal/tensor"
 )
 
-// Conv2D computes a (possibly grouped/depthwise) 2-D convolution in NCHW
-// with OIHW weights, optional bias, and an optional fused activation. The
-// spatial-output loop is parallelized across host cores.
-func Conv2D(in, weight, bias *tensor.Tensor, w ConvWorkload) *tensor.Tensor {
-	out := tensor.New(w.N, w.COut, w.OutH(), w.OutW())
-	Conv2DInto(out, in, weight, bias, w)
-	return out
-}
-
-// Conv2DInto is Conv2D computing into a caller-provided output tensor of
-// shape (N, COut, OutH, OutW); it allocates no intermediate storage. It is
-// the row-accumulate loop (convRows) at fp32: every output takes its taps
-// in ascending (ci, ky, kx) order from its bias, which keeps the result
-// bit-identical to the naive per-tap-branching loop.
+// Conv2DInto computes a (possibly grouped/depthwise) 2-D convolution in NCHW
+// with OIHW weights, optional bias and an optional fused activation into a
+// caller-provided output tensor of shape (N, COut, OutH, OutW); it allocates
+// no intermediate storage. It is the row-accumulate loop (convRows) at fp32:
+// every output takes its taps in ascending (ci, ky, kx) order from its bias,
+// which keeps the result bit-identical to the naive per-tap-branching loop.
 func Conv2DInto(out, in, weight, bias *tensor.Tensor, w ConvWorkload) {
 	convRows[float32](&convSink[float32, float32]{out: out.Data(), bias: biasData(bias), act: w.FusedActivation},
 		in.Data(), weight.Data(), w)
@@ -598,19 +590,8 @@ func applyActivation(v float32, a Activation) float32 {
 	return v
 }
 
-// Dense computes out[n,o] = sum_i in[n,i]*W[o,i] + bias[o].
-func Dense(in, weight, bias *tensor.Tensor) *tensor.Tensor {
-	out := tensor.New(in.Shape()[0], weight.Shape()[0])
-	DenseInto(out, in, weight, bias)
-	return out
-}
-
-// DenseInto is Dense computing into a caller-provided (N, O) tensor.
-func DenseInto(out, in, weight, bias *tensor.Tensor) {
-	DenseActInto(out, in, weight, bias, ActNone)
-}
-
-// DenseActInto is DenseInto with a fused activation epilogue: the
+// DenseActInto computes out[n,o] = act(sum_i in[n,i]*W[o,i] + bias[o]) into
+// a caller-provided (N, O) tensor (act ActNone for a raw layer). The
 // activation is applied to each finished accumulator exactly as a separate
 // elementwise pass would, so fusing it is bit-preserving. Operands of any
 // storage dtype (in practice the fp16 weight matrix a quantized graph

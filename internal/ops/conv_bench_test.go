@@ -30,7 +30,7 @@ var zooConvWorkloads = []struct {
 }
 
 // BenchmarkConvKernels measures every applicable algorithm on every zoo
-// workload: direct (hoisted bounds), depthwise, Winograd, and im2col-GEMM
+// workload: direct (hoisted bounds), depthwise and im2col-GEMM
 // (prepacked weights + reused scratch, as the runtime runs it). The im2col-GEMM rows are the
 // acceptance check: they must beat direct on the 3x3 stride-1 workloads.
 func BenchmarkConvKernels(b *testing.B) {
@@ -55,8 +55,8 @@ func BenchmarkConvKernels(b *testing.B) {
 
 		// Per-dtype rows: the same workload over fp16 and int8 storage
 		// (fp32 accumulation), input conversion and weight packing outside
-		// the timed loop as the runtime runs them. Winograd is fp32-only and
-		// int8 has no direct form, so each dtype benches its default kernel.
+		// the timed loop as the runtime runs them. Int8 has no direct
+		// form, so each dtype benches its default kernel.
 		for _, dt := range []tensor.DType{tensor.Float16, tensor.Int8} {
 			p := PrepareConvDType(w, KernelAuto, weight, dt)
 			scratch := make([]float32, p.ScratchElems())

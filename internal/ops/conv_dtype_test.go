@@ -330,10 +330,10 @@ func TestInt8KernelsMatchIntegerReference(t *testing.T) {
 			})
 		}
 	}
-	// Direct and Winograd have no int8 form: both resolve to the GEMM.
+	// Direct has no int8 form: it resolves to the GEMM.
 	w := dtypeConvCases()[1]
 	_, weight, _ := convInputs(w, 1)
-	for _, k := range []ConvKernel{KernelDirect, KernelWinograd, KernelGEMM} {
+	for _, k := range []ConvKernel{KernelDirect, KernelGEMM} {
 		if got := PrepareConvDType(w, k, weight, tensor.Int8).Kernel(); got != KernelGEMM {
 			t.Errorf("int8 %v resolved to %v, want gemm", k, got)
 		}
@@ -350,7 +350,7 @@ func TestFP32EpilogueVariants(t *testing.T) {
 		raw.FusedActivation = ActNone
 		sums := naiveConv2D(in, weight, bias, raw)
 		for _, k := range ConvKernels {
-			if !KernelSupported(k, w) || k == KernelWinograd {
+			if !KernelSupported(k, w) {
 				continue
 			}
 			p := PrepareConv(w, k, weight)

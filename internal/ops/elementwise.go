@@ -6,10 +6,10 @@ import (
 	"unigpu/internal/tensor"
 )
 
-// Every operator here comes in two forms: the allocating reference
-// (ReLU, Add, ...) and an *Into variant computing into a caller-provided
-// output tensor. The pooled graph runtime executes the Into forms against
-// arena-backed buffers so the steady-state run loop never allocates.
+// Every operator here computes into a caller-provided output tensor (the
+// *Into form) and overwrites every element of it: the pooled graph runtime
+// runs them against reused arena buffers, so the steady-state run loop never
+// allocates.
 
 // allFloat32 reports whether every tensor carries fp32 storage — the
 // precondition for the raw-slice fast paths of the elementwise kernels
@@ -35,13 +35,6 @@ func allFloat32(ts ...*tensor.Tensor) bool {
 // to the heap.)
 const typedRun = 256
 
-// ReLU applies max(0, x) elementwise.
-func ReLU(in *tensor.Tensor) *tensor.Tensor {
-	out := tensor.New(in.Shape()...)
-	ReLUInto(out, in)
-	return out
-}
-
 // ReLUInto applies max(0, x) into out (which may alias in).
 func ReLUInto(out, in *tensor.Tensor) {
 	if !allFloat32(out, in) {
@@ -56,13 +49,6 @@ func ReLUInto(out, in *tensor.Tensor) {
 			d[i] = v
 		}
 	}
-}
-
-// LeakyReLU applies x<0 ? alpha*x : x elementwise.
-func LeakyReLU(in *tensor.Tensor, alpha float32) *tensor.Tensor {
-	out := tensor.New(in.Shape()...)
-	LeakyReLUInto(out, in, alpha)
-	return out
 }
 
 // LeakyReLUInto applies the leaky rectifier into out.
@@ -81,13 +67,6 @@ func LeakyReLUInto(out, in *tensor.Tensor, alpha float32) {
 	}
 }
 
-// Sigmoid applies the logistic function elementwise.
-func Sigmoid(in *tensor.Tensor) *tensor.Tensor {
-	out := tensor.New(in.Shape()...)
-	SigmoidInto(out, in)
-	return out
-}
-
 // SigmoidInto applies the logistic function into out.
 func SigmoidInto(out, in *tensor.Tensor) {
 	if !allFloat32(out, in) {
@@ -98,14 +77,6 @@ func SigmoidInto(out, in *tensor.Tensor) {
 	for i, v := range id {
 		d[i] = float32(1 / (1 + math.Exp(-float64(v))))
 	}
-}
-
-// Add computes the elementwise sum of two same-shape tensors (residual
-// connections).
-func Add(a, b *tensor.Tensor) *tensor.Tensor {
-	out := tensor.New(a.Shape()...)
-	AddInto(out, a, b)
-	return out
 }
 
 // AddInto sums a and b elementwise into out.
@@ -121,14 +92,6 @@ func AddInto(out, a, b *tensor.Tensor) {
 	for i := range d {
 		d[i] = ad[i] + bd[i]
 	}
-}
-
-// BatchNormInference applies the folded affine form of batch norm:
-// y = gamma * (x - mean) / sqrt(var + eps) + beta, per channel (NCHW).
-func BatchNormInference(in, gamma, beta, mean, variance *tensor.Tensor, eps float32) *tensor.Tensor {
-	out := tensor.New(in.Shape()...)
-	BatchNormInferenceInto(out, in, gamma, beta, mean, variance, eps)
-	return out
 }
 
 // BatchNormInferenceInto applies inference-mode batch norm into out.
@@ -163,13 +126,6 @@ func FoldBatchNorm(gamma, beta, mean, variance *tensor.Tensor, eps float32) (sca
 	return scale, shift
 }
 
-// Softmax normalizes along the last axis.
-func Softmax(in *tensor.Tensor) *tensor.Tensor {
-	out := tensor.New(in.Shape()...)
-	SoftmaxInto(out, in)
-	return out
-}
-
 // SoftmaxInto normalizes along the last axis into out (may alias in).
 func SoftmaxInto(out, in *tensor.Tensor) {
 	s := in.Shape()
@@ -197,21 +153,6 @@ func SoftmaxInto(out, in *tensor.Tensor) {
 	}
 }
 
-// Concat joins tensors along the channel axis (axis 1, NCHW).
-func Concat(ts ...*tensor.Tensor) *tensor.Tensor {
-	if len(ts) == 0 {
-		panic("ops: Concat of nothing")
-	}
-	s0 := ts[0].Shape()
-	totalC := 0
-	for _, t := range ts {
-		totalC += t.Shape()[1]
-	}
-	out := tensor.New(s0[0], totalC, s0[2], s0[3])
-	ConcatInto(out, ts...)
-	return out
-}
-
 // ConcatInto joins tensors along the channel axis into out.
 func ConcatInto(out *tensor.Tensor, ts ...*tensor.Tensor) {
 	if len(ts) == 0 {
@@ -234,15 +175,6 @@ func ConcatInto(out *tensor.Tensor, ts ...*tensor.Tensor) {
 		}
 		cOff += t.Shape()[1]
 	}
-}
-
-// UpsampleNearest2x doubles spatial resolution by nearest neighbour (the
-// YOLOv3 route/upsample block).
-func UpsampleNearest2x(in *tensor.Tensor) *tensor.Tensor {
-	s := in.Shape()
-	out := tensor.New(s[0], s[1], 2*s[2], 2*s[3])
-	UpsampleNearest2xInto(out, in)
-	return out
 }
 
 // UpsampleNearest2xInto doubles spatial resolution into out.
@@ -279,10 +211,4 @@ func UpsampleNearest2xInto(out, in *tensor.Tensor) {
 			}
 		}
 	}
-}
-
-// Flatten reshapes (N, C, H, W) to (N, C*H*W).
-func Flatten(in *tensor.Tensor) *tensor.Tensor {
-	s := in.Shape()
-	return in.Reshape(s[0], in.Size()/s[0])
 }

@@ -29,52 +29,19 @@ func assertSame(t *testing.T, name string, got, want *tensor.Tensor) {
 	}
 }
 
-// TestIntoVariantsMatchAllocating: every *Into kernel must be bit-identical
-// to its allocating wrapper — the pooled runtime swaps them in freely.
-func TestIntoVariantsMatchAllocating(t *testing.T) {
+// TestIntoOverwritesAndAliases: every *Into kernel must overwrite all of
+// its output, so a run into a buffer poisoned with -123 equals a run into a
+// zeroed one (the pooled runtime hands kernels reused arena buffers), and
+// the elementwise kernels must give the same bits when out aliases their
+// first input. The graph-level overwrite test holds the operators (and the
+// vision pipelines) to the same contract.
+func TestIntoOverwritesAndAliases(t *testing.T) {
 	in := randT(1, 1, 6, 9, 9)
 	w := ConvWorkload{N: 1, CIn: 6, COut: 4, H: 9, W: 9, KH: 3, KW: 3,
 		StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
 	weight := randT(2, 4, 6, 3, 3)
 	bias := randT(3, 4)
-
-	conv := Conv2D(in, weight, bias, w)
-	convInto := tensor.New(conv.Shape()...)
-	Conv2DInto(convInto, in, weight, bias, w)
-	assertSame(t, "conv2d", convInto, conv)
-
-	x := randT(4, 1, 4, 8, 8)
-	checks := []struct {
-		name string
-		ref  *tensor.Tensor
-		into func(out *tensor.Tensor)
-	}{
-		{"relu", ReLU(x), func(o *tensor.Tensor) { ReLUInto(o, x) }},
-		{"leaky_relu", LeakyReLU(x, 0.1), func(o *tensor.Tensor) { LeakyReLUInto(o, x, 0.1) }},
-		{"sigmoid", Sigmoid(x), func(o *tensor.Tensor) { SigmoidInto(o, x) }},
-		{"pool_max", Pool2D(x, MaxPool, 2, 2, 0), func(o *tensor.Tensor) { Pool2DInto(o, x, MaxPool, 2, 2, 0) }},
-		{"pool_avg", Pool2D(x, AvgPool, 3, 2, 1), func(o *tensor.Tensor) { Pool2DInto(o, x, AvgPool, 3, 2, 1) }},
-		{"global_avg", GlobalAvgPool(x), func(o *tensor.Tensor) { GlobalAvgPoolInto(o, x) }},
-		{"upsample", UpsampleNearest2x(x), func(o *tensor.Tensor) { UpsampleNearest2xInto(o, x) }},
-	}
-	for _, c := range checks {
-		out := tensor.New(c.ref.Shape()...)
-		out.Fill(-123) // poison: Into must overwrite every element
-		c.into(out)
-		assertSame(t, c.name, out, c.ref)
-	}
-
-	y := randT(5, 1, 4, 8, 8)
-	sum := Add(x, y)
-	sumInto := tensor.New(sum.Shape()...)
-	AddInto(sumInto, x, y)
-	assertSame(t, "add", sumInto, sum)
-
-	cat := Concat(x, y)
-	catInto := tensor.New(cat.Shape()...)
-	ConcatInto(catInto, x, y)
-	assertSame(t, "concat", catInto, cat)
-
+	x, y := randT(4, 1, 4, 8, 8), randT(5, 1, 4, 8, 8)
 	gamma, beta, mean, vr := randT(6, 4), randT(7, 4), randT(8, 4), randT(9, 4)
 	vd := vr.Data()
 	for i := range vd {
@@ -83,23 +50,55 @@ func TestIntoVariantsMatchAllocating(t *testing.T) {
 		}
 		vd[i] += 0.5
 	}
-	bn := BatchNormInference(x, gamma, beta, mean, vr, 1e-5)
-	bnInto := tensor.New(bn.Shape()...)
-	BatchNormInferenceInto(bnInto, x, gamma, beta, mean, vr, 1e-5)
-	assertSame(t, "batchnorm", bnInto, bn)
-
 	logits := randT(10, 2, 10)
-	sm := Softmax(logits)
-	smInto := tensor.New(sm.Shape()...)
-	SoftmaxInto(smInto, logits)
-	assertSame(t, "softmax", smInto, sm)
-
+	flat := x.Reshape(1, 4*8*8)
 	dw, db := randT(11, 5, 4*8*8), randT(12, 5)
-	flat := Flatten(x)
-	d := Dense(flat, dw, db)
-	dInto := tensor.New(d.Shape()...)
-	DenseInto(dInto, flat, dw, db)
-	assertSame(t, "dense", dInto, d)
+	checks := []struct {
+		name  string
+		shape []int
+		into  func(out *tensor.Tensor)
+	}{
+		{"conv2d", []int{1, 4, 9, 9}, func(o *tensor.Tensor) { Conv2DInto(o, in, weight, bias, w) }},
+		{"relu", []int{1, 4, 8, 8}, func(o *tensor.Tensor) { ReLUInto(o, x) }},
+		{"leaky_relu", []int{1, 4, 8, 8}, func(o *tensor.Tensor) { LeakyReLUInto(o, x, 0.1) }},
+		{"sigmoid", []int{1, 4, 8, 8}, func(o *tensor.Tensor) { SigmoidInto(o, x) }},
+		{"pool_max", []int{1, 4, 4, 4}, func(o *tensor.Tensor) { Pool2DInto(o, x, MaxPool, 2, 2, 0) }},
+		{"pool_avg", []int{1, 4, 4, 4}, func(o *tensor.Tensor) { Pool2DInto(o, x, AvgPool, 3, 2, 1) }},
+		{"global_avg", []int{1, 4, 1, 1}, func(o *tensor.Tensor) { GlobalAvgPoolInto(o, x) }},
+		{"upsample", []int{1, 4, 16, 16}, func(o *tensor.Tensor) { UpsampleNearest2xInto(o, x) }},
+		{"add", []int{1, 4, 8, 8}, func(o *tensor.Tensor) { AddInto(o, x, y) }},
+		{"concat", []int{1, 8, 8, 8}, func(o *tensor.Tensor) { ConcatInto(o, x, y) }},
+		{"batchnorm", []int{1, 4, 8, 8}, func(o *tensor.Tensor) { BatchNormInferenceInto(o, x, gamma, beta, mean, vr, 1e-5) }},
+		{"softmax", []int{2, 10}, func(o *tensor.Tensor) { SoftmaxInto(o, logits) }},
+		{"dense", []int{1, 5}, func(o *tensor.Tensor) { DenseActInto(o, flat, dw, db, ActNone) }},
+	}
+	for _, c := range checks {
+		want := tensor.New(c.shape...)
+		c.into(want)
+		out := tensor.New(c.shape...)
+		out.Fill(-123) // poison: Into must overwrite every element
+		c.into(out)
+		assertSame(t, c.name, out, want)
+	}
+
+	aliases := []struct {
+		name string
+		src  *tensor.Tensor
+		into func(out, in *tensor.Tensor)
+	}{
+		{"relu", x, ReLUInto},
+		{"leaky_relu", x, func(o, in *tensor.Tensor) { LeakyReLUInto(o, in, 0.1) }},
+		{"sigmoid", x, SigmoidInto},
+		{"add", x, func(o, in *tensor.Tensor) { AddInto(o, in, y) }},
+		{"softmax", logits, SoftmaxInto},
+	}
+	for _, c := range aliases {
+		want := tensor.New(c.src.Shape()...)
+		c.into(want, c.src)
+		inPlace := c.src.Clone()
+		c.into(inPlace, inPlace)
+		assertSame(t, c.name+" in place", inPlace, want)
+	}
 }
 
 // refPool2D is a frozen copy of the At/Set pooling loop Pool2DInto was
@@ -221,7 +220,7 @@ func TestConvAllocatesNothing(t *testing.T) {
 			k  ConvKernel
 			dt tensor.DType
 		}{{w, KernelGEMM, tensor.Float32}, {w, KernelGEMM, tensor.Float16}, {w, KernelGEMM, tensor.Int8},
-			{w, KernelDirect, tensor.Float32}, {w, KernelWinograd, tensor.Float32},
+			{w, KernelDirect, tensor.Float32},
 			{dw, KernelDepthwise, tensor.Float32}, {dw, KernelDepthwise, tensor.Int8}} {
 			in, weight, bias := convInputs(tc.w, 9)
 			p := PrepareConvDType(tc.w, tc.k, weight, tc.dt)
@@ -273,6 +272,6 @@ func BenchmarkDenseInto(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		DenseInto(out, in, weight, bias)
+		DenseActInto(out, in, weight, bias, ActNone)
 	}
 }

@@ -23,17 +23,13 @@ const (
 	// clock price it apart from direct, and it is the one label an int8
 	// conv may carry besides the GEMM.
 	KernelDepthwise
-	// KernelWinograd is F(2x2,3x3) minimal filtering for dense 3x3
-	// stride-1 convs; numerically ~1e-4 from direct, never auto-selected
-	// unless the caller opts in (see graph.KernelSelection.AllowWinograd).
-	KernelWinograd
 	// KernelGEMM is the im2col + packed cache-blocked GEMM path;
 	// bit-identical to direct (single ascending-k accumulator per output).
 	KernelGEMM
 )
 
 // ConvKernels lists the concrete (non-Auto) kernels in a stable order.
-var ConvKernels = []ConvKernel{KernelDirect, KernelDepthwise, KernelWinograd, KernelGEMM}
+var ConvKernels = []ConvKernel{KernelDirect, KernelDepthwise, KernelGEMM}
 
 func (k ConvKernel) String() string {
 	switch k {
@@ -43,8 +39,6 @@ func (k ConvKernel) String() string {
 		return "direct"
 	case KernelDepthwise:
 		return "depthwise"
-	case KernelWinograd:
-		return "winograd"
 	case KernelGEMM:
 		return "gemm"
 	}
@@ -69,15 +63,12 @@ func KernelSupported(k ConvKernel, w ConvWorkload) bool {
 		return true
 	case KernelDepthwise:
 		return w.IsDepthwise()
-	case KernelWinograd:
-		return WinogradSupported(w)
 	}
 	return false
 }
 
 // DefaultKernel picks a kernel for w without a cost model: depthwise gets
-// the specialized kernel, everything else the GEMM path. Winograd is never
-// a default (it changes numerics) — it must be selected explicitly.
+// the specialized kernel, everything else the GEMM path.
 func DefaultKernel(w ConvWorkload) ConvKernel {
 	if w.IsDepthwise() {
 		return KernelDepthwise
@@ -103,14 +94,6 @@ func KernelProfile(w ConvWorkload, k ConvKernel) (flops, elems, eff float64) {
 		// Same loop but one input plane per output plane: tiny working
 		// set, no channel reduction, much friendlier to cache.
 		eff = 0.55
-	case KernelWinograd:
-		// 2.25x fewer multiplies, paid for with transform arithmetic on
-		// every 4x4 tile and a transformed-filter read.
-		tiles := float64(w.N) * float64((w.OutH()+1)/2) * float64((w.OutW()+1)/2)
-		transform := tiles * float64(w.CIn) * (32 + 16) // data transform + tile FMAs bookkeeping
-		flops = flops/WinogradMultiplyReduction + 2*transform
-		elems += float64(WinogradPackedElems(w))
-		eff = 0.60
 	case KernelGEMM:
 		// Packed panels give the microkernel dense register reuse, but
 		// the im2col scratch is written then re-read once per (n,group).
@@ -142,9 +125,10 @@ type PreparedConv struct {
 	dtype  tensor.DType // storage dtype the kernel computes over
 
 	// wd is what the fp32 and fp16 kernels multiply by: OIHW weights for
-	// direct/depthwise, GEMM row panels, or the Winograd U. Under fp16 the
-	// values are rounded to binary16 here, once, and stay float32-wide (so
-	// they cost fp32 bytes per plan, and no kernel decodes a weight).
+	// direct/depthwise (or packChannels' blocks), or GEMM row panels. Under
+	// fp16 the values are rounded to binary16 here, once, and stay
+	// float32-wide (so they cost fp32 bytes per plan, and no kernel decodes
+	// a weight).
 	wd []float32
 	// wq and wscale are the int8 kernels' weight codes (GEMM row panels, or
 	// OIHW for depthwise) and per-output-channel scales.
@@ -162,8 +146,7 @@ func PrepareConv(w ConvWorkload, k ConvKernel, weight *tensor.Tensor) *PreparedC
 
 // PrepareConvDType is PrepareConv for an explicit storage dtype. The fp32
 // path is identical to the historical PrepareConv. Under fp16 the weights
-// are rounded to binary16 at pack time (Winograd has no reduced-precision
-// variant and falls back to the GEMM path). Int8 quantizes the weights
+// are rounded to binary16 at pack time. Int8 quantizes the weights
 // with symmetric per-output-channel scales and runs the depthwise loop
 // when asked for it and the quantized GEMM otherwise; the input's
 // per-tensor scale is read off the tensor at run time. A float direct conv
@@ -175,7 +158,7 @@ func PrepareConvDType(w ConvWorkload, k ConvKernel, weight *tensor.Tensor, dt te
 	if !KernelSupported(k, w) {
 		k = KernelDirect
 	}
-	if dt != tensor.Float32 && k == KernelWinograd || dt == tensor.Int8 && k != KernelDepthwise {
+	if dt == tensor.Int8 && k != KernelDepthwise {
 		k = KernelGEMM
 	}
 	p := &PreparedConv{w: w, kernel: k, dtype: dt}
@@ -184,8 +167,6 @@ func PrepareConvDType(w ConvWorkload, k ConvKernel, weight *tensor.Tensor, dt te
 		if p.wq, p.wscale = quantizeConvWeights(weight, w); k == KernelGEMM {
 			p.wq = packRowPanels(p.wq, w)
 		}
-	case k == KernelWinograd:
-		p.wd = PackConvWeightsWinograd(weight, w)
 	default:
 		p.wd = weight.Data()
 		if dt == tensor.Float16 {
@@ -295,8 +276,6 @@ func runConv[O convOut, R convElem](r convRun, od []O, rd []R) {
 	p := r.p
 	s := convSink[O, R]{out: od, res: rd, bias: r.bias, act: p.w.FusedActivation, postAct: r.postAct}
 	switch {
-	case p.kernel == KernelWinograd: // fp32 storage only, see PrepareConvDType
-		convWinograd(&s, r.in.Data(), p.wd, p.w)
 	case p.dtype == tensor.Int8:
 		s.wscale, s.inScale = p.wscale, r.in.Scale()
 		if p.kernel == KernelDepthwise {

@@ -56,6 +56,18 @@ func randomConvInputs(w ConvWorkload, seed int64) (in, weight, bias *tensor.Tens
 	return
 }
 
+// into runs kernel f into a fresh fp32 tensor of the given shape.
+func into(f func(out *tensor.Tensor), shape ...int) *tensor.Tensor {
+	out := tensor.New(shape...)
+	f(out)
+	return out
+}
+
+// conv2D runs Conv2DInto into a fresh output of w's shape.
+func conv2D(in, weight, bias *tensor.Tensor, w ConvWorkload) *tensor.Tensor {
+	return into(func(o *tensor.Tensor) { Conv2DInto(o, in, weight, bias, w) }, w.N, w.COut, w.OutH(), w.OutW())
+}
+
 func TestConv2DMatchesNaive(t *testing.T) {
 	cases := []ConvWorkload{
 		{N: 1, CIn: 3, H: 8, W: 8, COut: 4, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1, HasBias: true},
@@ -67,7 +79,7 @@ func TestConv2DMatchesNaive(t *testing.T) {
 	}
 	for _, w := range cases {
 		in, weight, bias := randomConvInputs(w, 7)
-		got := Conv2D(in, weight, bias, w)
+		got := conv2D(in, weight, bias, w)
 		want := naiveConv(in, weight, bias, w)
 		if !tensor.AllClose(got, want, 1e-5) {
 			t.Errorf("%s: max diff %g", w, tensor.MaxAbsDiff(got, want))
@@ -113,7 +125,7 @@ func TestDense(t *testing.T) {
 	in := tensor.FromData([]float32{1, 2, 3}, 1, 3)
 	w := tensor.FromData([]float32{1, 0, 0, 0, 1, 1}, 2, 3)
 	b := tensor.FromData([]float32{10, 20}, 2)
-	out := Dense(in, w, b)
+	out := into(func(o *tensor.Tensor) { DenseActInto(o, in, w, b, ActNone) }, 1, 2)
 	if out.At(0, 0) != 11 || out.At(0, 1) != 25 {
 		t.Fatalf("dense = %v", out.Data())
 	}
@@ -121,15 +133,15 @@ func TestDense(t *testing.T) {
 
 func TestReLUFamily(t *testing.T) {
 	in := tensor.FromData([]float32{-2, 0, 3}, 3)
-	r := ReLU(in)
+	r := into(func(o *tensor.Tensor) { ReLUInto(o, in) }, 3)
 	if r.At(0) != 0 || r.At(2) != 3 {
 		t.Fatalf("relu = %v", r.Data())
 	}
-	l := LeakyReLU(in, 0.1)
+	l := into(func(o *tensor.Tensor) { LeakyReLUInto(o, in, 0.1) }, 3)
 	if math.Abs(float64(l.At(0)+0.2)) > 1e-6 || l.At(2) != 3 {
 		t.Fatalf("leaky = %v", l.Data())
 	}
-	s := Sigmoid(tensor.FromData([]float32{0}, 1))
+	s := into(func(o *tensor.Tensor) { SigmoidInto(o, tensor.FromData([]float32{0}, 1)) }, 1)
 	if math.Abs(float64(s.At(0))-0.5) > 1e-6 {
 		t.Fatalf("sigmoid(0) = %v", s.At(0))
 	}
@@ -142,7 +154,7 @@ func TestReLUFamily(t *testing.T) {
 func TestAddAndShapeMismatch(t *testing.T) {
 	a := tensor.FromData([]float32{1, 2}, 2)
 	b := tensor.FromData([]float32{3, 4}, 2)
-	if got := Add(a, b); got.At(1) != 6 {
+	if got := into(func(o *tensor.Tensor) { AddInto(o, a, b) }, 2); got.At(1) != 6 {
 		t.Fatalf("add = %v", got.Data())
 	}
 	defer func() {
@@ -150,7 +162,7 @@ func TestAddAndShapeMismatch(t *testing.T) {
 			t.Fatal("expected shape-mismatch panic")
 		}
 	}()
-	Add(a, tensor.New(3))
+	AddInto(tensor.New(2), a, tensor.New(3))
 }
 
 func TestBatchNormFoldEquivalence(t *testing.T) {
@@ -164,7 +176,7 @@ func TestBatchNormFoldEquivalence(t *testing.T) {
 	variance.FillFunc(func(i int) float32 { return 0.5 + float32(i)*0.1 })
 	const eps = 1e-5
 
-	want := BatchNormInference(in, gamma, beta, mean, variance, eps)
+	want := into(func(o *tensor.Tensor) { BatchNormInferenceInto(o, in, gamma, beta, mean, variance, eps) }, 2, c, 3, 3)
 
 	// Folded form: y = x*scale + shift must agree exactly.
 	scale, shift := FoldBatchNorm(gamma, beta, mean, variance, eps)
@@ -186,7 +198,7 @@ func TestBatchNormFoldEquivalence(t *testing.T) {
 
 func TestSoftmax(t *testing.T) {
 	in := tensor.FromData([]float32{1, 2, 3, 1000, 1000, 1000}, 2, 3)
-	out := Softmax(in)
+	out := into(func(o *tensor.Tensor) { SoftmaxInto(o, in) }, 2, 3)
 	for r := 0; r < 2; r++ {
 		var sum float64
 		for i := 0; i < 3; i++ {
@@ -212,16 +224,16 @@ func TestMaxAndAvgPool(t *testing.T) {
 		9, 10, 11, 12,
 		13, 14, 15, 16,
 	}, 1, 1, 4, 4)
-	mp := Pool2D(in, MaxPool, 2, 2, 0)
-	if !mp.Shape().Equal(tensor.Shape{1, 1, 2, 2}) || mp.At(0, 0, 0, 0) != 6 || mp.At(0, 0, 1, 1) != 16 {
+	mp := into(func(o *tensor.Tensor) { Pool2DInto(o, in, MaxPool, 2, 2, 0) }, 1, 1, 2, 2)
+	if mp.At(0, 0, 0, 0) != 6 || mp.At(0, 0, 1, 1) != 16 {
 		t.Fatalf("maxpool = %v", mp.Data())
 	}
-	ap := Pool2D(in, AvgPool, 2, 2, 0)
+	ap := into(func(o *tensor.Tensor) { Pool2DInto(o, in, AvgPool, 2, 2, 0) }, 1, 1, 2, 2)
 	if ap.At(0, 0, 0, 0) != 3.5 {
 		t.Fatalf("avgpool = %v", ap.Data())
 	}
 	// Padding excluded from divisor.
-	ap2 := Pool2D(in, AvgPool, 3, 2, 1)
+	ap2 := into(func(o *tensor.Tensor) { Pool2DInto(o, in, AvgPool, 3, 2, 1) }, 1, 1, 2, 2)
 	if ap2.At(0, 0, 0, 0) != (1+2+5+6)/4.0 {
 		t.Fatalf("padded avgpool corner = %v, want 3.5", ap2.At(0, 0, 0, 0))
 	}
@@ -230,7 +242,7 @@ func TestMaxAndAvgPool(t *testing.T) {
 func TestGlobalAvgPool(t *testing.T) {
 	in := tensor.New(1, 2, 2, 2)
 	in.FillFunc(func(i int) float32 { return float32(i) })
-	g := GlobalAvgPool(in)
+	g := into(func(o *tensor.Tensor) { GlobalAvgPoolInto(o, in) }, 1, 2, 1, 1)
 	if g.At(0, 0, 0, 0) != 1.5 || g.At(0, 1, 0, 0) != 5.5 {
 		t.Fatalf("gap = %v", g.Data())
 	}
@@ -241,10 +253,7 @@ func TestConcat(t *testing.T) {
 	a.Fill(1)
 	b := tensor.New(1, 3, 2, 2)
 	b.Fill(2)
-	c := Concat(a, b)
-	if !c.Shape().Equal(tensor.Shape{1, 5, 2, 2}) {
-		t.Fatalf("concat shape = %v", c.Shape())
-	}
+	c := into(func(o *tensor.Tensor) { ConcatInto(o, a, b) }, 1, 5, 2, 2)
 	if c.At(0, 1, 1, 1) != 1 || c.At(0, 2, 0, 0) != 2 {
 		t.Fatal("concat channel placement wrong")
 	}
@@ -252,20 +261,9 @@ func TestConcat(t *testing.T) {
 
 func TestUpsampleNearest(t *testing.T) {
 	in := tensor.FromData([]float32{1, 2, 3, 4}, 1, 1, 2, 2)
-	up := UpsampleNearest2x(in)
-	if !up.Shape().Equal(tensor.Shape{1, 1, 4, 4}) {
-		t.Fatalf("upsample shape = %v", up.Shape())
-	}
+	up := into(func(o *tensor.Tensor) { UpsampleNearest2xInto(o, in) }, 1, 1, 4, 4)
 	if up.At(0, 0, 0, 1) != 1 || up.At(0, 0, 3, 3) != 4 || up.At(0, 0, 2, 1) != 3 {
 		t.Fatalf("upsample = %v", up.Data())
-	}
-}
-
-func TestFlatten(t *testing.T) {
-	in := tensor.New(2, 3, 4, 4)
-	f := Flatten(in)
-	if !f.Shape().Equal(tensor.Shape{2, 48}) {
-		t.Fatalf("flatten shape = %v", f.Shape())
 	}
 }
 
@@ -276,12 +274,12 @@ func TestPropertyConvLinearity(t *testing.T) {
 	f := func(seed int64, scaleRaw uint8) bool {
 		scale := float32(scaleRaw%7) + 1
 		in, weight, _ := randomConvInputs(w, seed)
-		base := Conv2D(in, weight, nil, w)
+		base := conv2D(in, weight, nil, w)
 		scaled := in.Clone()
 		for i, v := range scaled.Data() {
 			scaled.Data()[i] = v * scale
 		}
-		got := Conv2D(scaled, weight, nil, w)
+		got := conv2D(scaled, weight, nil, w)
 		want := base.Clone()
 		for i := range want.Data() {
 			want.Data()[i] *= scale

@@ -15,23 +15,16 @@ const (
 	AvgPool
 )
 
-// Pool2D applies kernel×kernel pooling with the given stride and padding
-// over NCHW input. Average pooling excludes padding from the divisor
-// (count_include_pad=false), matching GluonCV defaults.
-func Pool2D(in *tensor.Tensor, kind PoolKind, kernel, stride, pad int) *tensor.Tensor {
-	s := in.Shape()
-	out := tensor.New(s[0], s[1], (s[2]+2*pad-kernel)/stride+1, (s[3]+2*pad-kernel)/stride+1)
-	Pool2DInto(out, in, kind, kernel, stride, pad)
-	return out
-}
-
 // poolWindowElems is the stack room for the padded input rows under one
 // output row: three rows of a 339-wide plane. A wider window takes the heap.
 const poolWindowElems = 1024
 
-// Pool2DInto applies pooling into a caller-provided (N, C, OutH, OutW)
-// tensor of any storage dtype: the planes are fanned out (independent, each
-// job's window on its own stack), a plane goes an output row at a time. The
+// Pool2DInto applies kernel×kernel pooling with the given stride and padding
+// over NCHW input into a caller-provided (N, C, OutH, OutW) tensor of any
+// storage dtype. Average pooling excludes padding from the divisor
+// (count_include_pad=false), matching GluonCV defaults. The planes are
+// fanned out (independent, each job's window on its own stack), a plane
+// goes an output row at a time. The
 // input rows its windows touch are widened (LoadF) into a buffer whose
 // padding columns hold the reduction's identity, -Inf for max and -0 for the
 // sum (x + -0 is x for every x, -0 included), so every tap is in bounds:
@@ -127,14 +120,6 @@ func (j poolJob) Run(job int) {
 			}
 		}
 	}
-}
-
-// GlobalAvgPool reduces each channel plane to one value: (N,C,H,W)->(N,C,1,1).
-func GlobalAvgPool(in *tensor.Tensor) *tensor.Tensor {
-	s := in.Shape()
-	out := tensor.New(s[0], s[1], 1, 1)
-	GlobalAvgPoolInto(out, in)
-	return out
 }
 
 // GlobalAvgPoolInto reduces each channel plane to one value into out: a

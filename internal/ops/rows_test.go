@@ -133,7 +133,7 @@ func TestRowKernelsOnPortablePrimitives(t *testing.T) {
 	onPortableTile(func() {
 		t.Run("Pool2DMatchesReference", TestPool2DMatchesReference)
 		t.Run("TypedFallbacks", TestTypedFallbacksMatchElementAccess)
-		t.Run("IntoVariants", TestIntoVariantsMatchAllocating)
+		t.Run("IntoVariants", TestIntoOverwritesAndAliases)
 		t.Run("FP16CrossCheck", TestConvFP16CrossCheck)
 		t.Run("Int8CrossCheck", TestConvInt8CrossCheck)
 		for i, c := range convFuzzSeeds {

@@ -39,8 +39,8 @@ const fanJobs = 64
 func (o *fanOp) Kind() string                               { return "fake_fanout" }
 func (o *fanOp) InferShape(ins []tensor.Shape) tensor.Shape { return ins[0].Clone() }
 func (o *fanOp) GPUFriendly() bool                          { return false }
-func (o *fanOp) Execute([]*tensor.Tensor) *tensor.Tensor {
-	panic("a plan runs the PreparedOp, never Execute")
+func (o *fanOp) ExecuteInto(*tensor.Tensor, []*tensor.Tensor) {
+	panic("a plan runs the PreparedOp, never ExecuteInto")
 }
 func (o *fanOp) Prepare(*graph.Node) (graph.PreparedOp, error) { return o, nil }
 func (o *fanOp) Scratch() (int, tensor.DType)                  { return 0, tensor.Float32 }

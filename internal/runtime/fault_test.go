@@ -24,10 +24,10 @@ import (
 // operator of the panic-recovery regression tests.
 type poisonOp struct{}
 
-func (poisonOp) Kind() string                                { return "poison" }
-func (poisonOp) InferShape(ins []tensor.Shape) tensor.Shape  { return ins[0].Clone() }
-func (poisonOp) GPUFriendly() bool                           { return true }
-func (poisonOp) Execute(ins []*tensor.Tensor) *tensor.Tensor { panic("poisoned operator") }
+func (poisonOp) Kind() string                                 { return "poison" }
+func (poisonOp) InferShape(ins []tensor.Shape) tensor.Shape   { return ins[0].Clone() }
+func (poisonOp) GPUFriendly() bool                            { return true }
+func (poisonOp) ExecuteInto(*tensor.Tensor, []*tensor.Tensor) { panic("poisoned operator") }
 
 // buildPoisonedGraph places a panicking operator mid-graph.
 func buildPoisonedGraph() (*graph.Graph, map[string]*tensor.Tensor) {

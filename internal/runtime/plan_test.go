@@ -15,7 +15,7 @@ import (
 )
 
 // executeReference is a frozen copy of the seed serial executor (pre-plan,
-// pre-arena): functional Execute with fresh allocations per node. The
+// pre-arena): every node evaluated into a fresh allocation (graph.Eval). The
 // plan-and-arena runtime must stay bit-identical to it.
 func executeReference(g *graph.Graph, feeds map[string]*tensor.Tensor) ([]*tensor.Tensor, error) {
 	if err := g.Validate(); err != nil {
@@ -46,7 +46,7 @@ func executeReference(g *graph.Graph, feeds map[string]*tensor.Tensor) ([]*tenso
 			for i, in := range n.Inputs {
 				ins[i] = values[in]
 			}
-			values[n] = n.Op.Execute(ins)
+			values[n] = graph.Eval(n, ins)
 			for _, in := range n.Inputs {
 				if in.Op == nil {
 					continue

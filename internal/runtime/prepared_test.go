@@ -33,8 +33,8 @@ type scratchLedger struct {
 func (o *scratchOp) Kind() string                               { return "fake_scratch" }
 func (o *scratchOp) InferShape(ins []tensor.Shape) tensor.Shape { return ins[0].Clone() }
 func (o *scratchOp) GPUFriendly() bool                          { return false }
-func (o *scratchOp) Execute([]*tensor.Tensor) *tensor.Tensor {
-	panic("a plan runs the PreparedOp, never Execute")
+func (o *scratchOp) ExecuteInto(*tensor.Tensor, []*tensor.Tensor) {
+	panic("a plan runs the PreparedOp, never ExecuteInto")
 }
 
 func (o *scratchOp) Prepare(*graph.Node) (graph.PreparedOp, error) {

@@ -10,7 +10,7 @@ import (
 	"unigpu/internal/tensor"
 )
 
-// runLowered executes a lowered conv kernel and compares against ops.Conv2D.
+// checkConfig executes a lowered conv kernel and compares against ops.Conv2DInto.
 func checkConfig(t *testing.T, w ops.ConvWorkload, cfg templates.Config, d *sim.Device) {
 	t.Helper()
 	k := templates.Schedule(w, cfg, d)
@@ -20,7 +20,8 @@ func checkConfig(t *testing.T, w ops.ConvWorkload, cfg templates.Config, d *sim.
 	g := max(1, w.Groups)
 	weight := tensor.New(w.COut, w.CIn/g, w.KH, w.KW)
 	weight.FillRandom(32)
-	want := ops.Conv2D(in, weight, nil, w)
+	want := tensor.New(w.N, w.COut, w.OutH(), w.OutW())
+	ops.Conv2DInto(want, in, weight, nil, w)
 
 	env := exec.NewEnv()
 	env.Bind("data", in.Data())

@@ -41,11 +41,11 @@ func MultiboxPrior(fh, fw int, sizes, ratios []float32) *tensor.Tensor {
 }
 
 // MultiboxDetection decodes SSD predictions into detections and applies
-// NMS. clsProb is (batch, numClasses, numAnchors) with class 0 =
-// background; locPred is (batch, numAnchors*4) center-offset regressions;
-// anchors is (1, numAnchors, 4) corner boxes. Variances follow the SSD
-// convention (0.1, 0.1, 0.2, 0.2).
-func MultiboxDetection(clsProb, locPred, anchors *tensor.Tensor, cfg NMSConfig) *tensor.Tensor {
+// NMS into out, (batch, numAnchors, 6). clsProb is (batch, numClasses,
+// numAnchors) with class 0 = background; locPred is (batch, numAnchors*4)
+// center-offset regressions; anchors is (1, numAnchors, 4) corner boxes.
+// Variances follow the SSD convention (0.1, 0.1, 0.2, 0.2).
+func MultiboxDetection(out, clsProb, locPred, anchors *tensor.Tensor, cfg NMSConfig) {
 	s := clsProb.Shape()
 	batch, numClasses, numAnchors := s[0], s[1], s[2]
 	dets := tensor.New(batch, numAnchors, DetWidth)
@@ -71,7 +71,7 @@ func MultiboxDetection(clsProb, locPred, anchors *tensor.Tensor, cfg NMSConfig) 
 			}
 		}
 	}
-	return BoxNMS(dets, cfg)
+	BoxNMS(out, dets, cfg)
 }
 
 // DecodeBox applies SSD center-variance decoding of a location regression
@@ -90,14 +90,14 @@ func DecodeBox(anchor, loc [4]float32) [4]float32 {
 }
 
 // ROIAlign extracts fixed-size features for each region of interest with
-// bilinear sampling (no quantization). features is NCHW; rois is
-// (numRois, 5) rows of [batchIdx, x1, y1, x2, y2] in input coordinates;
-// spatialScale maps input coordinates to feature coordinates.
-func ROIAlign(features, rois *tensor.Tensor, pooledH, pooledW int, spatialScale float32, samplingRatio int) *tensor.Tensor {
+// bilinear sampling (no quantization) into out, (numRois, C, pooledH,
+// pooledW). features is NCHW; rois is (numRois, 5) rows of [batchIdx, x1,
+// y1, x2, y2] in input coordinates; spatialScale maps input coordinates to
+// feature coordinates.
+func ROIAlign(out, features, rois *tensor.Tensor, pooledH, pooledW int, spatialScale float32, samplingRatio int) {
 	fs := features.Shape()
 	c, fh, fw := fs[1], fs[2], fs[3]
 	numRois := rois.Shape()[0]
-	out := tensor.New(numRois, c, pooledH, pooledW)
 	for r := 0; r < numRois; r++ {
 		b := int(rois.At(r, 0))
 		x1 := rois.At(r, 1) * spatialScale
@@ -131,7 +131,6 @@ func ROIAlign(features, rois *tensor.Tensor, pooledH, pooledW int, spatialScale 
 			}
 		}
 	}
-	return out
 }
 
 func bilinear(t *tensor.Tensor, b, c int, y, x float32, h, w int) float32 {
@@ -159,15 +158,14 @@ func bilinear(t *tensor.Tensor, b, c int, y, x float32, h, w int) float32 {
 }
 
 // YoloDecode turns one YOLOv3 detection head output (batch,
-// anchors*(5+classes), gh, gw) into raw detections (batch, gh*gw*anchors,
-// 6). anchorsWH are the head's anchor sizes in input pixels; stride is the
-// input-to-grid downsampling.
-func YoloDecode(feat *tensor.Tensor, anchorsWH [][2]float32, numClasses, stride int) *tensor.Tensor {
+// anchors*(5+classes), gh, gw) into raw detections in out, (batch,
+// gh*gw*anchors, 6). anchorsWH are the head's anchor sizes in input
+// pixels; stride is the input-to-grid downsampling.
+func YoloDecode(out, feat *tensor.Tensor, anchorsWH [][2]float32, numClasses, stride int) {
 	s := feat.Shape()
 	batch, gh, gw := s[0], s[2], s[3]
 	na := len(anchorsWH)
 	attrs := 5 + numClasses
-	out := tensor.New(batch, gh*gw*na, DetWidth)
 	sig := func(v float32) float32 { return float32(1 / (1 + math.Exp(-float64(v)))) }
 	plane, r := gh*gw, 0 // r: the next output row's offset
 	for b := 0; b < batch; b++ {
@@ -196,5 +194,4 @@ func YoloDecode(feat *tensor.Tensor, anchorsWH [][2]float32, numClasses, stride 
 			}
 		}
 	}
-	return out
 }

@@ -50,9 +50,10 @@ func minf(a, b float32) float32 {
 	return b
 }
 
-// BoxNMS suppresses duplicate detections in a (batch, num, 6) tensor and
-// returns a tensor of the same shape with surviving rows first (ordered by
-// descending score) and every other row invalidated (class_id = -1).
+// BoxNMS suppresses duplicate detections in a (batch, num, 6) tensor into
+// out, a tensor of the same shape: surviving rows first (ordered by
+// descending score), every other row invalidated (class_id = -1, the rest
+// zero). Every element of out is written, so it may be a reused buffer.
 //
 // This is the optimized formulation of §4.3: all output rows start invalid
 // (no comparison-style writes), the candidate order comes from one
@@ -60,13 +61,13 @@ func minf(a, b float32) float32 {
 // the suppression mask for each accepted box is computed over all later
 // candidates in a data-parallel sweep with predicated updates (no
 // divergent branching in the inner loop).
-func BoxNMS(dets *tensor.Tensor, cfg NMSConfig) *tensor.Tensor {
+func BoxNMS(out, dets *tensor.Tensor, cfg NMSConfig) {
 	s := dets.Shape()
 	batch, num := s[0], s[1]
-	out := tensor.New(batch, num, DetWidth)
 	// Initialize all output to invalid, not comparison-by-comparison.
+	invalid := [DetWidth]float32{-1}
 	for i := 0; i < batch*num; i++ {
-		out.Data()[i*DetWidth] = -1
+		out.StoreF(i*DetWidth, invalid[:])
 	}
 
 	// One segmented sort across the whole batch (scores descending).
@@ -83,7 +84,6 @@ func BoxNMS(dets *tensor.Tensor, cfg NMSConfig) *tensor.Tensor {
 	for b := 0; b < batch; b++ {
 		nmsOneBatch(dets, out, order[b*num:(b+1)*num], b, num, cfg)
 	}
-	return out
 }
 
 func nmsOneBatch(dets, out *tensor.Tensor, order []int32, b, num int, cfg NMSConfig) {

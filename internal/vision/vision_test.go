@@ -248,6 +248,20 @@ func TestIoU(t *testing.T) {
 	}
 }
 
+// poisoned returns a NaN-filled tensor for a kernel to overwrite.
+func poisoned(shape ...int) *tensor.Tensor {
+	t := tensor.New(shape...)
+	t.Fill(float32(math.NaN()))
+	return t
+}
+
+// boxNMS runs BoxNMS into a poisoned output.
+func boxNMS(dets *tensor.Tensor, cfg NMSConfig) *tensor.Tensor {
+	out := poisoned(dets.Shape()...)
+	BoxNMS(out, dets, cfg)
+	return out
+}
+
 func makeDets(rows ...[6]float32) *tensor.Tensor {
 	out := tensor.New(1, len(rows), DetWidth)
 	for i, r := range rows {
@@ -265,7 +279,7 @@ func TestBoxNMSSuppressesOverlaps(t *testing.T) {
 		[6]float32{0, 0.7, 50, 50, 60, 60},
 		[6]float32{1, 0.6, 0, 0, 10, 10}, // other class -> survives
 	)
-	out := BoxNMS(dets, NMSConfig{IoUThreshold: 0.5})
+	out := boxNMS(dets, NMSConfig{IoUThreshold: 0.5})
 	if out.At(0, 0, 1) != 0.9 || out.At(0, 1, 1) != 0.7 || out.At(0, 2, 1) != 0.6 {
 		t.Fatalf("kept scores = %v %v %v", out.At(0, 0, 1), out.At(0, 1, 1), out.At(0, 2, 1))
 	}
@@ -279,7 +293,7 @@ func TestBoxNMSForceSuppress(t *testing.T) {
 		[6]float32{0, 0.9, 0, 0, 10, 10},
 		[6]float32{1, 0.8, 0, 0, 10, 10},
 	)
-	out := BoxNMS(dets, NMSConfig{IoUThreshold: 0.5, ForceSuppress: true})
+	out := boxNMS(dets, NMSConfig{IoUThreshold: 0.5, ForceSuppress: true})
 	if out.At(0, 0, 1) != 0.9 || out.At(0, 1, 0) != -1 {
 		t.Fatal("force suppress must kill the cross-class duplicate")
 	}
@@ -292,7 +306,7 @@ func TestBoxNMSScoreThresholdAndMaxOutput(t *testing.T) {
 		[6]float32{0, 0.8, 10, 10, 11, 11},
 		[6]float32{0, 0.7, 20, 20, 21, 21},
 	)
-	out := BoxNMS(dets, NMSConfig{IoUThreshold: 0.5, ScoreThreshold: 0.1, MaxOutput: 2})
+	out := boxNMS(dets, NMSConfig{IoUThreshold: 0.5, ScoreThreshold: 0.1, MaxOutput: 2})
 	if out.At(0, 0, 1) != 0.9 || out.At(0, 1, 1) != 0.8 {
 		t.Fatal("top-2 by score expected")
 	}
@@ -319,7 +333,7 @@ func TestBoxNMSMatchesSequential(t *testing.T) {
 			}
 		}
 		cfg := NMSConfig{IoUThreshold: 0.4, ScoreThreshold: 0.05}
-		fast := BoxNMS(dets, cfg)
+		fast := boxNMS(dets, cfg)
 		slow := SequentialNMS(dets, cfg)
 		if !tensor.AllClose(fast, slow, 1e-6) {
 			t.Fatalf("trial %d: GPU-style NMS diverges from sequential (max diff %g)",
@@ -371,7 +385,8 @@ func TestMultiboxDetectionEndToEnd(t *testing.T) {
 		0.05, 0.05, // class 2
 	}, 1, 3, 2)
 	loc := tensor.New(1, 8)
-	out := MultiboxDetection(clsProb, loc, anchors, NMSConfig{IoUThreshold: 0.5, ScoreThreshold: 0.2})
+	out := poisoned(1, 2, DetWidth)
+	MultiboxDetection(out, clsProb, loc, anchors, NMSConfig{IoUThreshold: 0.5, ScoreThreshold: 0.2})
 	if out.At(0, 0, 0) != 0 || out.At(0, 0, 1) != 0.9 {
 		t.Fatalf("first detection = class %v score %v", out.At(0, 0, 0), out.At(0, 0, 1))
 	}
@@ -384,10 +399,8 @@ func TestROIAlignConstantField(t *testing.T) {
 	feat := tensor.New(1, 2, 8, 8)
 	feat.Fill(3)
 	rois := tensor.FromData([]float32{0, 1, 1, 6, 6}, 1, 5)
-	out := ROIAlign(feat, rois, 2, 2, 1.0, 2)
-	if !out.Shape().Equal(tensor.Shape{1, 2, 2, 2}) {
-		t.Fatalf("roialign shape = %v", out.Shape())
-	}
+	out := poisoned(1, 2, 2, 2)
+	ROIAlign(out, feat, rois, 2, 2, 1.0, 2)
 	for i, v := range out.Data() {
 		if math.Abs(float64(v)-3) > 1e-5 {
 			t.Fatalf("constant field should pool to 3, got %v at %d", v, i)
@@ -404,7 +417,8 @@ func TestROIAlignGradientField(t *testing.T) {
 		}
 	}
 	rois := tensor.FromData([]float32{0, 0, 0, 7, 7}, 1, 5)
-	out := ROIAlign(feat, rois, 1, 2, 1.0, 2)
+	out := poisoned(1, 1, 1, 2)
+	ROIAlign(out, feat, rois, 1, 2, 1.0, 2)
 	if out.At(0, 0, 0, 0) >= out.At(0, 0, 0, 1) {
 		t.Fatalf("left %v should be < right %v", out.At(0, 0, 0, 0), out.At(0, 0, 0, 1))
 	}
@@ -418,10 +432,8 @@ func TestYoloDecode(t *testing.T) {
 	feat.Set(5, 0, 4, 0, 0)  // objectness logit
 	feat.Set(4, 0, 6, 0, 0)  // class-1 logit
 	feat.Set(-5, 0, 5, 0, 0) // class-0 logit
-	out := YoloDecode(feat, anchors, numClasses, 32)
-	if !out.Shape().Equal(tensor.Shape{1, 4, DetWidth}) {
-		t.Fatalf("yolo decode shape = %v", out.Shape())
-	}
+	out := poisoned(1, 4, DetWidth)
+	YoloDecode(out, feat, anchors, numClasses, 32)
 	if out.At(0, 0, 0) != 1 {
 		t.Fatalf("best class = %v, want 1", out.At(0, 0, 0))
 	}

@@ -222,12 +222,6 @@ type CompileOptions struct {
 	// FallbackNMS places box_nms (and its sorting) on the companion CPU
 	// instead of the integrated GPU (§3.1.2).
 	FallbackNMS bool
-	// AllowWinograd lets the conv kernel selector pick the F(2x2,3x3)
-	// Winograd algorithm where profitable. Winograd reassociates the
-	// reduction, so outputs can differ from the direct kernel by float32
-	// rounding (~1e-4); with it off (the default) every selected kernel is
-	// bit-identical to direct and model outputs are unchanged.
-	AllowWinograd bool
 	// DType selects the storage/compute precision policy: "" or "fp32"
 	// (default — bit-identical to the goldens), "fp16" (binary16 storage,
 	// fp32 accumulation), "int8" (symmetric int8 convolutions over fp16
@@ -254,7 +248,7 @@ type CompiledModel struct {
 	// CopiesInserted counts device_copy nodes from the placement pass.
 	CopiesInserted int
 	// ConvKernels counts the convolutions assigned to each algorithm by
-	// the kernel-selection pass (keys: direct, depthwise, winograd, gemm).
+	// the kernel-selection pass (keys: direct, depthwise, gemm).
 	ConvKernels map[string]int
 	// DType is the compiled precision policy ("fp32", "fp16", "int8",
 	// "auto") and Quant what the quantization pass did (zero for fp32).
@@ -283,7 +277,7 @@ type lowering struct {
 // lower rewrites g in place: graph optimization, mixed-precision lowering
 // (before kernel selection, so the selector prices and records kernels at
 // each conv's storage dtype), per-workload conv algorithm selection (the
-// roofline cost model picks among direct / depthwise / winograd / gemm,
+// roofline cost model picks among direct / depthwise / gemm,
 // tuning-DB kernel records taking precedence), then device placement
 // (§3.1.2). It returns what the quantization pass did, the convolutions per
 // selected kernel name, and the device copies inserted.
@@ -332,7 +326,7 @@ func (e *Engine) Compile(name string, p *Platform, opts CompileOptions) (*Compil
 	cm := &CompiledModel{Name: name, Platform: p, model: m, DType: mode.String()}
 	cm.lowering = lowering{
 		quant:   graph.QuantizeOptions{Mode: mode, Device: p.GPU},
-		kernels: graph.KernelSelection{Device: p.GPU, DB: e.est.DB, AllowWinograd: opts.AllowWinograd},
+		kernels: graph.KernelSelection{Device: p.GPU, DB: e.est.DB},
 	}
 	// Everything GPU-friendly stays on the GPU; the fallback option sends
 	// NMS (and the detection decode it sorts for) to the CPU.
