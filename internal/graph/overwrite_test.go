@@ -129,19 +129,35 @@ func TestExecuteIntoOverwrites(t *testing.T) {
 	}
 
 	for _, c := range cases {
-		shapes := make([]tensor.Shape, len(c.ins))
-		for i, in := range c.ins {
-			shapes[i] = in.Shape()
-		}
-		shape := c.op.InferShape(shapes)
-		want, got := tensor.NewTyped(c.dt, shape...), tensor.NewTyped(c.dt, shape...)
-		if c.dt == i8 {
-			want.SetScale(0.01)
-			got.SetScale(0.01)
-		}
-		c.op.ExecuteInto(want, c.ins)
-		poison(got)
-		c.op.ExecuteInto(got, c.ins)
-		sameBits(t, c.name, got, want)
+		t.Run(c.name, func(t *testing.T) {
+			shapes := make([]tensor.Shape, len(c.ins))
+			for i, in := range c.ins {
+				shapes[i] = in.Shape()
+			}
+			shape := c.op.InferShape(shapes)
+			want, got := tensor.NewTyped(c.dt, shape...), tensor.NewTyped(c.dt, shape...)
+			if c.dt == i8 {
+				want.SetScale(0.01)
+				got.SetScale(0.01)
+			}
+			c.op.ExecuteInto(want, c.ins)
+			poison(got)
+			c.op.ExecuteInto(got, c.ins)
+			sameBits(t, c.name, got, want)
+		})
 	}
+}
+
+// TestFlatten: FlattenOp folds every axis after the batch into one and
+// keeps the row-major element order.
+func TestFlatten(t *testing.T) {
+	in := rnd(21, 2, 3, 4, 4)
+	op := &FlattenOp{}
+	shape := op.InferShape([]tensor.Shape{in.Shape()})
+	if !shape.Equal(tensor.Shape{2, 48}) {
+		t.Fatalf("flatten shape = %v", shape)
+	}
+	out := tensor.New(shape...)
+	op.ExecuteInto(out, []*tensor.Tensor{in})
+	sameBits(t, "flatten", out, in.Reshape(2, 48))
 }

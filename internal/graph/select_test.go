@@ -70,6 +70,25 @@ func TestSelectConvKernelsDBOverride(t *testing.T) {
 	}
 }
 
+// TestSelectConvKernelsDBWinogradGate: a stored record naming the retired
+// winograd kernel must not leak through — selection falls back to the cost
+// model — and the record stays in the database untouched.
+func TestSelectConvKernelsDBWinogradGate(t *testing.T) {
+	g, c3, _, _ := buildSelectGraph()
+	dev := sim.IntelHD505
+	db := autotvm.NewDB("")
+	key := opMust[*ConvOp](t, c3).W.Key()
+	db.StoreKernelChoice(dev.Name, key, "winograd", 1.0)
+
+	SelectConvKernels(g, KernelSelection{Device: dev, DB: db})
+	if got := opMust[*ConvOp](t, c3).Kernel; got != ops.KernelGEMM {
+		t.Fatalf("3x3 s1 conv got %v with a winograd record, want the model's gemm", got)
+	}
+	if name, ok := db.LookupKernelChoice(dev.Name, key); !ok || name != "winograd" {
+		t.Fatalf("winograd record replaced: %q, %v", name, ok)
+	}
+}
+
 // TestForceConvKernel: the ablation helper sets every conv, falling back
 // to direct where the kernel does not apply.
 func TestForceConvKernel(t *testing.T) {

@@ -73,12 +73,14 @@ func TestIntoOverwritesAndAliases(t *testing.T) {
 		{"dense", []int{1, 5}, func(o *tensor.Tensor) { DenseActInto(o, flat, dw, db, ActNone) }},
 	}
 	for _, c := range checks {
-		want := tensor.New(c.shape...)
-		c.into(want)
-		out := tensor.New(c.shape...)
-		out.Fill(-123) // poison: Into must overwrite every element
-		c.into(out)
-		assertSame(t, c.name, out, want)
+		t.Run(c.name, func(t *testing.T) {
+			want := tensor.New(c.shape...)
+			c.into(want)
+			out := tensor.New(c.shape...)
+			out.Fill(-123) // poison: Into must overwrite every element
+			c.into(out)
+			assertSame(t, c.name, out, want)
+		})
 	}
 
 	aliases := []struct {
@@ -93,11 +95,13 @@ func TestIntoOverwritesAndAliases(t *testing.T) {
 		{"softmax", logits, SoftmaxInto},
 	}
 	for _, c := range aliases {
-		want := tensor.New(c.src.Shape()...)
-		c.into(want, c.src)
-		inPlace := c.src.Clone()
-		c.into(inPlace, inPlace)
-		assertSame(t, c.name+" in place", inPlace, want)
+		t.Run(c.name+"/in_place", func(t *testing.T) {
+			want := tensor.New(c.src.Shape()...)
+			c.into(want, c.src)
+			inPlace := c.src.Clone()
+			c.into(inPlace, inPlace)
+			assertSame(t, c.name+" in place", inPlace, want)
+		})
 	}
 }
 
