@@ -23,13 +23,17 @@ race:
 # included) where the amd64 assembly of internal/ops, internal/tensor and
 # internal/cpu does not exist; vet's asmdecl check covers the assembly's
 # frame layouts on amd64. The module's import layering (the harness a
-# leaf of the product, internal/par on the standard library only,
-# internal/runtime blind to internal/ops) is TestModuleLayers in
-# layers_test.go, which the test runs below include. The pool, the kernels
+# leaf of the product, internal/exec imported by tests alone, internal/par
+# on the standard library only, internal/runtime blind to internal/ops) is
+# TestModuleLayers in layers_test.go, and TestEveryDeclarationIsReached
+# beside it fails on any declaration no binary reaches; the test runs
+# below include both. The pool, the kernels
 # that fan out through it and the vision operators (whose block sort, merge
 # and scan fan out through it too) run under the race detector at one, two
 # and four cores (-cpu raises GOMAXPROCS past the host's cores too): no
-# job's result may depend on which worker ran it.
+# job's result may depend on which worker ran it. FuzzOpenDB then feeds the
+# tuning database's decoder generated files for 20 s; the test runs above
+# try its seeds only.
 verify:
 	$(GO) build ./...
 	$(GO) vet ./...
@@ -37,6 +41,7 @@ verify:
 	GOARCH=arm64 $(GO) vet ./internal/ops ./internal/tensor ./internal/cpu
 	$(GO) test -race -cpu 1,2,4 ./internal/par ./internal/ops ./internal/vision
 	$(GO) test -race -timeout 25m ./...
+	$(GO) test -run '^$$' -fuzz FuzzOpenDB -fuzztime 20s ./internal/autotvm
 
 # bench runs the runtime, ops and worker-pool benchmarks (session hot path,
 # pooled kernels, per-kernel conv comparisons, fan-out dispatch), archives
@@ -89,8 +94,10 @@ soak:
 
 # loc prints the line counts ROADMAP.md budgets, the way it counts them
 # (wc -l), so a PR's budget is a command and not a claim: the non-test
-# lines per area (cmd/ is every command's main package), and the test lines
-# of internal/runtime.
+# lines per area (cmd/ is every command's main package), the test lines of
+# internal/runtime, and two totals of non-test Go lines: the product
+# closure (the module's files that `go list -deps .` builds for this
+# GOARCH) and the whole module (every tracked file, both arches' included).
 loc:
 	@n() { ls $$@ | grep -v _test.go | xargs cat | wc -l; }; \
 	echo "internal/runtime + unigpu.go:   $$(n internal/runtime/*.go unigpu.go)"; \
@@ -100,7 +107,9 @@ loc:
 	echo "internal/vision:                $$(n internal/vision/*.go)"; \
 	echo "cmd/:                           $$(n cmd/*/*.go)"; \
 	echo "assembly (.s):                  $$(cat internal/*/*.s | wc -l)"; \
-	echo "internal/runtime tests:         $$(cat internal/runtime/*_test.go | wc -l)"
+	echo "internal/runtime tests:         $$(cat internal/runtime/*_test.go | wc -l)"; \
+	echo "product closure:                $$($(GO) list -deps -f '{{if .Module}}{{range .GoFiles}}{{$$.Dir}}/{{.}} {{end}}{{end}}' . | xargs cat | wc -l)"; \
+	echo "whole module:                   $$(git ls-files '*.go' | grep -v _test.go | xargs cat | wc -l)"
 
 # trace produces a sample Chrome trace + metrics dump from a quick run.
 trace:

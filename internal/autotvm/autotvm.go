@@ -195,7 +195,8 @@ func wildcardSig(c templates.Config, k int) string {
 }
 
 // neighbours returns the space indices one knob away from cur, in space
-// order (matching what a linear diffKnobs scan would produce).
+// order (matching what a linear scan for configs differing in one knob
+// would produce).
 func (ni *neighbourIndex) neighbours(cur templates.Config) []int {
 	var out []int
 	for k := 0; k < knobCount; k++ {
@@ -217,32 +218,6 @@ func (ni *neighbourIndex) mutate(cur templates.Config, rng *rand.Rand) templates
 		return ni.space[rng.Intn(len(ni.space))]
 	}
 	return ni.space[nbrs[rng.Intn(len(nbrs))]]
-}
-
-func diffKnobs(a, b templates.Config) int {
-	n := 0
-	if a.TileCo != b.TileCo {
-		n++
-	}
-	if a.TileH != b.TileH {
-		n++
-	}
-	if a.TileW != b.TileW {
-		n++
-	}
-	if a.VecW != b.VecW {
-		n++
-	}
-	if a.TileK != b.TileK {
-		n++
-	}
-	if a.UnrollKernel != b.UnrollKernel {
-		n++
-	}
-	if a.UseSubgroup != b.UseSubgroup {
-		n++
-	}
-	return n
 }
 
 // ModelGuidedSearch is the AutoTVM loop: measure a seed batch, fit a

@@ -137,7 +137,7 @@ func TestDBRoundTrip(t *testing.T) {
 	db := NewDB(path)
 	task := testTask()
 	res := Result{Config: templates.Config{TileCo: 4, TileH: 2, TileW: 4, VecW: 2, TileK: 1}, Ms: 1.25, Trials: 10}
-	db.Store(task, res)
+	db.StoreBest(task, res)
 	if err := db.Save(); err != nil {
 		t.Fatal(err)
 	}
@@ -189,6 +189,34 @@ func TestFeaturesShapeStable(t *testing.T) {
 	if len(f1) != len(f2) || len(f1) == 0 {
 		t.Fatal("feature vectors must have a fixed length")
 	}
+}
+
+// diffKnobs counts the knobs on which two configs differ: the brute-force
+// reference for the neighbour index.
+func diffKnobs(a, b templates.Config) int {
+	n := 0
+	if a.TileCo != b.TileCo {
+		n++
+	}
+	if a.TileH != b.TileH {
+		n++
+	}
+	if a.TileW != b.TileW {
+		n++
+	}
+	if a.VecW != b.VecW {
+		n++
+	}
+	if a.TileK != b.TileK {
+		n++
+	}
+	if a.UnrollKernel != b.UnrollKernel {
+		n++
+	}
+	if a.UseSubgroup != b.UseSubgroup {
+		n++
+	}
+	return n
 }
 
 func TestNeighbourIndexMatchesBruteForce(t *testing.T) {

@@ -173,19 +173,6 @@ func (db *DB) Lookup(t Task) (Result, bool) {
 	return Result{Config: r.Config, Ms: r.Ms, Trials: r.Trials}, true
 }
 
-// Store records a result for a task.
-func (db *DB) Store(t Task, res Result) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	db.records[t.Device.Name+"|"+t.Workload.Key()] = StoredRecord{
-		Device:   t.Device.Name,
-		Workload: t.Workload.Key(),
-		Config:   res.Config,
-		Ms:       res.Ms,
-		Trials:   res.Trials,
-	}
-}
-
 // StoreBest records res for the task unless an existing record is already
 // faster, in which case only the search effort (trials / budget) is
 // raised so the spent budget is remembered and not re-spent. It returns
@@ -267,15 +254,10 @@ func (db *DB) StoreCandidates(device, workload string, budget int, cands []Candi
 	}
 }
 
-// LookupKernelChoice returns the stored conv algorithm name for a
-// (device, workload) pair at fp32 storage, if a kernel record exists.
-func (db *DB) LookupKernelChoice(device, workload string) (string, bool) {
-	return db.LookupKernelChoiceDType(device, workload, "")
-}
-
-// LookupKernelChoiceDType is LookupKernelChoice for an explicit storage
-// dtype. "" and "fp32" resolve the legacy (dtype-less) key, so databases
-// written before mixed precision keep working.
+// LookupKernelChoiceDType returns the stored conv algorithm name for a
+// (device, workload) pair at a storage dtype, if a kernel record exists.
+// "" and "fp32" resolve the legacy (dtype-less) key, so databases written
+// before mixed precision keep working.
 func (db *DB) LookupKernelChoiceDType(device, workload, dtype string) (string, bool) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -286,15 +268,9 @@ func (db *DB) LookupKernelChoiceDType(device, workload, dtype string) (string, b
 	return r.Kernel, true
 }
 
-// StoreKernelChoice records the conv algorithm chosen for a (device,
-// workload) pair at fp32 storage together with its estimated
-// per-invocation cost.
-func (db *DB) StoreKernelChoice(device, workload, kernel string, ms float64) {
-	db.StoreKernelChoiceDType(device, workload, "", kernel, ms)
-}
-
-// StoreKernelChoiceDType is StoreKernelChoice for an explicit storage
-// dtype ("" and "fp32" both write the legacy fp32 record).
+// StoreKernelChoiceDType records the conv algorithm chosen for a (device,
+// workload) pair at a storage dtype together with its estimated
+// per-invocation cost ("" and "fp32" both write the legacy fp32 record).
 func (db *DB) StoreKernelChoiceDType(device, workload, dtype, kernel string, ms float64) {
 	if dtype == "fp32" {
 		dtype = ""

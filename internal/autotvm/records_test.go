@@ -1,6 +1,7 @@
 package autotvm
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -14,7 +15,7 @@ func TestSaveLeavesNoTempFiles(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "records.json")
 	db := NewDB(path)
-	db.Store(testTask(), Result{Config: templates.DefaultConfig(), Ms: 1, Trials: 4})
+	db.StoreBest(testTask(), Result{Config: templates.DefaultConfig(), Ms: 1, Trials: 4})
 	for i := 0; i < 3; i++ { // repeated saves reuse the rename path
 		if err := db.Save(); err != nil {
 			t.Fatal(err)
@@ -46,7 +47,7 @@ func TestOpenDBCorruptFileIsAnError(t *testing.T) {
 func TestOpenDBTruncatedFileIsAnError(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "records.json")
 	db := NewDB(path)
-	db.Store(testTask(), Result{Config: templates.DefaultConfig(), Ms: 1, Trials: 4})
+	db.StoreBest(testTask(), Result{Config: templates.DefaultConfig(), Ms: 1, Trials: 4})
 	if err := db.Save(); err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +99,7 @@ func TestTuneKeepsFasterEarlierResult(t *testing.T) {
 	// 1-trial "search": the budget upgrade must re-search but never
 	// overwrite the faster result.
 	fast := Result{Config: templates.DefaultConfig(), Ms: 1e-12, Trials: 1}
-	db.Store(task, fast)
+	db.StoreBest(task, fast)
 	res := Tune(task, Options{Budget: 16, Seed: 1}, db)
 	if res.Ms != fast.Ms || res.Config != fast.Config {
 		t.Fatalf("faster earlier record must be kept, got %.6g ms %v", res.Ms, res.Config)
@@ -146,7 +147,7 @@ func TestCandidateRecordsRoundTrip(t *testing.T) {
 	// clobbering each other.
 	task := testTask()
 	db.StoreCandidates("dev", task.Workload.Key(), 8, cands)
-	db.Store(task, Result{Config: cands[1].Config, Ms: 0.25, Trials: 8})
+	db.StoreBest(task, Result{Config: cands[1].Config, Ms: 0.25, Trials: 8})
 	if _, ok := db.Lookup(task); !ok {
 		t.Fatal("single record lost after StoreCandidates on the same workload")
 	}
@@ -196,30 +197,30 @@ func TestKernelChoiceRecordsRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "records.json")
 	db := NewDB(path)
 
-	db.StoreKernelChoice("dev", "wl", "gemm", 0.42)
-	if name, ok := db.LookupKernelChoice("dev", "wl"); !ok || name != "gemm" {
+	db.StoreKernelChoiceDType("dev", "wl", "", "gemm", 0.42)
+	if name, ok := db.LookupKernelChoiceDType("dev", "wl", ""); !ok || name != "gemm" {
 		t.Fatalf("lookup = %q, %v", name, ok)
 	}
-	if _, ok := db.LookupKernelChoice("otherdev", "wl"); ok {
+	if _, ok := db.LookupKernelChoiceDType("otherdev", "wl", ""); ok {
 		t.Fatal("different device must miss")
 	}
 
 	// Kernel, candidate, and schedule records share a workload key space
 	// without clobbering each other.
 	task := testTask()
-	db.StoreKernelChoice(task.Device.Name, task.Workload.Key(), "depthwise", 0.2)
-	db.Store(task, Result{Ms: 0.25, Trials: 8})
+	db.StoreKernelChoiceDType(task.Device.Name, task.Workload.Key(), "", "depthwise", 0.2)
+	db.StoreBest(task, Result{Ms: 0.25, Trials: 8})
 	db.StoreCandidates(task.Device.Name, task.Workload.Key(), 8, nil)
 	if _, ok := db.Lookup(task); !ok {
 		t.Fatal("schedule record lost after StoreKernelChoice on the same workload")
 	}
-	if name, ok := db.LookupKernelChoice(task.Device.Name, task.Workload.Key()); !ok || name != "depthwise" {
+	if name, ok := db.LookupKernelChoiceDType(task.Device.Name, task.Workload.Key(), ""); !ok || name != "depthwise" {
 		t.Fatalf("kernel record lost: %q, %v", name, ok)
 	}
 
 	// A newer choice replaces the old one.
-	db.StoreKernelChoice("dev", "wl", "direct", 0.9)
-	if name, _ := db.LookupKernelChoice("dev", "wl"); name != "direct" {
+	db.StoreKernelChoiceDType("dev", "wl", "", "direct", 0.9)
+	if name, _ := db.LookupKernelChoiceDType("dev", "wl", ""); name != "direct" {
 		t.Fatalf("re-store did not replace: %q", name)
 	}
 
@@ -230,7 +231,7 @@ func TestKernelChoiceRecordsRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if name, ok := db2.LookupKernelChoice("dev", "wl"); !ok || name != "direct" {
+	if name, ok := db2.LookupKernelChoiceDType("dev", "wl", ""); !ok || name != "direct" {
 		t.Fatalf("kernel record did not survive the disk round-trip: %q, %v", name, ok)
 	}
 }
@@ -243,7 +244,7 @@ func TestKernelChoiceDTypeRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "records.json")
 	db := NewDB(path)
 	const dev, wl = "testdev", "conv n1c64"
-	db.StoreKernelChoice(dev, wl, "depthwise", 1.5)
+	db.StoreKernelChoiceDType(dev, wl, "", "depthwise", 1.5)
 	db.StoreKernelChoiceDType(dev, wl, "fp16", "gemm", 0.9)
 	db.StoreKernelChoiceDType(dev, wl, "int8", "gemm", 0.7)
 	// "fp32" must alias the legacy record, not create a second key.
@@ -266,9 +267,6 @@ func TestKernelChoiceDTypeRoundTrip(t *testing.T) {
 		if !ok || got != tc.kernel {
 			t.Errorf("dtype %q: got %q/%v, want %q", tc.dtype, got, ok, tc.kernel)
 		}
-	}
-	if got, ok := loaded.LookupKernelChoice(dev, wl); !ok || got != "direct" {
-		t.Errorf("legacy lookup got %q/%v, want direct", got, ok)
 	}
 
 	// A database written without the dtype field (pre-dtype schema) must
@@ -311,4 +309,53 @@ func TestSaveIsDeterministic(t *testing.T) {
 			t.Fatalf("save %d wrote different bytes from the first", i)
 		}
 	}
+}
+
+// FuzzOpenDB: any bytes on disk either make OpenDB fail or load a database
+// that saves, reloads and saves again to the same bytes, with the same
+// record count. The seeds are the record kinds the database writes, a
+// legacy dtype-less kernel record, a retired kernel name, and the empty,
+// null and truncated files.
+func FuzzOpenDB(f *testing.F) {
+	f.Add([]byte(`[{"device":"testdev","kind":"kernel","workload":"conv n1c64","kernel":"direct","ms":1.4}]`))
+	f.Add([]byte(`[{"device":"d","kind":"kernel","workload":"w","kernel":"gemm","ms":0.9,"dtype":"fp16"},` +
+		`{"device":"d","kind":"kernel","workload":"w","kernel":"depthwise","ms":0.7,"dtype":"int8"}]`))
+	f.Add([]byte(`[{"device":"d","workload":"w","kind":"candidates","budget":16,"config":{},"ms":0,"trials":0,` +
+		`"candidates":[{"block":4,"config":{"TileCo":4,"TileH":2,"TileW":4,"VecW":2,"TileK":1},"kernel_ms":0.5}]}]`))
+	f.Add([]byte(`[{"device":"d","kind":"kernel","workload":"w","kernel":"winograd","ms":1}]`))
+	f.Add([]byte(`[{"device":"d","workload":"w","config":{"TileCo":8,"UnrollKernel":true},"ms":1.25,"trials":10,"budget":32}]`))
+	f.Add([]byte(`[]`))
+	f.Add([]byte(`null`))
+	f.Add([]byte(`[{"device":"d","kind":"kernel","wor`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path := filepath.Join(t.TempDir(), "records.json")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		db, err := OpenDB(path)
+		if err != nil {
+			return
+		}
+		save := func(db *DB) []byte {
+			if err := db.Save(); err != nil {
+				t.Fatal(err)
+			}
+			out, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return out
+		}
+		first := save(db)
+		again, err := OpenDB(path)
+		if err != nil {
+			t.Fatalf("reopening a saved database: %v\n%s", err, first)
+		}
+		if again.Len() != db.Len() {
+			t.Fatalf("reloaded %d records, saved %d", again.Len(), db.Len())
+		}
+		if second := save(again); !bytes.Equal(first, second) {
+			t.Fatalf("save is not stable across a reload:\n%s\nthen\n%s", first, second)
+		}
+	})
 }

@@ -29,7 +29,6 @@ const (
 	ConvLarge // 5x5, 7x7 stems
 	Depthwise
 	DenseFC
-	NumClasses
 )
 
 // Classify maps a workload to its vendor-kernel class.

@@ -19,7 +19,7 @@ func (e *Estimator) ExperimentsReport() string {
 	b.WriteString(`# EXPERIMENTS — paper vs. measured
 
 Every table and figure of the paper's evaluation (§4), regenerated with
-this repository. Regenerate with ` + "`go run ./cmd/unigpu-bench -experiments`" + `
+this repository. Regenerate with ` + "`go run ./cmd/unigpu-bench -table experiments`" + `
 (or per artifact: ` + "`-table 1..5 | fallback | irsize`" + `).
 
 Absolute milliseconds come from the calibrated analytical device models

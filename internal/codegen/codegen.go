@@ -280,8 +280,6 @@ func (g *generator) forStmt(f *ir.For) {
 		} else {
 			g.line("#pragma unroll // vectorized")
 		}
-	case ir.ForParallel:
-		g.line("// parallel (host-side)")
 	}
 	g.line("for (int %s = %s; %s < %s + %s; ++%s) {",
 		name, g.expr(f.Min), name, g.expr(f.Min), g.expr(f.Extent), name)

@@ -76,7 +76,6 @@ func TestDetectionOpsAreGPUFriendly(t *testing.T) {
 		&SSDDetectionOp{},
 		&BoxNMSOp{},
 		&YoloDecodeOp{Anchors: [][2]float32{{1, 1}}, NumClasses: 1, Stride: 8},
-		&ROIAlignOp{PooledH: 1, PooledW: 1, SpatialScale: 1},
 	} {
 		if !op.GPUFriendly() {
 			t.Errorf("%s should be GPU friendly in the optimized stack", op.Kind())

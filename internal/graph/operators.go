@@ -343,18 +343,6 @@ func (o *BoxNMSOp) ExecuteInto(out *tensor.Tensor, ins []*tensor.Tensor) {
 }
 func (o *BoxNMSOp) GPUFriendly() bool { return true }
 
-// MultiboxDetectionOp decodes SSD heads; inputs: clsProb, locPred, anchors.
-type MultiboxDetectionOp struct{ Cfg vision.NMSConfig }
-
-func (o *MultiboxDetectionOp) Kind() string { return "multibox_detection" }
-func (o *MultiboxDetectionOp) InferShape(ins []tensor.Shape) tensor.Shape {
-	return tensor.Shape{ins[0][0], ins[0][2], vision.DetWidth}
-}
-func (o *MultiboxDetectionOp) ExecuteInto(out *tensor.Tensor, ins []*tensor.Tensor) {
-	vision.MultiboxDetection(out, ins[0], ins[1], ins[2], o.Cfg)
-}
-func (o *MultiboxDetectionOp) GPUFriendly() bool { return true }
-
 // YoloDecodeOp decodes one YOLOv3 head.
 type YoloDecodeOp struct {
 	Anchors    [][2]float32
@@ -371,22 +359,6 @@ func (o *YoloDecodeOp) ExecuteInto(out *tensor.Tensor, ins []*tensor.Tensor) {
 	vision.YoloDecode(out, ins[0], o.Anchors, o.NumClasses, o.Stride)
 }
 func (o *YoloDecodeOp) GPUFriendly() bool { return true }
-
-// ROIAlignOp extracts pooled region features; inputs: features, rois.
-type ROIAlignOp struct {
-	PooledH, PooledW int
-	SpatialScale     float32
-	SamplingRatio    int
-}
-
-func (o *ROIAlignOp) Kind() string { return "roi_align" }
-func (o *ROIAlignOp) InferShape(ins []tensor.Shape) tensor.Shape {
-	return tensor.Shape{ins[1][0], ins[0][1], o.PooledH, o.PooledW}
-}
-func (o *ROIAlignOp) ExecuteInto(out *tensor.Tensor, ins []*tensor.Tensor) {
-	vision.ROIAlign(out, ins[0], ins[1], o.PooledH, o.PooledW, o.SpatialScale, o.SamplingRatio)
-}
-func (o *ROIAlignOp) GPUFriendly() bool { return true }
 
 // DeviceCopyOp is inserted by the placement pass between nodes on
 // different devices (§3.1.2). Functionally the identity; the runtime

@@ -68,7 +68,6 @@ func TestExecuteIntoOverwrites(t *testing.T) {
 	nmsCfg := vision.NMSConfig{IoUThreshold: 0.3, ScoreThreshold: 0.25, TopK: 30, MaxOutput: 12}
 	anchors := tensor.New(1, 20, 4)
 	anchors.FillFunc(func(i int) float32 { return float32(i/4)/25 + float32(i%4/2)*0.2 })
-	rois := tensor.FromData([]float32{0, 0.5, 1, 5, 6, 0, 2, 2, 7.5, 7, 0, -1, 3, 4, 9}, 3, 5)
 
 	cases := []struct {
 		name string
@@ -104,14 +103,10 @@ func TestExecuteIntoOverwrites(t *testing.T) {
 		{"cast@int8", &CastOp{To: i8, Scale: 0.01}, []*tensor.Tensor{x}, i8},
 		{"head_reshape", &HeadReshapeOp{Anchors: 2, Attrs: 2}, []*tensor.Tensor{x}, f32},
 		{"box_nms", &BoxNMSOp{Cfg: nmsCfg}, []*tensor.Tensor{detRows(40)}, f32},
-		{"multibox_detection", &MultiboxDetectionOp{Cfg: nmsCfg},
-			[]*tensor.Tensor{rnd(15, 1, 3, 20), rnd(16, 1, 80), anchors}, f32},
 		{"multibox_detection/rows", &SSDDetectionOp{Cfg: nmsCfg},
 			[]*tensor.Tensor{rnd(17, 1, 20, 3), rnd(18, 1, 20, 4), anchors}, f32},
 		{"yolo_decode", &YoloDecodeOp{Anchors: [][2]float32{{10, 14}, {23, 27}}, NumClasses: 3, Stride: 8},
 			[]*tensor.Tensor{rnd(19, 1, 2*(5+3), 3, 3)}, f32},
-		{"roi_align", &ROIAlignOp{PooledH: 2, PooledW: 3, SpatialScale: 1, SamplingRatio: 2},
-			[]*tensor.Tensor{rnd(20, 1, 2, 8, 8), rois}, f32},
 	}
 
 	// Every kind the quantizer knows, and the SSD head's rearrangement,

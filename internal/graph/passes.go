@@ -474,14 +474,3 @@ func opAs[T Operator](n *Node) (T, bool) {
 	op, ok := n.Op.(T)
 	return op, ok
 }
-
-// TotalConvFLOPs sums conv workload flops, the dominant compute.
-func TotalConvFLOPs(g *Graph) float64 {
-	var total float64
-	for _, n := range g.OpNodes() {
-		if c, ok := opAs[*ConvOp](n); ok {
-			total += c.W.FLOPs()
-		}
-	}
-	return total
-}

@@ -90,7 +90,7 @@ type QuantizeStats struct {
 var fp32OnlyKinds = map[string]bool{
 	"softmax": true, "batch_norm": true, "dense": true,
 	"box_nms": true, "multibox_detection": true, "yolo_decode": true,
-	"roi_align": true, "device_copy": true, "cast": true,
+	"device_copy": true, "cast": true,
 }
 
 // carrierKinds are operators whose output storage may be narrowed to

@@ -56,7 +56,7 @@ func TestSelectConvKernelsDBOverride(t *testing.T) {
 	dev := sim.IntelHD505
 	db := autotvm.NewDB("")
 	w := opMust[*ConvOp](t, c3).W
-	db.StoreKernelChoice(dev.Name, w.Key(), "direct", 1.0)
+	db.StoreKernelChoiceDType(dev.Name, w.Key(), "", "direct", 1.0)
 
 	SelectConvKernels(g, KernelSelection{Device: dev, DB: db})
 	if got := opMust[*ConvOp](t, c3).Kernel; got != ops.KernelDirect {
@@ -65,7 +65,7 @@ func TestSelectConvKernelsDBOverride(t *testing.T) {
 	// The other convs' model decisions were recorded.
 	wdw := ops.ConvWorkload{N: 1, CIn: 64, COut: 64, H: 56, W: 56, KH: 3, KW: 3,
 		StrideH: 1, StrideW: 1, PadH: 1, PadW: 1, Groups: 64}
-	if name, ok := db.LookupKernelChoice(dev.Name, wdw.Key()); !ok || name != "depthwise" {
+	if name, ok := db.LookupKernelChoiceDType(dev.Name, wdw.Key(), ""); !ok || name != "depthwise" {
 		t.Fatalf("depthwise decision not recorded: %q, %v", name, ok)
 	}
 }
@@ -78,13 +78,13 @@ func TestSelectConvKernelsDBWinogradGate(t *testing.T) {
 	dev := sim.IntelHD505
 	db := autotvm.NewDB("")
 	key := opMust[*ConvOp](t, c3).W.Key()
-	db.StoreKernelChoice(dev.Name, key, "winograd", 1.0)
+	db.StoreKernelChoiceDType(dev.Name, key, "", "winograd", 1.0)
 
 	SelectConvKernels(g, KernelSelection{Device: dev, DB: db})
 	if got := opMust[*ConvOp](t, c3).Kernel; got != ops.KernelGEMM {
 		t.Fatalf("3x3 s1 conv got %v with a winograd record, want the model's gemm", got)
 	}
-	if name, ok := db.LookupKernelChoice(dev.Name, key); !ok || name != "winograd" {
+	if name, ok := db.LookupKernelChoiceDType(dev.Name, key, ""); !ok || name != "winograd" {
 		t.Fatalf("winograd record replaced: %q, %v", name, ok)
 	}
 }

@@ -221,16 +221,3 @@ func Greedy(workloads []ops.ConvWorkload, cands [][]autotvm.Candidate, d *sim.De
 	plan.TotalMs = plan.KernelMs + plan.TransformMs
 	return plan
 }
-
-// TuneSequence is the convenience entry: generate candidates per node and
-// run the DP.
-func TuneSequence(workloads []ops.ConvWorkload, d *sim.Device, budget int, seed int64) Plan {
-	sp := obs.Start("graphtuner.tune_sequence",
-		obs.KVInt("convs", len(workloads)), obs.KV("device", d.Name))
-	defer sp.End()
-	cands := make([][]autotvm.Candidate, len(workloads))
-	for i, w := range workloads {
-		cands[i] = CandidatesFor(w, d, budget, seed)
-	}
-	return Optimize(workloads, cands, d)
-}

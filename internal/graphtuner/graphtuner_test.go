@@ -110,7 +110,11 @@ func TestDPAcceptsTransformWhenKernelGainDominates(t *testing.T) {
 
 func TestPlanAccounting(t *testing.T) {
 	chain := []ops.ConvWorkload{conv(8, 14, 16, 3, 1, 1), conv(16, 14, 16, 3, 1, 1)}
-	plan := TuneSequence(chain, sim.IntelHD505, 10, 3)
+	cands := make([][]autotvm.Candidate, len(chain))
+	for i, w := range chain {
+		cands[i] = CandidatesFor(w, sim.IntelHD505, 10, 3)
+	}
+	plan := Optimize(chain, cands, sim.IntelHD505)
 	if math.Abs(plan.TotalMs-(plan.KernelMs+plan.TransformMs)) > 1e-6 {
 		t.Fatalf("total %.6f != kernel %.6f + transform %.6f", plan.TotalMs, plan.KernelMs, plan.TransformMs)
 	}

@@ -142,7 +142,6 @@ func Mod(a, b Expr) Expr { return fold(&Binary{OpMod, a, b}) }
 func Min(a, b Expr) Expr { return fold(&Binary{OpMin, a, b}) }
 func Max(a, b Expr) Expr { return fold(&Binary{OpMax, a, b}) }
 func LT(a, b Expr) Expr  { return &Binary{OpLT, a, b} }
-func LE(a, b Expr) Expr  { return &Binary{OpLE, a, b} }
 func GE(a, b Expr) Expr  { return &Binary{OpGE, a, b} }
 func And(a, b Expr) Expr { return &Binary{OpAnd, a, b} }
 

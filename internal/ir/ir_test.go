@@ -182,23 +182,6 @@ func TestSubstExpr(t *testing.T) {
 	}
 }
 
-func TestSubstStmtShadowing(t *testing.T) {
-	i := NewVar("i")
-	inner := &For{Var: i, Min: Imm(0), Extent: Imm(2), Kind: ForSerial,
-		Body: &Store{Buffer: "A", Index: i, Value: FImm(1)}}
-	// i is rebound by the loop, so substitution must not reach inside.
-	got := SubstStmt(inner, "i", Imm(9)).(*For)
-	if got.Body.(*Store).Index != Expr(i) {
-		t.Error("substitution must respect loop shadowing")
-	}
-	// But a different name substitutes through.
-	s2 := &Store{Buffer: "A", Index: NewVar("j"), Value: FImm(1)}
-	got2 := SubstStmt(s2, "j", Imm(4)).(*Store)
-	if got2.Index.String() != "4" {
-		t.Error("substitution should replace free variables")
-	}
-}
-
 func TestSubstInsideSelectCallCast(t *testing.T) {
 	x := NewVar("x")
 	e := &Select{Cond: LT(x, Imm(1)), A: &Call{Fn: "exp", Args: []Expr{x}, Type: Float32}, B: &Cast{Value: x, To: Float32}}

@@ -13,8 +13,6 @@ type ForKind int
 const (
 	// ForSerial executes iterations in order on one lane.
 	ForSerial ForKind = iota
-	// ForParallel marks CPU-side data parallelism (fallback operators).
-	ForParallel
 	// ForUnrolled is fully unrolled by codegen; the cost model credits
 	// reduced control overhead and better ILP (§3.2.2).
 	ForUnrolled
@@ -33,8 +31,6 @@ func (k ForKind) String() string {
 	switch k {
 	case ForSerial:
 		return "for"
-	case ForParallel:
-		return "parallel"
 	case ForUnrolled:
 		return "unrolled"
 	case ForVectorized:

@@ -130,42 +130,3 @@ func SubstExpr(e Expr, name string, repl Expr) Expr {
 		return e
 	}
 }
-
-// SubstStmt returns s with the variable name replaced by repl everywhere.
-func SubstStmt(s Stmt, name string, repl Expr) Stmt {
-	switch v := s.(type) {
-	case *For:
-		if v.Var.Name == name { // inner binding shadows
-			return v
-		}
-		return &For{v.Var, SubstExpr(v.Min, name, repl), SubstExpr(v.Extent, name, repl), v.Kind, SubstStmt(v.Body, name, repl)}
-	case *Store:
-		return &Store{v.Buffer, SubstExpr(v.Index, name, repl), SubstExpr(v.Value, name, repl)}
-	case *LetStmt:
-		val := SubstExpr(v.Value, name, repl)
-		if v.Var.Name == name {
-			return &LetStmt{v.Var, val, v.Body}
-		}
-		return &LetStmt{v.Var, val, SubstStmt(v.Body, name, repl)}
-	case *IfThenElse:
-		var els Stmt
-		if v.Else != nil {
-			els = SubstStmt(v.Else, name, repl)
-		}
-		return &IfThenElse{SubstExpr(v.Cond, name, repl), SubstStmt(v.Then, name, repl), els}
-	case *Allocate:
-		return &Allocate{v.Buffer, v.Type, SubstExpr(v.Size, name, repl), v.Scope, SubstStmt(v.Body, name, repl)}
-	case *Seq:
-		out := make([]Stmt, len(v.Stmts))
-		for i, st := range v.Stmts {
-			out[i] = SubstStmt(st, name, repl)
-		}
-		return &Seq{Stmts: out}
-	case *Barrier:
-		return v
-	case *Evaluate:
-		return &Evaluate{SubstExpr(v.Value, name, repl)}
-	default:
-		return s
-	}
-}

@@ -40,15 +40,6 @@ type Model struct {
 // post-processing.
 func (m *Model) IsDetection() bool { return m.Vision != nil }
 
-// TotalConvFLOPs sums the convolution work.
-func (m *Model) TotalConvFLOPs() float64 {
-	var t float64
-	for _, w := range m.Convs {
-		t += w.FLOPs()
-	}
-	return t
-}
-
 // builder threads graph construction state through the architecture code.
 type builder struct {
 	g     *graph.Graph
@@ -158,12 +149,6 @@ func Names() []string {
 	return []string{"ResNet50_v1", "MobileNet1.0", "SqueezeNet1.0",
 		"SSD_MobileNet1.0", "SSD_ResNet50", "Yolov3"}
 }
-
-// Classification lists the image-classification subset (Table 5).
-func Classification() []string { return Names()[:3] }
-
-// Detection lists the object-detection subset (Table 4).
-func Detection() []string { return Names()[3:] }
 
 // Build constructs a model at the given square input size. Each call
 // returns a fresh graph (passes mutate graphs in place, so instances must

@@ -121,16 +121,6 @@ func buildSqueezeNet11(size, batch int, lite bool) *Model {
 	return &Model{Graph: b.g, Convs: b.convs}
 }
 
-// Families maps each evaluated representative to the other variants this
-// stack builds.
-func Families() map[string][]string {
-	return map[string][]string{
-		"ResNet50_v1":   {"ResNet18_v1", "ResNet34_v1", "ResNet50_v1", "ResNet101_v1"},
-		"MobileNet1.0":  {"MobileNet0.25", "MobileNet0.5", "MobileNet1.0"},
-		"SqueezeNet1.0": {"SqueezeNet1.0", "SqueezeNet1.1"},
-	}
-}
-
 // buildVariant handles the non-representative family members; returns nil
 // for unknown names.
 func buildVariant(name string, size, batch int, lite bool) *Model {

@@ -9,8 +9,16 @@ import (
 	"unigpu/internal/tensor"
 )
 
+// families maps each evaluated representative to the variants of its
+// family that Build constructs.
+var families = map[string][]string{
+	"ResNet50_v1":   {"ResNet18_v1", "ResNet34_v1", "ResNet50_v1", "ResNet101_v1"},
+	"MobileNet1.0":  {"MobileNet0.25", "MobileNet0.5", "MobileNet1.0"},
+	"SqueezeNet1.0": {"SqueezeNet1.0", "SqueezeNet1.1"},
+}
+
 func TestFamilyVariantsBuild(t *testing.T) {
-	for rep, variants := range Families() {
+	for rep, variants := range families {
 		for _, v := range variants {
 			m := Build(v, 224, true)
 			if err := m.Graph.Validate(); err != nil {
@@ -33,9 +41,9 @@ func TestResNetFamilyOrdering(t *testing.T) {
 		"ResNet101_v1": {14.0, 17.5},
 	}
 	prev := 0.0
-	for _, name := range Families()["ResNet50_v1"] {
+	for _, name := range families["ResNet50_v1"] {
 		m := Build(name, 224, true)
-		gf := m.TotalConvFLOPs() / 1e9
+		gf := convFLOPs(m) / 1e9
 		w := wants[name]
 		if gf < w[0] || gf > w[1] {
 			t.Errorf("%s: %.2f GFLOPs outside [%v, %v]", name, gf, w[0], w[1])
@@ -48,9 +56,9 @@ func TestResNetFamilyOrdering(t *testing.T) {
 }
 
 func TestMobileNetWidthMultiplier(t *testing.T) {
-	full := Build("MobileNet1.0", 224, true).TotalConvFLOPs()
-	half := Build("MobileNet0.5", 224, true).TotalConvFLOPs()
-	quarter := Build("MobileNet0.25", 224, true).TotalConvFLOPs()
+	full := convFLOPs(Build("MobileNet1.0", 224, true))
+	half := convFLOPs(Build("MobileNet0.5", 224, true))
+	quarter := convFLOPs(Build("MobileNet0.25", 224, true))
 	if !(quarter < half && half < full) {
 		t.Fatalf("width multiplier must shrink compute: %.2e %.2e %.2e", quarter, half, full)
 	}
@@ -62,8 +70,8 @@ func TestMobileNetWidthMultiplier(t *testing.T) {
 }
 
 func TestSqueezeNet11LighterThan10(t *testing.T) {
-	v10 := Build("SqueezeNet1.0", 224, true).TotalConvFLOPs()
-	v11 := Build("SqueezeNet1.1", 224, true).TotalConvFLOPs()
+	v10 := convFLOPs(Build("SqueezeNet1.0", 224, true))
+	v11 := convFLOPs(Build("SqueezeNet1.1", 224, true))
 	if r := v11 / v10; r > 0.6 {
 		t.Fatalf("SqueezeNet1.1 should be ~2.4x lighter, ratio %.2f", r)
 	}

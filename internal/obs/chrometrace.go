@@ -120,9 +120,6 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 	return enc.Encode(out)
 }
 
-// WriteChromeTrace exports the default tracer.
-func WriteChromeTrace(w io.Writer) error { return DefaultTracer.WriteChromeTrace(w) }
-
 // WriteChromeTraceFile writes the default tracer's trace to a file; the
 // CLIs' -trace flag lands here.
 func WriteChromeTraceFile(path string) error {

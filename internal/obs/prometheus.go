@@ -79,6 +79,3 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	}
 	return nil
 }
-
-// WritePrometheus renders the default registry.
-func WritePrometheus(w io.Writer) error { return DefaultRegistry.WritePrometheus(w) }

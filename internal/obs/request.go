@@ -79,15 +79,15 @@ type RequestTrace struct {
 	Model     string        `json:"model"`
 	Start     time.Time     `json:"start"`
 	Wall      time.Duration `json:"wall_ns"`
-	Admission time.Duration `json:"admission_ns"` // admission decision
-	Queue     time.Duration `json:"queue_ns"`     // waiting for a pooled session
-	Exec      time.Duration `json:"exec_ns"`      // node execution (first attempt)
-	Retry     time.Duration `json:"retry_ns"`     // failed dispatches, retries, backoff
-	Reexec    time.Duration `json:"reexec_ns"`    // CPU re-execution of GPU nodes
+	Admission time.Duration `json:"admission_ns"`         // admission decision
+	Queue     time.Duration `json:"queue_ns"`             // waiting for a pooled session
+	Exec      time.Duration `json:"exec_ns"`              // node execution (first attempt)
+	Retry     time.Duration `json:"retry_ns"`             // failed dispatches, retries, backoff
+	Reexec    time.Duration `json:"reexec_ns"`            // CPU re-execution of GPU nodes
 	Gather    time.Duration `json:"gather_ns,omitempty"`  // copying feeds into a batched input
 	Scatter   time.Duration `json:"scatter_ns,omitempty"` // copying a batched output row back out
-	Overhead  time.Duration `json:"overhead_ns"`  // wall minus the accounted segments
-	BatchSize int           `json:"batch,omitempty"` // coalesced batch the request rode in
+	Overhead  time.Duration `json:"overhead_ns"`          // wall minus the accounted segments
+	BatchSize int           `json:"batch,omitempty"`      // coalesced batch the request rode in
 	Shed      bool          `json:"shed,omitempty"`
 	Err       string        `json:"err,omitempty"`
 	Nodes     []NodeEvent   `json:"nodes,omitempty"`
@@ -115,22 +115,6 @@ func (t *RequestTracker) Start(model string) *ActiveRequest {
 		return nil
 	}
 	return &ActiveRequest{t: t, tr: RequestTrace{ID: id, Model: model, Start: time.Now()}}
-}
-
-// Requests reports how many request IDs have been assigned.
-func (t *RequestTracker) Requests() uint64 {
-	if t == nil {
-		return 0
-	}
-	return t.seq.Load()
-}
-
-// ID returns the request ID (0 for nil).
-func (r *ActiveRequest) ID() uint64 {
-	if r == nil {
-		return 0
-	}
-	return r.tr.ID
 }
 
 // MarkAdmitted closes the admission segment: the time deciding whether to
@@ -277,13 +261,6 @@ func (t *RequestTracker) Snapshot() []RequestTrace {
 		out = append(out, t.ring[:t.next]...)
 	}
 	return out
-}
-
-// WriteJSON dumps the retained traces as a JSON array.
-func (t *RequestTracker) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(t.Snapshot())
 }
 
 // WriteChromeTrace exports the retained request traces in the Chrome

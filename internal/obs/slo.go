@@ -55,12 +55,12 @@ type SLOOptions struct {
 
 // sloBucket is one time slice of the rolling window.
 type sloBucket struct {
-	id     int64 // bucket epoch; a stale slot is reset when touched or read
-	counts [histBuckets]int64
-	n      int64 // latency samples
-	sumNs  float64
-	minNs  float64
-	maxNs  float64
+	id       int64 // bucket epoch; a stale slot is reset when touched or read
+	counts   [histBuckets]int64
+	n        int64 // latency samples
+	sumNs    float64
+	minNs    float64
+	maxNs    float64
 	total    int64 // all requests, including sheds
 	errs     int64
 	shed     int64
@@ -244,21 +244,6 @@ func (m *SLOMonitor) statsLocked(model string, sm *sloModel, minID int64) SLOSta
 		st.Alarm = st.BurnRate > m.opts.BurnAlarm
 	}
 	return st
-}
-
-// Models lists the models the monitor has seen, sorted.
-func (m *SLOMonitor) Models() []string {
-	if m == nil {
-		return nil
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]string, 0, len(m.models))
-	for name := range m.models {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Publish refreshes the registry gauges for every tracked model and

@@ -235,8 +235,8 @@ func TestRequestTrackerSegments(t *testing.T) {
 	if req == nil {
 		t.Fatal("SampleEvery 1 must sample every request")
 	}
-	if req.ID() != 1 {
-		t.Fatalf("first request ID = %d, want 1", req.ID())
+	if req.tr.ID != 1 {
+		t.Fatalf("first request ID = %d, want 1", req.tr.ID)
 	}
 	req.MarkAdmitted()
 	req.MarkAcquired()
@@ -288,7 +288,7 @@ func TestRequestTrackerSamplingAndRing(t *testing.T) {
 		req := tr.Start("m")
 		req.Finish(nil) // nil-safe for the unsampled half
 	}
-	if n := tr.Requests(); n != 10 {
+	if n := tr.seq.Load(); n != 10 {
 		t.Fatalf("requests = %d, want 10 (IDs for everything)", n)
 	}
 	traces := tr.Snapshot()
@@ -301,7 +301,7 @@ func TestRequestTrackerSamplingAndRing(t *testing.T) {
 		}
 	}
 	var nilTracker *RequestTracker
-	if nilTracker.Start("m") != nil || nilTracker.Requests() != 0 {
+	if nilTracker.Start("m") != nil {
 		t.Fatal("nil tracker must be inert")
 	}
 }

@@ -137,15 +137,9 @@ type PreparedConv struct {
 	chans  *chanGeom // set when wd holds packChannels' blocks for convChannels
 }
 
-// PrepareConv resolves kernel k for workload w (KernelAuto picks
+// PrepareConvDType resolves kernel k for workload w (KernelAuto picks
 // DefaultKernel; unsupported choices fall back to KernelDirect) and packs
-// weight into the kernel's layout, at fp32 storage.
-func PrepareConv(w ConvWorkload, k ConvKernel, weight *tensor.Tensor) *PreparedConv {
-	return PrepareConvDType(w, k, weight, tensor.Float32)
-}
-
-// PrepareConvDType is PrepareConv for an explicit storage dtype. The fp32
-// path is identical to the historical PrepareConv. Under fp16 the weights
+// weight into the kernel's layout at storage dtype dt. Under fp16 the weights
 // are rounded to binary16 at pack time. Int8 quantizes the weights
 // with symmetric per-output-channel scales and runs the depthwise loop
 // when asked for it and the quantized GEMM otherwise; the input's
@@ -191,13 +185,10 @@ func (p *PreparedConv) Kernel() ConvKernel { return p.kernel }
 // DType returns the storage dtype this conv was prepared for.
 func (p *PreparedConv) DType() tensor.DType { return p.dtype }
 
-// Workload returns the conv workload.
-func (p *PreparedConv) Workload() ConvWorkload { return p.w }
-
 // ScratchElems returns the per-run scratch requirement in elements of
 // ScratchDType. The runtime reserves this as an arena slot so Session.Run
-// allocates nothing; RunInto also accepts nil scratch and allocates
-// locally.
+// allocates nothing; RunIntoEpilogue also accepts nil scratch and
+// allocates locally.
 func (p *PreparedConv) ScratchElems() int {
 	if p.kernel == KernelGEMM {
 		return GEMMScratchElems(p.w)
@@ -213,12 +204,6 @@ func (p *PreparedConv) ScratchDType() tensor.DType {
 		return tensor.Int8
 	}
 	return tensor.Float32
-}
-
-// RunInto executes the prepared convolution into out. scratch may be nil
-// (or short), in which case the kernel allocates its own.
-func (p *PreparedConv) RunInto(out, in, bias *tensor.Tensor, scratch []float32) {
-	p.RunIntoEpilogue(out, in, bias, nil, scratch, nil, false)
 }
 
 // RunIntoEpilogue is RunInto with the fused residual epilogue: residual

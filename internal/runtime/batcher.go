@@ -139,9 +139,6 @@ func newBatcher(sp *SessionPool, opts BatcherOptions) *Batcher {
 	return b
 }
 
-// MaxBatch reports the configured batch-size cap.
-func (b *Batcher) MaxBatch() int { return b.opts.MaxBatch }
-
 // Warm compiles (and caches) the plans for the given batch sizes,
 // blocking until each is ready. Benchmarks call it so steady-state
 // measurements exclude the one-time compile.

@@ -330,13 +330,6 @@ func (f *Fleet) State(i int) ReplicaState {
 	return ReplicaState(f.replicas[i].state.Load())
 }
 
-// Router exposes the placement router (tests and benchmarks read
-// weights/estimates through it).
-func (f *Fleet) Router() *Router { return f.router }
-
-// Pool returns replica i's session pool.
-func (f *Fleet) Pool(i int) *SessionPool { return f.replicas[i].pool }
-
 // Kill deterministically loses replica i's device (FaultInjector.Kill), as
 // a soak's kill script does. The next request or supervisor tick
 // quarantines the replica. No-op when the replica runs without an injector.

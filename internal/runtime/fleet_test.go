@@ -187,7 +187,7 @@ func TestFleetQuarantineDrains(t *testing.T) {
 	if got := fleet.State(0); got != runtime.ReplicaQuarantined {
 		t.Fatalf("state after kill = %v, want quarantined", got)
 	}
-	if w := fleet.Router().Weight(0); w != 0 {
+	if w := fleet.Stats()[0].Weight; w != 0 {
 		t.Fatalf("weight after kill = %v, want 0", w)
 	}
 	for i := 0; i < 10; i++ {
@@ -236,7 +236,7 @@ func TestFleetHealRamp(t *testing.T) {
 	// every serial request lands on it and advances the ramp.
 	wantWeights := []float64{0.25, 0.5, 0.75}
 	for step, w := range wantWeights {
-		if got := fleet.Router().Weight(0); got != w {
+		if got := fleet.Stats()[0].Weight; got != w {
 			t.Fatalf("ramp step %d: weight = %v, want %v", step, got, w)
 		}
 		for k := 0; k < heal.RampSuccesses; k++ {
@@ -252,7 +252,7 @@ func TestFleetHealRamp(t *testing.T) {
 	if got := fleet.State(0); got != runtime.ReplicaActive {
 		t.Fatalf("state after ramp = %v, want active", got)
 	}
-	if got := fleet.Router().Weight(0); got != 1 {
+	if got := fleet.Stats()[0].Weight; got != 1 {
 		t.Fatalf("weight after ramp = %v, want 1", got)
 	}
 }

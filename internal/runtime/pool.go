@@ -179,9 +179,6 @@ func (sp *SessionPool) registerHealth() {
 	})
 }
 
-// Sessions is the pool size (maximum concurrent runs).
-func (sp *SessionPool) Sessions() int { return cap(sp.idle) }
-
 // Breaker returns the circuit breaker shared by the pooled sessions, or
 // nil when the pool runs without fault injection.
 func (sp *SessionPool) Breaker() *Breaker { return sp.breaker }

@@ -66,9 +66,6 @@ func NewRouter(predictMs []float64, opts RouterOptions) *Router {
 	return r
 }
 
-// Len returns the number of replicas.
-func (r *Router) Len() int { return len(r.replicas) }
-
 // Begin records that a request was placed on replica i.
 func (r *Router) Begin(i int) { r.replicas[i].inflight.Add(1) }
 
@@ -148,16 +145,4 @@ func (r *Router) Rank() []int {
 		return scores[order[a]] < scores[order[b]]
 	})
 	return order
-}
-
-// Pick returns the single best replica index (Rank's first entry) without
-// allocating the full order.
-func (r *Router) Pick() int {
-	best, bestScore := 0, math.Inf(1)
-	for i := range r.replicas {
-		if s := r.score(i); s < bestScore {
-			best, bestScore = i, s
-		}
-	}
-	return best
 }

@@ -12,9 +12,6 @@ import (
 // ranks replicas by the cost oracle alone — the cheapest device first.
 func TestRouterPrefersCheapOracle(t *testing.T) {
 	r := runtime.NewRouter([]float64{5, 1, 3}, runtime.RouterOptions{})
-	if got := r.Pick(); got != 1 {
-		t.Fatalf("Pick = %d, want 1 (cheapest oracle)", got)
-	}
 	want := []int{1, 2, 0}
 	got := r.Rank()
 	for i := range want {
@@ -28,22 +25,22 @@ func TestRouterPrefersCheapOracle(t *testing.T) {
 // placement spills to the next-cheapest replica instead of queueing on one.
 func TestRouterLoadSteersAway(t *testing.T) {
 	r := runtime.NewRouter([]float64{1, 3}, runtime.RouterOptions{})
-	if got := r.Pick(); got != 0 {
-		t.Fatalf("idle Pick = %d, want 0", got)
+	if got := r.Rank()[0]; got != 0 {
+		t.Fatalf("idle best = %d, want 0", got)
 	}
 	// Replica 0 at 1ms with 2 in flight scores 1*(1+2)=3; replica 1 idle
 	// scores 3 — tie breaks to the lower index. A third in-flight tips it.
 	r.Begin(0)
 	r.Begin(0)
 	r.Begin(0)
-	if got := r.Pick(); got != 1 {
-		t.Fatalf("loaded Pick = %d, want 1", got)
+	if got := r.Rank()[0]; got != 1 {
+		t.Fatalf("loaded best = %d, want 1", got)
 	}
 	r.End(0)
 	r.End(0)
 	r.End(0)
-	if got := r.Pick(); got != 0 {
-		t.Fatalf("drained Pick = %d, want 0", got)
+	if got := r.Rank()[0]; got != 0 {
+		t.Fatalf("drained best = %d, want 0", got)
 	}
 }
 
@@ -70,8 +67,8 @@ func TestRouterZeroWeightRanksLast(t *testing.T) {
 		}
 	}
 	r.SetWeight(0, 1)
-	if got := r.Pick(); got != 0 {
-		t.Fatalf("recovered Pick = %d, want 0", got)
+	if got := r.Rank()[0]; got != 0 {
+		t.Fatalf("recovered best = %d, want 0", got)
 	}
 }
 
@@ -85,8 +82,8 @@ func TestRouterEWMACorrection(t *testing.T) {
 		t.Fatalf("Estimate(0) = %v, want 5", got)
 	}
 	// Replica 0 now looks 5x slower than its oracle: placement flips.
-	if got := r.Pick(); got != 1 {
-		t.Fatalf("Pick = %d, want 1 after slow observations", got)
+	if got := r.Rank()[0]; got != 1 {
+		t.Fatalf("Rank()[0] = %d, want 1 after slow observations", got)
 	}
 
 	det := runtime.NewRouter([]float64{1, 1}, runtime.RouterOptions{EWMAAlpha: -1})
@@ -139,6 +136,7 @@ func TestRouterPlacementDeterminism(t *testing.T) {
 // goroutines; the -race CI job turns any unsynchronized access into a
 // failure, and ranks must always be a permutation.
 func TestRouterConcurrentSafety(t *testing.T) {
+	const n = 4
 	r := runtime.NewRouter([]float64{1, 2, 3, 4}, runtime.RouterOptions{EWMAAlpha: 0.2})
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -146,12 +144,12 @@ func TestRouterConcurrentSafety(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for k := 0; k < 500; k++ {
-				i := (g + k) % r.Len()
+				i := (g + k) % n
 				r.Begin(i)
 				r.Observe(i, float64(1+k%7))
 				r.SetWeight(i, float64(k%5)/4)
 				order := r.Rank()
-				seen := make([]bool, r.Len())
+				seen := make([]bool, n)
 				for _, j := range order {
 					seen[j] = true
 				}

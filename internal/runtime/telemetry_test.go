@@ -62,12 +62,12 @@ func TestRequestTraceAttributionSerial(t *testing.T) {
 			t.Fatalf("run %d: %v", i, err)
 		}
 	}
-	if n := tracker.Requests(); n != runs {
-		t.Fatalf("request IDs assigned = %d, want %d (every request)", n, runs)
-	}
 	traces := tracker.Snapshot()
 	if len(traces) != runs {
 		t.Fatalf("sampled traces = %d, want %d (SampleEvery 1)", len(traces), runs)
+	}
+	if n := traces[runs-1].ID; n != runs {
+		t.Fatalf("request IDs assigned = %d, want %d (every request)", n, runs)
 	}
 	var sawRetry bool
 	for _, tr := range traces {

@@ -140,21 +140,15 @@ func (s *Schedule) resolveRoots() (map[*axisNode]ir.Expr, []ir.Expr) {
 	var guards []ir.Expr
 	s.spatialGuards = nil
 	for i := len(s.relations) - 1; i >= 0; i-- {
-		switch r := s.relations[i].(type) {
-		case *splitRel:
-			e := ir.Add(ir.Mul(node(r.outer), ir.Imm(r.factor)), node(r.inner))
-			exprOf[r.parent] = e
-			if r.parent.iv.Extent%r.factor != 0 {
-				g := ir.LT(e, ir.Imm(r.parent.iv.Extent))
-				guards = append(guards, g)
-				if !r.parent.reduce {
-					s.spatialGuards = append(s.spatialGuards, g)
-				}
+		r := s.relations[i]
+		e := ir.Add(ir.Mul(node(r.outer), ir.Imm(r.factor)), node(r.inner))
+		exprOf[r.parent] = e
+		if r.parent.iv.Extent%r.factor != 0 {
+			g := ir.LT(e, ir.Imm(r.parent.iv.Extent))
+			guards = append(guards, g)
+			if !r.parent.reduce {
+				s.spatialGuards = append(s.spatialGuards, g)
 			}
-		case *fuseRel:
-			f := node(r.fused)
-			exprOf[r.a] = ir.Div(f, ir.Imm(r.b.iv.Extent))
-			exprOf[r.b] = ir.Mod(f, ir.Imm(r.b.iv.Extent))
 		}
 	}
 	// Keep only root-axis entries; intermediate derived axes are already

@@ -13,40 +13,27 @@ type Axis struct {
 	node *axisNode
 }
 
-// Extent returns the axis's iteration extent.
-func (a Axis) Extent() int { return a.node.iv.Extent }
-
 // Name returns the underlying loop variable name.
 func (a Axis) Name() string { return a.node.iv.Var.Name }
 
 type axisNode struct {
-	iv      *IterVar
-	kind    ir.ForKind
-	reduce  bool
-	derived bool // produced by split/fuse, not a root axis of the op
+	iv     *IterVar
+	kind   ir.ForKind
+	reduce bool
 }
 
-// relation records how derived axes reconstruct their parents.
-type relation interface{ isRelation() }
-
+// splitRel records how the two axes a split derives reconstruct their
+// parent.
 type splitRel struct {
 	parent, outer, inner *axisNode
 	factor               int
 }
 
-func (*splitRel) isRelation() {}
-
-type fuseRel struct {
-	a, b, fused *axisNode
-}
-
-func (*fuseRel) isRelation() {}
-
 // Schedule is a mutable plan for lowering one ComputeOp.
 type Schedule struct {
 	Op        *ComputeOp
 	leaves    []*axisNode // loop order, outermost first
-	relations []relation
+	relations []*splitRel
 	roots     map[*axisNode]bool
 	// spatialGuards is populated by resolveRoots during lowering: boundary
 	// guards that involve only spatial axes, re-applied to the final store
@@ -118,42 +105,11 @@ func (s *Schedule) Split(a Axis, factor int) (outer, inner Axis) {
 		panic(fmt.Sprintf("te: axis %s is not a current leaf", a.Name()))
 	}
 	ext := a.node.iv.Extent
-	o := &axisNode{iv: newIter(a.Name()+".o", (ext+factor-1)/factor), reduce: a.node.reduce, derived: true}
-	i := &axisNode{iv: newIter(a.Name()+".i", factor), reduce: a.node.reduce, derived: true}
+	o := &axisNode{iv: newIter(a.Name()+".o", (ext+factor-1)/factor), reduce: a.node.reduce}
+	i := &axisNode{iv: newIter(a.Name()+".i", factor), reduce: a.node.reduce}
 	s.relations = append(s.relations, &splitRel{parent: a.node, outer: o, inner: i, factor: factor})
 	s.leaves = append(s.leaves[:idx], append([]*axisNode{o, i}, s.leaves[idx+1:]...)...)
 	return Axis{o}, Axis{i}
-}
-
-// Tile splits two axes and reorders to (xo, yo, xi, yi), the classic loop
-// tiling of §3.2.2 ("spatial packing").
-func (s *Schedule) Tile(x, y Axis, xFactor, yFactor int) (xo, yo, xi, yi Axis) {
-	xo, xi = s.Split(x, xFactor)
-	yo, yi = s.Split(y, yFactor)
-	s.Reorder(xo, yo, xi, yi)
-	return
-}
-
-// Fuse merges two adjacent axes into one with the product extent.
-func (s *Schedule) Fuse(a, b Axis) Axis {
-	ia, ib := s.leafIndex(a.node), s.leafIndex(b.node)
-	if ia < 0 || ib < 0 {
-		panic("te: fuse of non-leaf axis")
-	}
-	if ib != ia+1 {
-		panic("te: fused axes must be adjacent in the current loop order")
-	}
-	if a.node.reduce != b.node.reduce {
-		panic("te: cannot fuse a spatial axis with a reduce axis")
-	}
-	f := &axisNode{
-		iv:      newIter(a.Name()+"."+b.Name()+".f", a.node.iv.Extent*b.node.iv.Extent),
-		reduce:  a.node.reduce,
-		derived: true,
-	}
-	s.relations = append(s.relations, &fuseRel{a: a.node, b: b.node, fused: f})
-	s.leaves = append(s.leaves[:ia], append([]*axisNode{f}, s.leaves[ib+1:]...)...)
-	return Axis{f}
 }
 
 // Reorder places the given axes in the stated relative order, keeping axes
@@ -197,9 +153,6 @@ func (s *Schedule) Unroll(a Axis) { a.node.kind = ir.ForUnrolled }
 // Vectorize maps the axis onto SIMD lanes. Only innermost axes should be
 // vectorized; lowering validates this.
 func (s *Schedule) Vectorize(a Axis) { a.node.kind = ir.ForVectorized }
-
-// Parallel marks the axis for CPU multi-threading (fallback operators).
-func (s *Schedule) Parallel(a Axis) { a.node.kind = ir.ForParallel }
 
 // Leaves exposes the current loop order as (name, extent, kind, isReduce)
 // tuples for the cost model.

@@ -1,6 +1,6 @@
 // Package te implements the tensor-expression layer: declarative tensor
 // computations (Placeholder / Compute / reductions) plus a schedule tree
-// whose primitives — split, tile, fuse, reorder, bind, unroll, vectorize —
+// whose primitives — split, reorder, bind, unroll, vectorize —
 // rewrite how the computation lowers to the loop IR of internal/ir.
 //
 // This mirrors the Halide-inherited design the paper builds on (§2.3): the
@@ -21,15 +21,6 @@ type Tensor struct {
 	Name  string
 	Shape []int
 	Op    *ComputeOp // nil for placeholders
-}
-
-// NumElements returns the flat element count.
-func (t *Tensor) NumElements() int {
-	n := 1
-	for _, d := range t.Shape {
-		n *= d
-	}
-	return n
 }
 
 // Access builds a load of the tensor at the given (row-major) coordinates.
@@ -95,18 +86,7 @@ func Compute(name string, shape []int, f func(axes []ir.Expr) ir.Expr) *Tensor {
 // out[axes...] = sum over raxes of f(axes..., raxes...).
 func Sum(name string, shape []int, reduceExtents []int,
 	f func(axes, raxes []ir.Expr) ir.Expr) *Tensor {
-	return reduce(name, shape, reduceExtents, f, ir.OpAdd, ir.FImm(0))
-}
-
-// MaxReduce declares a max-reduction tensor (used by max pooling).
-func MaxReduce(name string, shape []int, reduceExtents []int,
-	f func(axes, raxes []ir.Expr) ir.Expr) *Tensor {
-	return reduce(name, shape, reduceExtents, f, ir.OpMax, ir.FImm(-3.4e38))
-}
-
-func reduce(name string, shape, reduceExtents []int,
-	f func(axes, raxes []ir.Expr) ir.Expr, combine ir.BinOp, init ir.Expr) *Tensor {
-	op := &ComputeOp{Combine: combine, Init: init}
+	op := &ComputeOp{Combine: ir.OpAdd, Init: ir.FImm(0)}
 	exprs := make([]ir.Expr, len(shape))
 	for i, d := range shape {
 		iv := newIter(fmt.Sprintf("%s_ax%d", name, i), d)

@@ -85,25 +85,11 @@ func TestSplitNonDividingEmitsGuards(t *testing.T) {
 	})
 }
 
-func TestTileAndReorder(t *testing.T) {
-	runMatmul(t, 9, 7, 5, func(s *te.Schedule) {
-		ax := s.SpatialAxes()
-		s.Tile(ax[0], ax[1], 4, 4)
-	})
-}
-
 func TestSplitReduceAxis(t *testing.T) {
 	runMatmul(t, 4, 4, 10, func(s *te.Schedule) {
 		r := s.ReduceAxes()
 		ro, ri := s.Split(r[0], 3) // non-dividing reduce split
 		s.Reorder(ro, ri)
-	})
-}
-
-func TestFuse(t *testing.T) {
-	runMatmul(t, 6, 4, 3, func(s *te.Schedule) {
-		ax := s.SpatialAxes()
-		s.Fuse(ax[0], ax[1])
 	})
 }
 
@@ -126,14 +112,6 @@ func TestDeepSplitChain(t *testing.T) {
 		_, mi := s.Split(ax[0], 8)
 		_, mii := s.Split(mi, 4)
 		s.Split(mii, 2)
-	})
-}
-
-func TestFuseThenSplit(t *testing.T) {
-	runMatmul(t, 6, 4, 3, func(s *te.Schedule) {
-		ax := s.SpatialAxes()
-		f := s.Fuse(ax[0], ax[1])
-		s.Split(f, 5) // 24 not divisible by 5 -> guard over fused axis
 	})
 }
 
@@ -164,34 +142,6 @@ func TestElementwiseCompute(t *testing.T) {
 	}
 	if len(k.Inputs) != 1 || k.Inputs[0] != "A" {
 		t.Fatalf("inputs = %v", k.Inputs)
-	}
-}
-
-func TestMaxReducePooling(t *testing.T) {
-	A := te.Placeholder("A", 1, 4, 4)
-	P := te.MaxReduce("P", []int{1, 2, 2}, []int{2, 2}, func(ax, r []ir.Expr) ir.Expr {
-		return A.Access(ax[0], ir.Add(ir.Mul(ax[1], ir.Imm(2)), r[0]), ir.Add(ir.Mul(ax[2], ir.Imm(2)), r[1]))
-	})
-	s := te.NewSchedule(P)
-	k := te.Lower("pool", s)
-	env := exec.NewEnv()
-	a := []float32{
-		1, 2, 3, 4,
-		5, 6, 7, 8,
-		9, 10, 11, 12,
-		13, 14, 15, 16,
-	}
-	p := make([]float32, 4)
-	env.Bind("A", a)
-	env.Bind("P", p)
-	if err := exec.RunKernel(k, env); err != nil {
-		t.Fatal(err)
-	}
-	want := []float32{6, 8, 14, 16}
-	for i := range want {
-		if p[i] != want[i] {
-			t.Fatalf("pool = %v, want %v", p, want)
-		}
 	}
 }
 
@@ -281,10 +231,6 @@ func TestScheduleValidation(t *testing.T) {
 	mustPanic("bind serial kind", func() {
 		s := te.NewSchedule(C)
 		s.Bind(s.SpatialAxes()[0], ir.ForSerial)
-	})
-	mustPanic("fuse non-adjacent", func() {
-		s := te.NewSchedule(C)
-		s.Fuse(s.SpatialAxes()[0], s.ReduceAxes()[0])
 	})
 	mustPanic("spatial inside reduce", func() {
 		s := te.NewSchedule(C)

@@ -23,12 +23,6 @@ type Arena struct {
 	off8  int
 }
 
-// NewArena allocates an arena holding elems float32 values (no reduced-
-// precision pools); the historical fp32-only constructor.
-func NewArena(elems int) *Arena {
-	return &Arena{buf: make([]float32, elems)}
-}
-
 // NewArenaMixed allocates an arena with per-dtype pool capacities in
 // elements: e32 float32s, e16 binary16s, e8 int8s.
 func NewArenaMixed(e32, e16, e8 int) *Arena {
@@ -77,39 +71,4 @@ func (a *Arena) Alloc8(elems int) []int8 {
 	s := a.buf8[a.off8 : a.off8+elems : a.off8+elems]
 	a.off8 += elems
 	return s
-}
-
-// Reset rewinds every pool so the storage can be carved again. Tensors
-// handed out before the reset alias any new allocations.
-func (a *Arena) Reset() { a.off, a.off16, a.off8 = 0, 0, 0 }
-
-// Cap returns the fp32 pool capacity in elements.
-func (a *Arena) Cap() int { return len(a.buf) }
-
-// Used returns the number of fp32 elements allocated so far.
-func (a *Arena) Used() int { return a.off }
-
-// Bytes returns the arena capacity in bytes across all width pools.
-func (a *Arena) Bytes() int { return 4*len(a.buf) + 2*len(a.buf16) + len(a.buf8) }
-
-// NewIn allocates an arena-backed float32 tensor of the given shape: the
-// pooled counterpart of New. The tensor's storage lives inside the arena
-// and is reused (not zeroed) across arena resets.
-func NewIn(a *Arena, shape ...int) *Tensor {
-	n := Shape(shape).NumElements()
-	return FromData(a.Alloc(n), shape...)
-}
-
-// NewInTyped allocates an arena-backed tensor of the given dtype; scale is
-// the Int8 dequantization scale (ignored for other dtypes).
-func NewInTyped(a *Arena, dt DType, scale float32, shape ...int) *Tensor {
-	n := Shape(shape).NumElements()
-	switch dt {
-	case Float16:
-		return FromHalf(a.Alloc16(n), shape...)
-	case Int8:
-		return FromInt8(a.Alloc8(n), scale, shape...)
-	default:
-		return FromData(a.Alloc(n), shape...)
-	}
 }

@@ -44,20 +44,6 @@ func (d DType) String() string {
 	return "fp32"
 }
 
-// ParseDType recognizes the names used by tuning records and the -dtype
-// CLI flag ("fp32"/"float32", "fp16"/"float16", "int8").
-func ParseDType(s string) (DType, bool) {
-	switch s {
-	case "fp32", "float32", "":
-		return Float32, true
-	case "fp16", "float16", "half":
-		return Float16, true
-	case "int8":
-		return Int8, true
-	}
-	return Float32, false
-}
-
 // F16Encode converts a float32 to IEEE 754 binary16 with round-to-nearest-
 // even, the hardware rounding mode. Overflow saturates to infinity;
 // subnormal halves are produced exactly; NaN stays NaN.

@@ -108,10 +108,6 @@ func (t *Tensor) Rank() int { return len(t.shape) }
 // Size returns the total number of elements.
 func (t *Tensor) Size() int { return t.shape.NumElements() }
 
-// Bytes returns the size of the backing buffer in bytes, accounting for
-// the element width of the tensor's dtype.
-func (t *Tensor) Bytes() int { return t.dtype.Size() * t.shape.NumElements() }
-
 // Data exposes the flat float32 backing buffer in row-major order. It
 // panics on a reduced-precision tensor: dtype-blind code must never read a
 // half/int8 buffer as float32, so the mistake surfaces loudly. Use GetF /

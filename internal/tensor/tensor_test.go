@@ -3,7 +3,6 @@ package tensor
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestShapeNumElements(t *testing.T) {
@@ -146,115 +145,5 @@ func TestMaxAbsDiff(t *testing.T) {
 	}
 	if !math.IsInf(MaxAbsDiff(New(2), New(3)), 1) {
 		t.Fatal("shape mismatch must be +Inf")
-	}
-}
-
-func TestLayoutParse(t *testing.T) {
-	axes := Layout("NCHW8c").Parse()
-	if len(axes) != 5 || axes[4].Name != 'c' || axes[4].Block != 8 {
-		t.Fatalf("parse NCHW8c = %+v", axes)
-	}
-	if Layout("NCHW16c").BlockOf('C') != 16 {
-		t.Fatal("BlockOf C should be 16")
-	}
-	if Layout("NCHW").BlockOf('C') != 0 {
-		t.Fatal("unblocked layout should report 0")
-	}
-	if Layout("OIHW4o").BlockOf('O') != 4 {
-		t.Fatal("BlockOf O should be 4")
-	}
-}
-
-func TestLayoutMalformedPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	Layout("NC4").Parse()
-}
-
-func TestNCHWShape(t *testing.T) {
-	if got := Layout("NCHW").NCHWShape(1, 3, 8, 8); !got.Equal(Shape{1, 3, 8, 8}) {
-		t.Fatalf("NCHW shape = %v", got)
-	}
-	if got := Layout("NHWC").NCHWShape(1, 3, 8, 8); !got.Equal(Shape{1, 8, 8, 3}) {
-		t.Fatalf("NHWC shape = %v", got)
-	}
-	// 5 channels blocked by 4 pads to 2 blocks.
-	if got := Layout("NCHW4c").NCHWShape(1, 5, 8, 8); !got.Equal(Shape{1, 2, 8, 8, 4}) {
-		t.Fatalf("NCHW4c shape = %v", got)
-	}
-}
-
-func TestConvertNCHWRoundTrip(t *testing.T) {
-	layouts := []Layout{"NCHW", "NHWC", "NCHW4c", "NCHW8c"}
-	n, c, h, w := 2, 6, 5, 7
-	src := New(n, c, h, w)
-	src.FillRandom(1)
-	for _, from := range layouts {
-		a := ConvertNCHW(src, "NCHW", from, n, c, h, w)
-		for _, to := range layouts {
-			b := ConvertNCHW(a, from, to, n, c, h, w)
-			back := ConvertNCHW(b, to, "NCHW", n, c, h, w)
-			if !AllClose(src, back, 0) {
-				t.Fatalf("round trip NCHW->%s->%s->NCHW lost data", from, to)
-			}
-		}
-	}
-}
-
-func TestConvertSameLayoutClones(t *testing.T) {
-	src := New(1, 2, 3, 3)
-	src.FillRandom(2)
-	dst := ConvertNCHW(src, "NCHW", "NCHW", 1, 2, 3, 3)
-	dst.Set(99, 0, 0, 0, 0)
-	if src.At(0, 0, 0, 0) == 99 {
-		t.Fatal("same-layout convert must clone, not alias")
-	}
-}
-
-func TestConvertOIHW(t *testing.T) {
-	w := New(5, 3, 3, 3)
-	w.FillRandom(3)
-	b := ConvertOIHW(w, 4)
-	if !b.Shape().Equal(Shape{2, 3, 3, 3, 4}) {
-		t.Fatalf("blocked shape = %v", b.Shape())
-	}
-	for o := 0; o < 5; o++ {
-		if b.At(o/4, 1, 2, 0, o%4) != w.At(o, 1, 2, 0) {
-			t.Fatalf("element mismatch at o=%d", o)
-		}
-	}
-	// Padding lanes are zero.
-	for i := 0; i < 3; i++ {
-		if b.At(1, i, 0, 0, 3) != 0 {
-			t.Fatal("padding lanes should be zero")
-		}
-	}
-}
-
-func TestTransformCost(t *testing.T) {
-	if TransformCost("NCHW", "NCHW", 1, 3, 8, 8) != 0 {
-		t.Fatal("same layout should be free")
-	}
-	c := TransformCost("NCHW", "NCHW4c", 1, 5, 8, 8)
-	// 5*64 reads + padded 2*4*64 writes.
-	if c != 5*64+8*64 {
-		t.Fatalf("TransformCost = %d", c)
-	}
-}
-
-func TestPropertyConvertPreservesValues(t *testing.T) {
-	f := func(seed int64) bool {
-		n, c, h, w := 1, 3+int(uint(seed)%5), 4, 4
-		src := New(n, c, h, w)
-		src.FillRandom(seed)
-		blocked := ConvertNCHW(src, "NCHW", "NCHW4c", n, c, h, w)
-		back := ConvertNCHW(blocked, "NCHW4c", "NCHW", n, c, h, w)
-		return AllClose(src, back, 0)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
 	}
 }

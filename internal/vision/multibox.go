@@ -89,74 +89,6 @@ func DecodeBox(anchor, loc [4]float32) [4]float32 {
 	return [4]float32{cx - w/2, cy - h/2, cx + w/2, cy + h/2}
 }
 
-// ROIAlign extracts fixed-size features for each region of interest with
-// bilinear sampling (no quantization) into out, (numRois, C, pooledH,
-// pooledW). features is NCHW; rois is (numRois, 5) rows of [batchIdx, x1,
-// y1, x2, y2] in input coordinates; spatialScale maps input coordinates to
-// feature coordinates.
-func ROIAlign(out, features, rois *tensor.Tensor, pooledH, pooledW int, spatialScale float32, samplingRatio int) {
-	fs := features.Shape()
-	c, fh, fw := fs[1], fs[2], fs[3]
-	numRois := rois.Shape()[0]
-	for r := 0; r < numRois; r++ {
-		b := int(rois.At(r, 0))
-		x1 := rois.At(r, 1) * spatialScale
-		y1 := rois.At(r, 2) * spatialScale
-		x2 := rois.At(r, 3) * spatialScale
-		y2 := rois.At(r, 4) * spatialScale
-		roiW := maxf(x2-x1, 1)
-		roiH := maxf(y2-y1, 1)
-		binW := roiW / float32(pooledW)
-		binH := roiH / float32(pooledH)
-		sr := samplingRatio
-		if sr <= 0 {
-			sr = int(math.Ceil(float64(binH)))
-			if sr < 1 {
-				sr = 1
-			}
-		}
-		for ci := 0; ci < c; ci++ {
-			for py := 0; py < pooledH; py++ {
-				for px := 0; px < pooledW; px++ {
-					var sum float32
-					for sy := 0; sy < sr; sy++ {
-						yy := y1 + float32(py)*binH + (float32(sy)+0.5)*binH/float32(sr)
-						for sx := 0; sx < sr; sx++ {
-							xx := x1 + float32(px)*binW + (float32(sx)+0.5)*binW/float32(sr)
-							sum += bilinear(features, b, ci, yy, xx, fh, fw)
-						}
-					}
-					out.Set(sum/float32(sr*sr), r, ci, py, px)
-				}
-			}
-		}
-	}
-}
-
-func bilinear(t *tensor.Tensor, b, c int, y, x float32, h, w int) float32 {
-	if y < -1 || y > float32(h) || x < -1 || x > float32(w) {
-		return 0
-	}
-	y = maxf(y, 0)
-	x = maxf(x, 0)
-	y0, x0 := int(y), int(x)
-	y1, x1 := y0+1, x0+1
-	ly, lx := y-float32(y0), x-float32(x0)
-	if y0 >= h-1 {
-		y0, y1 = h-1, h-1
-		ly = 0
-	}
-	if x0 >= w-1 {
-		x0, x1 = w-1, w-1
-		lx = 0
-	}
-	v00 := t.At(b, c, y0, x0)
-	v01 := t.At(b, c, y0, x1)
-	v10 := t.At(b, c, y1, x0)
-	v11 := t.At(b, c, y1, x1)
-	return v00*(1-ly)*(1-lx) + v01*(1-ly)*lx + v10*ly*(1-lx) + v11*ly*lx
-}
-
 // YoloDecode turns one YOLOv3 detection head output (batch,
 // anchors*(5+classes), gh, gw) into raw detections in out, (batch,
 // gh*gw*anchors, 6). anchorsWH are the head's anchor sizes in input

@@ -139,28 +139,3 @@ func nmsOneBatch(dets, out *tensor.Tensor, order []int32, b, num int, cfg NMSCon
 		}
 	}
 }
-
-// SequentialNMS is the straightforward CPU reference used by property
-// tests and by the fallback experiment (§3.1.2): greedy per-batch
-// suppression with an explicit per-segment sort.
-func SequentialNMS(dets *tensor.Tensor, cfg NMSConfig) *tensor.Tensor {
-	s := dets.Shape()
-	batch, num := s[0], s[1]
-	out := tensor.New(batch, num, DetWidth)
-	for i := 0; i < batch*num; i++ {
-		out.Data()[i*DetWidth] = -1
-	}
-	for b := 0; b < batch; b++ {
-		scores := make([]float32, num)
-		for i := range scores {
-			scores[i] = dets.GetF((b*num+i)*DetWidth + 1)
-		}
-		order := NaiveSegmentedArgsort(scores, NewEvenSegments(num), true)
-		ord := make([]int32, num)
-		for i, o := range order {
-			ord[i] = o + int32(b*num)
-		}
-		nmsOneBatch(dets, out, ord, b, num, cfg)
-	}
-	return out
-}

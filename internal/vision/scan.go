@@ -87,18 +87,6 @@ func HillisSteeleScan(data []float32) []float32 {
 	return cur
 }
 
-// SequentialScan is the trivial CPU reference (§3.1.1: "a trivial
-// sequential algorithm on the CPU").
-func SequentialScan(data []float32) []float32 {
-	out := make([]float32, len(data))
-	var acc float32
-	for i, v := range data {
-		acc += v
-		out[i] = acc
-	}
-	return out
-}
-
 // ScanPasses returns the number of Hillis–Steele passes for n elements,
 // i.e. ceil(log2(n)) — each pass is a global synchronization in the naive
 // GPU formulation.

@@ -1,12 +1,12 @@
 // Package vision implements the vision-specific operators of §3.1 —
 // segmented argsort (Figure 2), the three-stage register-blocked prefix sum
-// (Figure 3), divergence-free box NMS, multibox prior/detection, ROIAlign
-// and YOLO box decoding — using the same parallel decompositions the paper
-// lowers to integrated GPUs, with the host's worker pool (internal/par)
-// standing in for thread blocks. Each operator ships with a sequential reference used by the
-// property tests, and internal/vision/cost.go prices the optimized and the
-// naive GPU implementations on the simulated devices for the Table 4
-// ablation.
+// (Figure 3), divergence-free box NMS, multibox prior/detection and YOLO
+// box decoding — using the same parallel decompositions the paper lowers
+// to integrated GPUs, with the host's worker pool (internal/par) standing
+// in for thread blocks. The property tests hold each operator to a
+// sequential reference, and internal/vision/cost.go prices the optimized
+// and the naive GPU implementations on the simulated devices for the
+// Table 4 ablation.
 package vision
 
 import (
@@ -192,10 +192,4 @@ func NaiveSegmentedArgsort(data []float32, segs Segments, descending bool) []int
 		copy(out[lo:hi], idx)
 	}
 	return out
-}
-
-// Argsort sorts one flat array, returning source indices; the single-
-// segment case of SegmentedArgsort.
-func Argsort(data []float32, descending bool) []int32 {
-	return SegmentedArgsort(data, NewEvenSegments(len(data)), descending)
 }

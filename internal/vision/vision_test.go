@@ -395,35 +395,6 @@ func TestMultiboxDetectionEndToEnd(t *testing.T) {
 	}
 }
 
-func TestROIAlignConstantField(t *testing.T) {
-	feat := tensor.New(1, 2, 8, 8)
-	feat.Fill(3)
-	rois := tensor.FromData([]float32{0, 1, 1, 6, 6}, 1, 5)
-	out := poisoned(1, 2, 2, 2)
-	ROIAlign(out, feat, rois, 2, 2, 1.0, 2)
-	for i, v := range out.Data() {
-		if math.Abs(float64(v)-3) > 1e-5 {
-			t.Fatalf("constant field should pool to 3, got %v at %d", v, i)
-		}
-	}
-}
-
-func TestROIAlignGradientField(t *testing.T) {
-	// f(y,x) = x: pooled left half < pooled right half.
-	feat := tensor.New(1, 1, 8, 8)
-	for y := 0; y < 8; y++ {
-		for x := 0; x < 8; x++ {
-			feat.Set(float32(x), 0, 0, y, x)
-		}
-	}
-	rois := tensor.FromData([]float32{0, 0, 0, 7, 7}, 1, 5)
-	out := poisoned(1, 1, 1, 2)
-	ROIAlign(out, feat, rois, 1, 2, 1.0, 2)
-	if out.At(0, 0, 0, 0) >= out.At(0, 0, 0, 1) {
-		t.Fatalf("left %v should be < right %v", out.At(0, 0, 0, 0), out.At(0, 0, 0, 1))
-	}
-}
-
 func TestYoloDecode(t *testing.T) {
 	numClasses := 2
 	anchors := [][2]float32{{10, 20}}

@@ -42,7 +42,7 @@ func TestPipelineTraceExport(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	if err := obs.WriteChromeTrace(&buf); err != nil {
+	if err := obs.DefaultTracer.WriteChromeTrace(&buf); err != nil {
 		t.Fatal(err)
 	}
 	var trace struct {

@@ -136,7 +136,7 @@ func TestRetiredKernelRecords(t *testing.T) {
 		if _, ok := ops.ParseConvKernel(r.Kernel); ok {
 			t.Fatalf("kernel name %q parses; the test needs a retired one", r.Kernel)
 		}
-		if got, ok := db.LookupKernelChoice(r.Device, r.Workload); !ok || got != r.Kernel {
+		if got, ok := db.LookupKernelChoiceDType(r.Device, r.Workload, ""); !ok || got != r.Kernel {
 			t.Fatalf("record %s did not load: %q, %v", r.Workload, got, ok)
 		}
 	}
@@ -179,7 +179,7 @@ func TestRetiredKernelRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, r := range recs {
-		if name, ok := saved.LookupKernelChoice(r.Device, r.Workload); !ok || name != r.Kernel {
+		if name, ok := saved.LookupKernelChoiceDType(r.Device, r.Workload, ""); !ok || name != r.Kernel {
 			t.Errorf("record %s after save: %q, %v, want %q kept", r.Workload, name, ok, r.Kernel)
 		}
 	}
