@@ -85,6 +85,19 @@ func TestSplitNonDividingEmitsGuards(t *testing.T) {
 	})
 }
 
+// TestTileAndReorder tiles both spatial axes by factors that divide
+// neither and moves the two outer loops outside the two inner ones, as the
+// conv templates tile their output: the guards of both splits must hold
+// across the reorder.
+func TestTileAndReorder(t *testing.T) {
+	runMatmul(t, 9, 7, 5, func(s *te.Schedule) {
+		ax := s.SpatialAxes()
+		xo, xi := s.Split(ax[0], 4)
+		yo, yi := s.Split(ax[1], 4)
+		s.Reorder(xo, yo, xi, yi)
+	})
+}
+
 func TestSplitReduceAxis(t *testing.T) {
 	runMatmul(t, 4, 4, 10, func(s *te.Schedule) {
 		r := s.ReduceAxes()

@@ -11,6 +11,7 @@ import (
 	"go/types"
 	"io"
 	"io/fs"
+	"maps"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -123,35 +124,36 @@ func modulePackages(t *testing.T) map[string][]string {
 	return pkgs
 }
 
-// TestModuleLayers holds every package of the module to moduleLayers: the
-// table names each package once, imports point to lower layers, no
-// product package imports the harness, no non-test file imports a
-// test-only package, the host worker pool (internal/par) imports only the
-// standard library, and no forbidden edge exists.
-func TestModuleLayers(t *testing.T) {
+// layerProblems returns every way the packages found, each with its
+// module imports, break moduleLayers: the table names each package once,
+// imports point to lower layers, no product package imports the harness,
+// no non-test file imports a test-only package, the host worker pool
+// (internal/par) imports only the standard library, and no forbidden edge
+// exists.
+func layerProblems(found map[string][]string) []string {
+	var out []string
 	layerOf := map[string]int{}
 	for i, pkgs := range moduleLayers {
 		for _, p := range pkgs {
 			if _, dup := layerOf[p]; dup {
-				t.Errorf("%s is declared twice", p)
+				out = append(out, fmt.Sprintf("%s is declared twice", p))
 			}
 			layerOf[p] = i
 		}
 	}
-	found := modulePackages(t)
 	for p := range layerOf {
 		if _, ok := found[p]; !ok {
-			t.Errorf("%s is declared but holds no package", p)
+			out = append(out, fmt.Sprintf("%s is declared but holds no package", p))
 		}
 	}
 	for p, imports := range found {
 		layer, ok := layerOf[p]
 		if !ok {
-			t.Errorf("%s is missing from moduleLayers", p)
+			out = append(out, fmt.Sprintf("%s is missing from moduleLayers", p))
 			continue
 		}
 		if p == "internal/par" && len(imports) > 0 {
-			t.Errorf("internal/par must import the standard library only, imports %v", imports)
+			out = append(out, fmt.Sprintf("internal/par must import the standard library only, imports %v", imports))
 		}
 		for _, imp := range imports {
 			to, ok := layerOf[imp]
@@ -159,16 +161,64 @@ func TestModuleLayers(t *testing.T) {
 			case !ok:
 				// Reported above as missing.
 			case to == testOnlyLayer:
-				t.Errorf("%s imports test-only package %s", p, imp)
+				out = append(out, fmt.Sprintf("%s imports test-only package %s", p, imp))
 			case layer < firstHarnessLayer && to >= firstHarnessLayer:
-				t.Errorf("product package %s imports harness package %s", p, imp)
+				out = append(out, fmt.Sprintf("product package %s imports harness package %s", p, imp))
 			case to >= layer:
-				t.Errorf("%s (layer %d) imports %s (layer %d): imports must point to a lower layer", p, layer, imp, to)
+				out = append(out, fmt.Sprintf("%s (layer %d) imports %s (layer %d): imports must point to a lower layer", p, layer, imp, to))
 			}
 			if forbiddenImports[p] == imp {
-				t.Errorf("%s must not import %s", p, imp)
+				out = append(out, fmt.Sprintf("%s must not import %s", p, imp))
 			}
 		}
+	}
+	slices.Sort(out)
+	return out
+}
+
+// TestModuleLayers holds every package of the module to moduleLayers, and
+// checks that each planted breach of the table is reported.
+func TestModuleLayers(t *testing.T) {
+	found := modulePackages(t)
+	for _, p := range layerProblems(found) {
+		t.Error(p)
+	}
+	imports := func(from, to string) func(map[string][]string) {
+		return func(pkgs map[string][]string) { pkgs[from] = append(pkgs[from], to) }
+	}
+	for _, c := range []struct {
+		name  string
+		plant func(map[string][]string)
+		want  string
+	}{
+		{"harness imports the test-only layer", imports("internal/bench", "internal/exec"),
+			"internal/bench imports test-only package internal/exec"},
+		{"product imports the test-only layer", imports("internal/runtime", "internal/exec"),
+			"internal/runtime imports test-only package internal/exec"},
+		{"product imports the harness", imports("internal/graph", "internal/baselines"),
+			"product package internal/graph imports harness package internal/baselines"},
+		{"import points up", imports("internal/tensor", "internal/ops"),
+			"internal/tensor (layer 1) imports internal/ops (layer 2)"},
+		{"par imports a module package", imports("internal/par", "internal/cpu"),
+			"internal/par must import the standard library only"},
+		{"forbidden edge", imports("internal/runtime", "internal/ops"),
+			"internal/runtime must not import internal/ops"},
+		{"package missing from the table", func(pkgs map[string][]string) { pkgs["internal/planted"] = nil },
+			"internal/planted is missing from moduleLayers"},
+		{"declared package is gone", func(pkgs map[string][]string) { delete(pkgs, "internal/cpu") },
+			"internal/cpu is declared but holds no package"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			planted := map[string][]string{}
+			for p, imps := range found {
+				planted[p] = slices.Clone(imps)
+			}
+			c.plant(planted)
+			got := layerProblems(planted)
+			if !slices.ContainsFunc(got, func(p string) bool { return strings.HasPrefix(p, c.want) }) {
+				t.Errorf("no problem begins %q; got %q", c.want, got)
+			}
+		})
 	}
 }
 
@@ -278,7 +328,7 @@ func (m *moduleChecker) check(dir string) (*types.Package, error) {
 	}
 	var files []*ast.File
 	for _, name := range bp.GoFiles {
-		f, err := parser.ParseFile(m.fset, filepath.Join(dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
+		f, err := parser.ParseFile(m.fset, filepath.Join(bp.Dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
 		if err != nil {
 			return nil, err
 		}
@@ -398,8 +448,10 @@ func (m *moduleChecker) addDecls(dir string, pkg *types.Package, files []*ast.Fi
 }
 
 // moduleDeclGraph type-checks every package of the module, test files
-// excluded, at each of archs, and unions the declarations by key.
-func moduleDeclGraph(t *testing.T) *declGraph {
+// excluded, at each of archs, and unions the declarations by key. It also
+// returns the file set and the standard library importer it used, with
+// which more packages can be checked into a clone of the graph.
+func moduleDeclGraph(t *testing.T) (*declGraph, *token.FileSet, types.Importer) {
 	t.Helper()
 	g := &declGraph{where: map[string]string{}, refs: map[string][]string{}, methods: map[string][]string{}, ifaceMethods: map[string]bool{}}
 	for _, name := range implicitMethods {
@@ -419,7 +471,21 @@ func moduleDeclGraph(t *testing.T) *declGraph {
 			}
 		}
 	}
-	return g
+	return g, fset, std
+}
+
+// clone returns a copy of g that checking more packages into leaves g as
+// it was.
+func (g *declGraph) clone() *declGraph {
+	c := &declGraph{where: maps.Clone(g.where), refs: map[string][]string{}, methods: map[string][]string{},
+		roots: slices.Clone(g.roots), ifaceMethods: maps.Clone(g.ifaceMethods)}
+	for k, v := range g.refs {
+		c.refs[k] = slices.Clone(v)
+	}
+	for k, v := range g.methods {
+		c.methods[k] = slices.Clone(v)
+	}
+	return c
 }
 
 // stdImporter reads the standard library's export data, located by one go
@@ -477,35 +543,150 @@ func (g *declGraph) reach(from []string) map[string]bool {
 	return reached
 }
 
+// verdict returns the complaints about g under allow, sorted: an
+// allowlist entry that gives no reason, names no declaration or is
+// reached, and every declaration nothing reaches from the roots and the
+// allowlist.
+func (g *declGraph) verdict(allow map[string]string) []string {
+	var out []string
+	reached := g.reach(g.roots)
+	kept := slices.Clone(g.roots)
+	for name, reason := range allow {
+		switch {
+		case reason == "":
+			out = append(out, fmt.Sprintf("allowlist entry %s gives no reason", name))
+		case g.where[name] == "":
+			out = append(out, fmt.Sprintf("allowlist entry %s names no declaration; delete the entry", name))
+		case reached[name]:
+			out = append(out, fmt.Sprintf("allowlist entry %s is reached; delete the entry", name))
+		}
+		kept = append(kept, name)
+	}
+	reached = g.reach(kept)
+	for key, where := range g.where {
+		if !reached[key] {
+			out = append(out, fmt.Sprintf("nothing reaches %s at %s", key, where))
+		}
+	}
+	slices.Sort(out)
+	return out
+}
+
+// plantedPar is a file added to a copy of internal/par, and plantedParTest
+// a test file beside it. Each planted declaration is one way a declaration
+// can go unreached, or be reached with no caller in the module.
+const (
+	plantedPar = `package par
+
+func plantedUnused() {}
+
+func (w *worker) plantedMethod() {}
+
+func (w *worker) String() string { return "worker" }
+
+func plantedTestOnly() {}
+
+var _ = plantedViaBlank
+
+func plantedViaBlank() {}
+`
+	plantedParTest = `package par
+
+import "testing"
+
+func TestPlanted(t *testing.T) { plantedTestOnly() }
+`
+)
+
+// plantedGraph returns a copy of g into which internal/par is checked
+// again, at amd64, from a directory holding its files, plantedPar and
+// plantedParTest.
+func plantedGraph(t *testing.T, g *declGraph, fset *token.FileSet, std types.Importer) *declGraph {
+	t.Helper()
+	ctxt := build.Default
+	ctxt.GOARCH = "amd64"
+	real, err := ctxt.ImportDir("internal/par", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	files := map[string]string{"planted.go": plantedPar, "planted_test.go": plantedParTest}
+	for _, name := range real.GoFiles {
+		src, err := os.ReadFile(filepath.Join(real.Dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[name] = string(src)
+	}
+	for name, src := range files {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	bp, err := ctxt.ImportDir(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := g.clone()
+	m := &moduleChecker{fset: fset, arch: "amd64", bps: map[string]*build.Package{"internal/par": bp}, std: std, checked: map[string]*types.Package{}, g: p}
+	if _, err := m.check("internal/par"); err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
 // TestEveryDeclarationIsReached holds the module to the code its binaries
 // and the unigpu API reach. The roots are every main package's main, every
 // init and blank variable, every exported name and method of package
 // unigpu, and every declaration of a test-only package; a declaration
 // nothing reaches from them fails the test unless reachAllowlist names it.
+// The subtests check the verdict on a copy of internal/par with planted
+// declarations and on planted allowlist entries.
 func TestEveryDeclarationIsReached(t *testing.T) {
-	g := moduleDeclGraph(t)
-	reached := g.reach(g.roots)
-	var kept []string
-	for name, reason := range reachAllowlist {
-		switch {
-		case reason == "":
-			t.Errorf("allowlist entry %s gives no reason", name)
-		case g.where[name] == "":
-			t.Errorf("allowlist entry %s names no declaration; delete the entry", name)
-		case reached[name]:
-			t.Errorf("allowlist entry %s is reached; delete the entry", name)
+	g, fset, std := moduleDeclGraph(t)
+	for _, c := range g.verdict(reachAllowlist) {
+		t.Error(c)
+	}
+	p := plantedGraph(t, g, fset, std)
+	with := func(name, reason string) map[string]string {
+		allow := maps.Clone(reachAllowlist)
+		allow[name] = reason
+		return allow
+	}
+	for _, c := range []struct {
+		name    string
+		allow   map[string]string
+		want    string // a complaint that begins so must be made
+		wantNot string // no complaint may begin so
+	}{
+		{name: "planted unused function", allow: reachAllowlist, want: "nothing reaches internal/par.plantedUnused at "},
+		{name: "unused method on a reached type", allow: reachAllowlist, want: "nothing reaches internal/par.worker.plantedMethod at "},
+		{name: "function called only by its own test", allow: reachAllowlist, want: "nothing reaches internal/par.plantedTestOnly at "},
+		{name: "method an interface may call is kept", allow: reachAllowlist, wantNot: "nothing reaches internal/par.worker.String "},
+		{name: "blank variable is a root", allow: reachAllowlist, wantNot: "nothing reaches internal/par.plantedViaBlank "},
+		{name: "allowlisted declaration is kept", allow: with("internal/par.plantedUnused", "planted"), wantNot: "nothing reaches internal/par.plantedUnused "},
+		{name: "allowlist entry whose target was deleted", allow: with("internal/par.plantedGone", "planted"), want: "allowlist entry internal/par.plantedGone names no declaration"},
+		{name: "allowlist entry that is reached", allow: with("internal/par.For", "planted"), want: "allowlist entry internal/par.For is reached"},
+		{name: "allowlist entry without a reason", allow: with("internal/par.plantedUnused", ""), want: "allowlist entry internal/par.plantedUnused gives no reason"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			got := p.verdict(c.allow)
+			begins := func(prefix string) bool {
+				return slices.ContainsFunc(got, func(s string) bool { return strings.HasPrefix(s, prefix) })
+			}
+			if c.want != "" && !begins(c.want) {
+				t.Errorf("no complaint begins %q; got %q", c.want, got)
+			}
+			if c.wantNot != "" && begins(c.wantNot) {
+				t.Errorf("a complaint begins %q; got %q", c.wantNot, got)
+			}
+		})
+	}
+	t.Run("only planted declarations are flagged", func(t *testing.T) {
+		for _, c := range p.verdict(reachAllowlist) {
+			if !strings.Contains(c, ".planted") {
+				t.Errorf("the planted copy of internal/par adds a complaint about real code: %s", c)
+			}
 		}
-		kept = append(kept, name)
-	}
-	reached = g.reach(append(g.roots, kept...))
-	var dead []string
-	for key, where := range g.where {
-		if !reached[key] {
-			dead = append(dead, key+" at "+where)
-		}
-	}
-	slices.Sort(dead)
-	for _, d := range dead {
-		t.Errorf("nothing reaches %s", d)
-	}
+	})
 }
