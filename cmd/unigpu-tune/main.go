@@ -21,8 +21,8 @@ import (
 	"unigpu/internal/obs"
 	"unigpu/internal/ops"
 	"unigpu/internal/sim"
-	"unigpu/internal/tensor"
 	"unigpu/internal/templates"
+	"unigpu/internal/tensor"
 )
 
 func main() {

@@ -62,9 +62,6 @@ type Profile struct {
 	// eff is the achieved fraction of the device's BaseEfficiency-adjusted
 	// peak per workload class. Calibrated from the paper's Tables 1-3.
 	eff map[Class]float64
-	// visionOnCPU: the framework executes NMS/decode on the CPU (the MXNet
-	// + cuDNN and ACL paths); OpenVINO simply lacks the models.
-	visionOnCPU bool
 }
 
 // OpenVINO models Intel's inference toolkit on DeepLens: strong on the
@@ -81,7 +78,6 @@ var OpenVINO = &Profile{
 		Conv3x3: 5.9, Conv3x3Big: 0.93, Conv1x1: 0.71, ConvLarge: 0.73,
 		Depthwise: 0.084, DenseFC: 5.9,
 	},
-	visionOnCPU: true,
 }
 
 // ACL models the ARM Compute Library (v19.02) path on aiSage, reached by
@@ -95,7 +91,6 @@ var ACL = &Profile{
 		Conv3x3: 5.36, Conv3x3Big: 1.34, Conv1x1: 0.72, ConvLarge: 0.55,
 		Depthwise: 0.080, DenseFC: 0.094,
 	},
-	visionOnCPU: true,
 }
 
 // CuDNN models MXNet v1.4 + cuDNN v7 on Jetson Nano: excellent 3x3
@@ -110,7 +105,6 @@ var CuDNN = &Profile{
 		Conv3x3: 0.68, Conv3x3Big: 1.87, Conv1x1: 1.52, ConvLarge: 0.33,
 		Depthwise: 0.05, DenseFC: 0.05,
 	},
-	visionOnCPU: true,
 }
 
 // ForPlatform returns the vendor baseline used on each platform in §4.1.

@@ -7,8 +7,9 @@ import (
 )
 
 // PerfRecord is one machine-readable benchmark result, the unit of the
-// perf trajectory unigpu-bench -json emits: later PRs diff these files to
-// see whether a change moved the predicted latencies.
+// perf trajectory unigpu-bench -json writes after whichever table it
+// regenerates: diffing two such files shows whether a change moved the
+// predicted latencies.
 type PerfRecord struct {
 	Model       string  `json:"model"`
 	Platform    string  `json:"platform"`

@@ -1,9 +1,7 @@
 package obs
 
 import (
-	"fmt"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -223,22 +221,9 @@ func (p *Profiler) Snapshot() ProfileSnapshot {
 	return ProfileSnapshot{Taken: now, Window: 2 * p.opts.Window, SampledRuns: sampled, Top: rows}
 }
 
-// FormatProfile renders a snapshot as the unigpu-bench -profile table.
-func FormatProfile(s ProfileSnapshot) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "profiler top-%d (rolling %v, %d sampled runs)\n",
-		len(s.Top), s.Window.Round(time.Second), s.SampledRuns)
-	fmt.Fprintf(&b, "%-16s %-24s %-16s %-6s %8s %10s %10s %10s\n",
-		"model", "node", "kind", "dev", "count", "total ms", "mean µs", "max µs")
-	for _, r := range s.Top {
-		fmt.Fprintf(&b, "%-16s %-24s %-16s %-6s %8d %10.2f %10.1f %10.1f\n",
-			r.Model, r.Node, r.Kind, r.Device, r.Count, r.TotalMs, r.MeanUs, r.MaxUs)
-	}
-	return b.String()
-}
-
 // DefaultProfiler is the profiler the serving runtime feeds by default.
 var DefaultProfiler = NewProfiler(ProfilerOptions{})
 
-// Profile snapshots the default profiler.
+// Profile snapshots the default profiler; /debug/profile serves the
+// snapshot as JSON.
 func Profile() ProfileSnapshot { return DefaultProfiler.Snapshot() }

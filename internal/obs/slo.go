@@ -1,9 +1,7 @@
 package obs
 
 import (
-	"fmt"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 )
@@ -279,17 +277,6 @@ func (m *SLOMonitor) Publish() []SLOStats {
 	return out
 }
 
-// FormatSLO renders stats as the unigpu-bench -faults summary lines.
-func FormatSLO(stats []SLOStats) string {
-	var b strings.Builder
-	for _, st := range stats {
-		fmt.Fprintf(&b, "slo %s: %d req (%d err, %d shed, %d deadline) p50 %v p99 %v bad %.2f%% burn %.2fx alarm=%v\n",
-			st.Model, st.Requests, st.Errors, st.Shed, st.Deadline,
-			st.P50.Round(time.Microsecond), st.P99.Round(time.Microsecond),
-			100*st.BadRate, st.BurnRate, st.Alarm)
-	}
-	return b.String()
-}
-
-// DefaultSLO is the monitor serving pools record into by default.
+// DefaultSLO is the monitor serving pools record into by default;
+// /debug/slo serves its published stats as JSON.
 var DefaultSLO = NewSLOMonitor(SLOOptions{})

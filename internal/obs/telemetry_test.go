@@ -201,10 +201,6 @@ func TestProfilerSamplingAndSnapshot(t *testing.T) {
 	if c := reg.Histogram("profile.node_ns.m.conv2d/gemm").Count(); c != 10 {
 		t.Fatalf("registry histogram count = %d, want 10", c)
 	}
-	text := FormatProfile(snap)
-	if !strings.Contains(text, "conv1") || !strings.Contains(text, "conv2d/gemm") {
-		t.Fatalf("FormatProfile missing hot row:\n%s", text)
-	}
 }
 
 // TestProfilerNilAndDisabled: nil profilers and negative SampleEvery are
@@ -467,9 +463,6 @@ func TestSLOMonitorWindowAndBurn(t *testing.T) {
 	}
 	if v, ok := reg.Gauge("slo.p50_ms.m").Value(); !ok || v != 2 {
 		t.Fatalf("slo.p50_ms.m gauge = %v %v, want 2", v, ok)
-	}
-	if !strings.Contains(FormatSLO(stats), "alarm=true") {
-		t.Fatalf("FormatSLO missing alarm: %s", FormatSLO(stats))
 	}
 
 	// A latency objective turns slow successes into bad requests.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"os"
 	goruntime "runtime"
 	"strconv"
@@ -187,9 +188,8 @@ func TestDeviceLossQuarantine(t *testing.T) {
 		t.Fatal(err)
 	}
 	tensorsEqual(t, "quarantined", got, want)
-	if inj.Injected(sim.FaultDeviceLost) != 1 {
-		t.Fatalf("quarantine must stop dispatch attempts, injector saw %d device-lost probes",
-			inj.Injected(sim.FaultDeviceLost))
+	if n := inj.Counts()[sim.FaultDeviceLost.String()]; n != 1 {
+		t.Fatalf("quarantine must stop dispatch attempts, injector saw %d device-lost probes", n)
 	}
 }
 
@@ -218,7 +218,7 @@ func TestBreakerHalfOpenRecovery(t *testing.T) {
 	}
 	inj.Heal()
 	time.Sleep(25 * time.Millisecond)
-	dispatches0 := inj.Total()
+	counts0 := inj.Counts()
 	got, err := s.Run(feeds)
 	if err != nil {
 		t.Fatal(err)
@@ -227,8 +227,8 @@ func TestBreakerHalfOpenRecovery(t *testing.T) {
 	if br.State() != runtime.BreakerClosed {
 		t.Fatalf("breaker %v after healthy probe, want closed", br.State())
 	}
-	if inj.Total() != dispatches0 {
-		t.Fatalf("healed device must not fault: %d new faults", inj.Total()-dispatches0)
+	if counts := inj.Counts(); !maps.Equal(counts, counts0) {
+		t.Fatalf("healed device must not fault: counts went from %v to %v", counts0, counts)
 	}
 }
 
@@ -316,7 +316,7 @@ func TestEveryFaultKindBitIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 			tensorsEqual(t, kind.String(), got, want)
-			if inj.Injected(kind) == 0 {
+			if inj.Counts()[kind.String()] == 0 {
 				t.Fatalf("fault kind %s was never injected", kind)
 			}
 		})
@@ -467,7 +467,7 @@ func TestFaultSoak(t *testing.T) {
 		}
 		tensorsEqual(t, fmt.Sprintf("soak run %d", run), got, want)
 		for k, kind := range sim.AllFaultKinds {
-			injected[k] += inj.Injected(kind)
+			injected[k] += inj.Counts()[kind.String()]
 		}
 	}
 	for k, kind := range sim.AllFaultKinds {

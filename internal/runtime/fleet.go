@@ -138,7 +138,6 @@ type FleetOptions struct {
 // fleetReplica is one replica plus its lifecycle state.
 type fleetReplica struct {
 	name    string
-	plan    *Plan
 	pool    *SessionPool
 	inj     *sim.FaultInjector
 	breaker *Breaker
@@ -277,7 +276,6 @@ func NewFleet(opts FleetOptions) (*Fleet, error) {
 		pool := NewSessionPool(rc.Plan, po)
 		r := &fleetReplica{
 			name:    name,
-			plan:    rc.Plan,
 			pool:    pool,
 			inj:     po.Session.Faults,
 			breaker: pool.Breaker(),

@@ -29,10 +29,9 @@ type RouterOptions struct {
 
 // routerReplica is one replica's routing state.
 type routerReplica struct {
-	predictMs float64       // static cost-oracle estimate, never mutated
-	ewmaBits  atomic.Uint64 // EWMA-corrected latency estimate (float64 bits)
-	inflight  atomic.Int64  // requests currently placed here
-	weight    atomic.Int64  // health weight in [0, weightScale]
+	ewmaBits atomic.Uint64 // EWMA-corrected latency estimate (float64 bits)
+	inflight atomic.Int64  // requests currently placed here
+	weight   atomic.Int64  // health weight in [0, weightScale]
 }
 
 // weightScale is the fixed-point denominator for replica weights: a weight
@@ -59,7 +58,6 @@ func NewRouter(predictMs []float64, opts RouterOptions) *Router {
 		if p <= 0 {
 			p = 1e-3 // degenerate oracle: tiny but positive so scores stay ordered
 		}
-		r.replicas[i].predictMs = p
 		r.replicas[i].ewmaBits.Store(math.Float64bits(p))
 		r.replicas[i].weight.Store(weightScale)
 	}

@@ -224,26 +224,6 @@ func (f *FaultInjector) Heal() {
 	f.mu.Unlock()
 }
 
-// Total returns how many faults have been injected.
-func (f *FaultInjector) Total() int64 {
-	if f == nil {
-		return 0
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.total
-}
-
-// Injected returns how many faults of the given kind have been injected.
-func (f *FaultInjector) Injected(kind FaultKind) int64 {
-	if f == nil || kind < 0 || kind >= numFaultKinds {
-		return 0
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.byKind[kind]
-}
-
 // Counts snapshots the injected-fault totals by kind name, omitting kinds
 // that never fired — the shape serving reports embed.
 func (f *FaultInjector) Counts() map[string]int64 {

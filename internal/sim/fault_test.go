@@ -57,9 +57,8 @@ func TestFaultInjectorScript(t *testing.T) {
 	if err := inj.Dispatch(context.Background(), "c"); err != nil {
 		t.Fatalf("script drained, dispatch should be healthy: %v", err)
 	}
-	if inj.Total() != 2 || inj.Injected(FaultTransientKernel) != 1 || inj.Injected(FaultMemPressure) != 1 {
-		t.Fatalf("counters: total=%d tk=%d mp=%d", inj.Total(),
-			inj.Injected(FaultTransientKernel), inj.Injected(FaultMemPressure))
+	if c := inj.Counts(); len(c) != 2 || c[FaultTransientKernel.String()] != 1 || c[FaultMemPressure.String()] != 1 {
+		t.Fatalf("counters: %v, want one transient_kernel and one mem_pressure", c)
 	}
 }
 
@@ -80,7 +79,7 @@ func TestFaultInjectorDeviceLoss(t *testing.T) {
 			t.Fatalf("lost device dispatch %d: got %v", i, err)
 		}
 	}
-	if got := inj.Injected(FaultDeviceLost); got != 1 {
+	if got := inj.Counts()[FaultDeviceLost.String()]; got != 1 {
 		t.Fatalf("device loss injected once, counted %d", got)
 	}
 	inj.Heal()
@@ -135,7 +134,7 @@ func TestNilInjectorHealthy(t *testing.T) {
 	if err := inj.Dispatch(context.Background(), "n"); err != nil {
 		t.Fatalf("nil injector must be healthy: %v", err)
 	}
-	if inj.DeviceLost() || inj.Total() != 0 {
+	if inj.DeviceLost() || len(inj.Counts()) != 0 {
 		t.Fatal("nil injector must report no faults")
 	}
 }
@@ -157,8 +156,8 @@ func TestFaultInjectorKill(t *testing.T) {
 		t.Fatalf("dispatch after Kill: got %v, want FaultDeviceLost", err)
 	}
 	inj.Kill() // idempotent: no double count
-	if got := inj.Injected(FaultDeviceLost); got != 1 {
-		t.Fatalf("Injected(FaultDeviceLost) = %d, want 1", got)
+	if got := inj.Counts()[FaultDeviceLost.String()]; got != 1 {
+		t.Fatalf("device_lost count = %d, want 1", got)
 	}
 	inj.Heal()
 	if inj.DeviceLost() {

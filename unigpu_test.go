@@ -124,7 +124,7 @@ func TestDeviceAttachedFaultInjector(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gpu.Faults.Total() == 0 {
+	if len(gpu.Faults.Counts()) == 0 {
 		t.Fatal("device-attached injector never reached the session")
 	}
 	for i, v := range want.Data() {
