@@ -32,8 +32,10 @@ race:
 # and scan fan out through it too) run under the race detector at one, two
 # and four cores (-cpu raises GOMAXPROCS past the host's cores too): no
 # job's result may depend on which worker ran it. FuzzOpenDB then feeds the
-# tuning database's decoder generated files for 20 s; the test runs above
-# try its seeds only.
+# tuning database's decoder generated files for 20 s, and FuzzPromName and
+# FuzzParseLine feed the Prometheus name rewriter and bench2json's line
+# parser generated strings for 10 s each; the test runs above try their
+# seeds only.
 verify:
 	$(GO) build ./...
 	$(GO) vet ./...
@@ -42,6 +44,8 @@ verify:
 	$(GO) test -race -cpu 1,2,4 ./internal/par ./internal/ops ./internal/vision
 	$(GO) test -race -timeout 25m ./...
 	$(GO) test -run '^$$' -fuzz FuzzOpenDB -fuzztime 20s ./internal/autotvm
+	$(GO) test -run '^$$' -fuzz FuzzPromName -fuzztime 10s ./internal/obs
+	$(GO) test -run '^$$' -fuzz FuzzParseLine -fuzztime 10s ./cmd/bench2json
 
 # bench runs the runtime, ops and worker-pool benchmarks (session hot path,
 # pooled kernels, per-kernel conv comparisons, fan-out dispatch), archives
@@ -98,6 +102,9 @@ soak:
 # internal/runtime, and two totals of non-test Go lines: the product
 # closure (the module's files that `go list -deps .` builds for this
 # GOARCH) and the whole module (every tracked file, both arches' included).
+# The last line is the exported option count: the independently settable
+# fields of the option structs package unigpu exposes, nested ones
+# included, as TestExportedOptionCount counts them (-v lists them).
 loc:
 	@n() { ls $$@ | grep -v _test.go | xargs cat | wc -l; }; \
 	echo "internal/runtime + unigpu.go:   $$(n internal/runtime/*.go unigpu.go)"; \
@@ -109,7 +116,8 @@ loc:
 	echo "assembly (.s):                  $$(cat internal/*/*.s | wc -l)"; \
 	echo "internal/runtime tests:         $$(cat internal/runtime/*_test.go | wc -l)"; \
 	echo "product closure:                $$($(GO) list -deps -f '{{if .Module}}{{range .GoFiles}}{{$$.Dir}}/{{.}} {{end}}{{end}}' . | xargs cat | wc -l)"; \
-	echo "whole module:                   $$(git ls-files '*.go' | grep -v _test.go | xargs cat | wc -l)"
+	echo "whole module:                   $$(git ls-files '*.go' | grep -v _test.go | xargs cat | wc -l)"; \
+	echo "exported options:               $$($(GO) test -count=1 -run '^TestExportedOptionCount$$' -v . | sed -n 's/.*exported options: //p')"
 
 # trace produces a sample Chrome trace + metrics dump from a quick run.
 trace:

@@ -89,3 +89,18 @@ func writeBaseline(t *testing.T, f File) string {
 }
 
 func contains(s, sub string) bool { return strings.Contains(s, sub) }
+
+// FuzzParseLine feeds parseLine generated lines: it must not panic, and a
+// line it accepts is named by its first field. The seeds are in
+// testdata/fuzz/FuzzParseLine.
+func FuzzParseLine(f *testing.F) {
+	f.Fuzz(func(t *testing.T, line string) {
+		res, ok := parseLine(line)
+		if !ok {
+			return
+		}
+		if first := strings.Fields(line)[0]; res.Name != first {
+			t.Fatalf("parseLine(%q).Name = %q, want the first field %q", line, res.Name, first)
+		}
+	})
+}

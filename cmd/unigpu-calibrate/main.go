@@ -20,7 +20,6 @@ func main() {
 	fit := func(p *sim.Platform, targets []target) {
 		type decomp struct {
 			flops [6]float64
-			bytes [6]float64
 			vis   float64
 			want  float64
 			name  string
@@ -34,7 +33,6 @@ func main() {
 			for _, w := range m.Convs {
 				c := baselines.Classify(w)
 				d.flops[c] += w.FLOPs()
-				d.bytes[c] += w.Bytes()
 			}
 			d.vis = baselines.ForPlatform(p).VisionMs(m)
 			ds = append(ds, d)

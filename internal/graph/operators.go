@@ -363,7 +363,7 @@ func (o *YoloDecodeOp) GPUFriendly() bool { return true }
 // DeviceCopyOp is inserted by the placement pass between nodes on
 // different devices (§3.1.2). Functionally the identity; the runtime
 // charges it the CPU<->GPU handoff cost.
-type DeviceCopyOp struct{ To DeviceClass }
+type DeviceCopyOp struct{}
 
 func (o *DeviceCopyOp) Kind() string { return "device_copy" }
 func (o *DeviceCopyOp) InferShape(ins []tensor.Shape) tensor.Shape {

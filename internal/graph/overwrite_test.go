@@ -98,7 +98,7 @@ func TestExecuteIntoOverwrites(t *testing.T) {
 		{"concat/channels", &ConcatOp{}, []*tensor.Tensor{x, y}, f32},
 		{"concat/rows", &ConcatOp{}, []*tensor.Tensor{detRows(7), detRows(5)}, f32},
 		{"upsample", &UpsampleOp{}, []*tensor.Tensor{x}, f32},
-		{"device_copy", &DeviceCopyOp{To: OnCPU}, []*tensor.Tensor{x}, f32},
+		{"device_copy", &DeviceCopyOp{}, []*tensor.Tensor{x}, f32},
 		{"cast@fp16", &CastOp{To: f16}, []*tensor.Tensor{x}, f16},
 		{"cast@int8", &CastOp{To: i8, Scale: 0.01}, []*tensor.Tensor{x}, i8},
 		{"head_reshape", &HeadReshapeOp{Anchors: 2, Attrs: 2}, []*tensor.Tensor{x}, f32},

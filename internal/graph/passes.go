@@ -417,7 +417,7 @@ func PlaceDevices(g *Graph, opts PlacementOptions) int {
 				continue // constants/inputs are visible to both (shared DRAM)
 			}
 			if in.Device != n.Device {
-				cp := g.Apply(in.Name+"_copy", &DeviceCopyOp{To: n.Device}, in)
+				cp := g.Apply(in.Name+"_copy", &DeviceCopyOp{}, in)
 				cp.Device = n.Device
 				n.Inputs[i] = cp
 				copies++

@@ -3,7 +3,6 @@ package graph
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"unigpu/internal/obs"
 	"unigpu/internal/ops"
@@ -68,10 +67,6 @@ type QuantizeOptions struct {
 	CalibBatches int
 	// CalibSeed seeds the calibration inputs (default 7).
 	CalibSeed int64
-	// Percentile, when in (0,1), clips the calibrated range to that
-	// quantile of observed |v| instead of the max — robust to outliers at
-	// the price of saturating the tail. 0 uses max-abs.
-	Percentile float64
 }
 
 // QuantizeStats reports what the pass did.
@@ -205,7 +200,7 @@ func QuantizeGraph(g *Graph, opts QuantizeOptions) (QuantizeStats, error) {
 			}
 			scale := float32(0)
 			if want == tensor.Int8 {
-				scale = tensor.Int8Scale(calibRange(maxAbs[in], opts.Percentile))
+				scale = tensor.Int8Scale(calibRange(maxAbs[in]))
 			}
 			key := castKey{from: in, to: want, scale: scale}
 			cast := castCache[key]
@@ -372,22 +367,9 @@ func calibrate(g *Graph, opts QuantizeOptions) (map[*Node][]float64, error) {
 	return ranges, nil
 }
 
-// calibRange reduces per-batch max-abs observations to the clip range: the
-// max over batches, or — with a percentile configured — that quantile of
-// the per-batch maxima (a coarse but deterministic outlier clip).
-func calibRange(batchMax []float64, pct float64) float64 {
-	if len(batchMax) == 0 {
-		return 0
-	}
-	if pct > 0 && pct < 1 && len(batchMax) > 1 {
-		s := append([]float64(nil), batchMax...)
-		sort.Float64s(s)
-		idx := int(math.Ceil(pct*float64(len(s)))) - 1
-		if idx < 0 {
-			idx = 0
-		}
-		return s[idx]
-	}
+// calibRange reduces per-batch max-abs observations to the clip range:
+// the max over batches.
+func calibRange(batchMax []float64) float64 {
 	m := 0.0
 	for _, v := range batchMax {
 		if v > m {

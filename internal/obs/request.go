@@ -40,10 +40,9 @@ type RequestTracker struct {
 	seq  atomic.Uint64 // request IDs, every request
 	n    atomic.Uint64 // sampling counter
 
-	mu    sync.Mutex
-	ring  []RequestTrace
-	next  int
-	total int64 // finished traces ever collected
+	mu   sync.Mutex
+	ring []RequestTrace
+	next int
 }
 
 // NewRequestTracker creates a tracker; zero options select the defaults.
@@ -242,7 +241,6 @@ func (r *ActiveRequest) Finish(err error) {
 		t.ring[t.next] = tr
 	}
 	t.next = (t.next + 1) % t.opts.Keep
-	t.total++
 	t.mu.Unlock()
 }
 

@@ -24,37 +24,58 @@ type HealthStatus struct {
 	Detail string `json:"detail,omitempty"`
 }
 
-var (
-	healthMu     sync.Mutex
-	healthChecks = map[string]func() HealthStatus{}
+// sources is a set of named callbacks. A registration replaces any earlier
+// one of the same name, and the function it returns removes it only while
+// it is still the current one: closing an old pool or fleet leaves the
+// entry of a newer one with the same name in place.
+type sources[F any] struct {
+	mu sync.Mutex
+	m  map[string]*F
+}
 
-	debugMu      sync.Mutex
-	debugSources = map[string]func() any{}
+func (s *sources[F]) register(name string, fn F) (unregister func()) {
+	p := &fn
+	s.mu.Lock()
+	if s.m == nil {
+		s.m = map[string]*F{}
+	}
+	s.m[name] = p
+	s.mu.Unlock()
+	return func() {
+		s.mu.Lock()
+		if s.m[name] == p {
+			delete(s.m, name)
+		}
+		s.mu.Unlock()
+	}
+}
+
+// snapshot returns the current callbacks by name.
+func (s *sources[F]) snapshot() map[string]F {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	out := make(map[string]F, len(s.m))
+	for name, p := range s.m {
+		out[name] = *p
+	}
+	return out
+}
+
+var (
+	healthSources sources[func() HealthStatus]
+	debugSources  sources[func() any]
 )
 
 // RegisterHealth installs (or replaces) a named health source consulted
-// by /healthz. The runtime registers breaker and session-pool state here.
-func RegisterHealth(name string, fn func() HealthStatus) {
-	healthMu.Lock()
-	healthChecks[name] = fn
-	healthMu.Unlock()
-}
-
-// UnregisterHealth removes a health source.
-func UnregisterHealth(name string) {
-	healthMu.Lock()
-	delete(healthChecks, name)
-	healthMu.Unlock()
+// by /healthz, and returns the function that removes this registration.
+// The runtime registers breaker and session-pool state here.
+func RegisterHealth(name string, fn func() HealthStatus) (unregister func()) {
+	return healthSources.register(name, fn)
 }
 
 // Health runs every registered source and reports overall liveness.
 func Health() (ok bool, checks map[string]HealthStatus) {
-	healthMu.Lock()
-	fns := make(map[string]func() HealthStatus, len(healthChecks))
-	for name, fn := range healthChecks {
-		fns[name] = fn
-	}
-	healthMu.Unlock()
+	fns := healthSources.snapshot()
 	ok = true
 	checks = make(map[string]HealthStatus, len(fns))
 	for name, fn := range fns {
@@ -66,27 +87,11 @@ func Health() (ok bool, checks map[string]HealthStatus) {
 }
 
 // RegisterDebug installs (or replaces) a named debug source served as
-// JSON at /debug/<name>. The runtime registers "plans" (compiled-plan
-// metadata) here.
-func RegisterDebug(name string, fn func() any) {
-	debugMu.Lock()
-	debugSources[name] = fn
-	debugMu.Unlock()
-}
-
-// UnregisterDebug removes a debug source (a closed Fleet retires its
-// "fleet" snapshot so a later fleet can register fresh state).
-func UnregisterDebug(name string) {
-	debugMu.Lock()
-	delete(debugSources, name)
-	debugMu.Unlock()
-}
-
-func debugSource(name string) (func() any, bool) {
-	debugMu.Lock()
-	defer debugMu.Unlock()
-	fn, ok := debugSources[name]
-	return fn, ok
+// JSON at /debug/<name>, and returns the function that removes this
+// registration. The runtime registers "plans" (compiled-plan metadata)
+// and "fleet" here.
+func RegisterDebug(name string, fn func() any) (unregister func()) {
+	return debugSources.register(name, fn)
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
@@ -137,14 +142,13 @@ func Handler() http.Handler {
 	})
 	mux.HandleFunc("/debug/", func(w http.ResponseWriter, req *http.Request) {
 		name := req.URL.Path[len("/debug/"):]
-		fn, ok := debugSource(name)
+		fns := debugSources.snapshot()
+		fn, ok := fns[name]
 		if !ok {
-			debugMu.Lock()
-			names := make([]string, 0, len(debugSources))
-			for n := range debugSources {
+			names := make([]string, 0, len(fns))
+			for n := range fns {
 				names = append(names, n)
 			}
-			debugMu.Unlock()
 			sort.Strings(names)
 			writeJSON(w, http.StatusNotFound, struct {
 				Error   string   `json:"error"`

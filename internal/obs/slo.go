@@ -39,9 +39,6 @@ type SLOOptions struct {
 	Window time.Duration
 	// Buckets is the ring granularity inside the window (default 12).
 	Buckets int
-	// Objective is the per-request latency objective; a slower success
-	// counts as a bad request (default 0: errors and sheds only).
-	Objective time.Duration
 	// ErrorBudget is the tolerated bad-request fraction (default 0.01).
 	ErrorBudget float64
 	// BurnAlarm raises the alarm when the burn rate — bad rate over
@@ -63,7 +60,6 @@ type sloBucket struct {
 	errs     int64
 	shed     int64
 	deadline int64
-	bad      int64
 }
 
 type sloModel struct {
@@ -140,17 +136,13 @@ func (m *SLOMonitor) Record(model string, lat time.Duration, oc Outcome) {
 		*b = sloBucket{id: id}
 	}
 	b.total++
-	bad := false
 	switch oc {
 	case OutcomeError:
 		b.errs++
-		bad = true
 	case OutcomeShed:
 		b.shed++
-		bad = true
 	case OutcomeDeadline:
 		b.deadline++
-		bad = true
 	default:
 		ns := float64(lat.Nanoseconds())
 		b.counts[bucketFor(ns)]++
@@ -162,10 +154,6 @@ func (m *SLOMonitor) Record(model string, lat time.Duration, oc Outcome) {
 		}
 		b.n++
 		b.sumNs += ns
-		bad = m.opts.Objective > 0 && lat > m.opts.Objective
-	}
-	if bad {
-		b.bad++
 	}
 	m.mu.Unlock()
 }
@@ -206,7 +194,6 @@ func (m *SLOMonitor) statsLocked(model string, sm *sloModel, minID int64) SLOSta
 	// Merge live buckets into one histogram and fold quantiles off it.
 	var h Histogram
 	st := SLOStats{Model: model, Window: m.opts.Window}
-	var bad int64
 	for i := range sm.buckets {
 		b := &sm.buckets[i]
 		if b.id < minID {
@@ -216,7 +203,6 @@ func (m *SLOMonitor) statsLocked(model string, sm *sloModel, minID int64) SLOSta
 		st.Errors += b.errs
 		st.Shed += b.shed
 		st.Deadline += b.deadline
-		bad += b.bad
 		for j, c := range b.counts {
 			h.counts[j] += c
 		}
@@ -237,7 +223,8 @@ func (m *SLOMonitor) statsLocked(model string, sm *sloModel, minID int64) SLOSta
 		st.MeanMs = h.sum / float64(h.n) / 1e6
 	}
 	if st.Requests > 0 {
-		st.BadRate = float64(bad) / float64(st.Requests)
+		// A bad request is an error, a shed or a missed deadline.
+		st.BadRate = float64(st.Errors+st.Shed+st.Deadline) / float64(st.Requests)
 		st.BurnRate = st.BadRate / m.opts.ErrorBudget
 		st.Alarm = st.BurnRate > m.opts.BurnAlarm
 	}

@@ -28,8 +28,7 @@ import (
 // and store their winners, so a warm database makes a cold process's
 // first compilation near-instant.
 type Estimator struct {
-	Budget int   // per-layout search budget
-	Seed   int64 // deterministic searches
+	Budget int // per-layout search budget
 	// Jobs bounds the worker pool tuning a model's conv workloads in
 	// parallel; 0 means GOMAXPROCS. Set before the first search.
 	Jobs int
@@ -50,9 +49,12 @@ type candEntry struct {
 	cands []autotvm.Candidate
 }
 
+// searchSeed seeds every layout search, so searches are deterministic.
+const searchSeed = 1
+
 // NewEstimator returns an estimator with the default search budget.
 func NewEstimator() *Estimator {
-	return &Estimator{Budget: 48, Seed: 1, cands: map[string]*candEntry{}}
+	return &Estimator{Budget: 48, cands: map[string]*candEntry{}}
 }
 
 // InputSize is the square input a model is priced and compiled at on a
@@ -86,7 +88,7 @@ func (e *Estimator) candidates(w ops.ConvWorkload, d *sim.Device, parent *obs.Sp
 				return
 			}
 		}
-		ent.cands = graphtuner.CandidatesForUnder(parent, w, d, e.Budget, e.Seed)
+		ent.cands = graphtuner.CandidatesForUnder(parent, w, d, e.Budget, searchSeed)
 		if e.DB != nil {
 			e.DB.StoreCandidates(d.Name, w.Key(), e.Budget, ent.cands)
 		}

@@ -103,7 +103,7 @@ type Batcher struct {
 	mu      sync.Mutex
 	entries map[int]*batchEntry
 
-	// Telemetry (nil when the pool's telemetry is disabled).
+	// Telemetry.
 	hBatchSize *obs.Histogram
 	hLinger    *obs.Histogram
 	cFormed    *obs.Counter
@@ -122,18 +122,16 @@ func newBatcher(sp *SessionPool, opts BatcherOptions) *Batcher {
 		opts.QueueDepth = 4 * opts.MaxBatch
 	}
 	b := &Batcher{
-		opts:    opts,
-		pool:    sp,
-		queue:   make(chan *batchRequest, opts.QueueDepth),
-		stop:    make(chan struct{}),
-		done:    make(chan struct{}),
-		entries: map[int]*batchEntry{},
-	}
-	if sp.gInflight != nil {
-		b.hBatchSize = obs.DefaultRegistry.Histogram("batch.size." + sp.label)
-		b.hLinger = obs.DefaultRegistry.Histogram("batch.linger_wait_ns")
-		b.cFormed = obs.DefaultRegistry.Counter("batch.formed." + sp.label)
-		b.cDegraded = obs.DefaultRegistry.Counter("batch.degraded." + sp.label)
+		opts:       opts,
+		pool:       sp,
+		queue:      make(chan *batchRequest, opts.QueueDepth),
+		stop:       make(chan struct{}),
+		done:       make(chan struct{}),
+		entries:    map[int]*batchEntry{},
+		hBatchSize: obs.DefaultRegistry.Histogram("batch.size." + sp.label),
+		hLinger:    obs.DefaultRegistry.Histogram("batch.linger_wait_ns"),
+		cFormed:    obs.DefaultRegistry.Counter("batch.formed." + sp.label),
+		cDegraded:  obs.DefaultRegistry.Counter("batch.degraded." + sp.label),
 	}
 	go b.dispatch()
 	return b
@@ -257,9 +255,7 @@ func (b *Batcher) dispatch() {
 			}
 		}
 		timer.Stop()
-		if b.hLinger != nil {
-			b.hLinger.Observe(float64(time.Since(linger0).Nanoseconds()))
-		}
+		b.hLinger.Observe(float64(time.Since(linger0).Nanoseconds()))
 		// Drop members whose context expired while the batch formed.
 		live := batch[:0]
 		for _, r := range batch {
@@ -382,18 +378,14 @@ func (b *Batcher) execute(live []*batchRequest) {
 }
 
 func (b *Batcher) observeBatch(n int) {
-	if b.hBatchSize != nil {
-		b.hBatchSize.Observe(float64(n))
-		b.cFormed.Inc()
-	}
+	b.hBatchSize.Observe(float64(n))
+	b.cFormed.Inc()
 }
 
 // degrade resolves every member on the per-request path, concurrently, so
 // the dispatcher is free to form the next batch.
 func (b *Batcher) degrade(live []*batchRequest) {
-	if b.cDegraded != nil {
-		b.cDegraded.Inc()
-	}
+	b.cDegraded.Inc()
 	for _, r := range live {
 		b.wg.Add(1)
 		go func() {

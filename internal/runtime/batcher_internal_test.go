@@ -32,8 +32,8 @@ func TestBatcherCloseEnqueueRace(t *testing.T) {
 		t.Fatal(err)
 	}
 	sp := NewSessionPool(plan, PoolOptions{
-		Sessions: 1, DisableTelemetry: true,
-		Batch: &BatcherOptions{MaxBatch: 4, MaxLinger: time.Millisecond, PlanFor: build},
+		Sessions: 1,
+		Batch:    &BatcherOptions{MaxBatch: 4, MaxLinger: time.Millisecond, PlanFor: build},
 	})
 
 	closeDone := make(chan struct{})

@@ -64,7 +64,7 @@ func TestBatchedBitIdentityZoo(t *testing.T) {
 				t.Fatal(err)
 			}
 			pool := runtime.NewSessionPool(plan1, runtime.PoolOptions{
-				Sessions: 2, QueueDepth: clients, DisableTelemetry: true,
+				Sessions: 2, QueueDepth: clients,
 				Batch: &runtime.BatcherOptions{
 					MaxBatch: clients, MaxLinger: 500 * time.Millisecond, PlanFor: build,
 				},
@@ -125,7 +125,7 @@ func TestBatcherScatterMixedDeadlines(t *testing.T) {
 		t.Fatal(err)
 	}
 	pool := runtime.NewSessionPool(plan1, runtime.PoolOptions{
-		Sessions: 1, QueueDepth: 8, DisableTelemetry: true,
+		Sessions: 1, QueueDepth: 8,
 		Batch: &runtime.BatcherOptions{
 			// MaxBatch larger than the live requests: the batch can only
 			// close via the linger timer, giving the cancellations below
@@ -183,7 +183,7 @@ func TestBatcherMaxBatchTrigger(t *testing.T) {
 		t.Fatal(err)
 	}
 	pool := runtime.NewSessionPool(plan1, runtime.PoolOptions{
-		Sessions: 1, QueueDepth: 4, DisableTelemetry: true,
+		Sessions: 1, QueueDepth: 4,
 		Batch: &runtime.BatcherOptions{
 			MaxBatch: 2, MaxLinger: time.Hour, PlanFor: build,
 		},
@@ -228,7 +228,7 @@ func TestBatcherLingerTrigger(t *testing.T) {
 	}
 	const linger = 60 * time.Millisecond
 	pool := runtime.NewSessionPool(plan1, runtime.PoolOptions{
-		Sessions: 1, QueueDepth: 4, DisableTelemetry: true,
+		Sessions: 1, QueueDepth: 4,
 		Batch: &runtime.BatcherOptions{
 			MaxBatch: 8, MaxLinger: linger, PlanFor: build,
 		},
@@ -267,7 +267,7 @@ func TestBatcherPlanSingleflight(t *testing.T) {
 		t.Fatal(err)
 	}
 	pool := runtime.NewSessionPool(plan1, runtime.PoolOptions{
-		Sessions: 2, QueueDepth: 32, DisableTelemetry: true,
+		Sessions: 2, QueueDepth: 32,
 		Batch: &runtime.BatcherOptions{
 			MaxBatch: 4, MaxLinger: 5 * time.Millisecond, PlanFor: build,
 		},
@@ -361,7 +361,7 @@ func TestBatchedFaultSoak(t *testing.T) {
 			Seed: int64(run), Rate: 0.2, HangLatency: 10 * time.Microsecond,
 		})
 		pool := runtime.NewSessionPool(plan1, runtime.PoolOptions{
-			Sessions: 2, QueueDepth: 2 * clients, DisableTelemetry: true,
+			Sessions: 2, QueueDepth: 2 * clients,
 			Session: faultSessionOpts(inj),
 			Batch: &runtime.BatcherOptions{
 				MaxBatch: clients, MaxLinger: 5 * time.Millisecond, PlanFor: build,
@@ -398,7 +398,7 @@ func TestBatcherPoolClose(t *testing.T) {
 		t.Fatal(err)
 	}
 	pool := runtime.NewSessionPool(plan1, runtime.PoolOptions{
-		Sessions: 1, QueueDepth: 4, DisableTelemetry: true,
+		Sessions: 1, QueueDepth: 4,
 		Batch: &runtime.BatcherOptions{MaxBatch: 4, MaxLinger: time.Millisecond, PlanFor: build},
 	})
 	in := tensor.New(1, 3, 32, 32)
@@ -447,7 +447,7 @@ func TestPoolCloseWhileBatchedInFlight(t *testing.T) {
 			t.Fatal(err)
 		}
 		pool := runtime.NewSessionPool(plan, runtime.PoolOptions{
-			Sessions: 2, QueueDepth: 8, DisableTelemetry: true,
+			Sessions: 2, QueueDepth: 8,
 			Batch: &runtime.BatcherOptions{MaxBatch: 4, MaxLinger: 50 * time.Microsecond, PlanFor: build},
 		})
 		start := make(chan struct{})

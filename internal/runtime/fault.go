@@ -227,6 +227,10 @@ func sleepCtx(ctx context.Context, d time.Duration) bool {
 	}
 }
 
+// maxRetries bounds per-node dispatch retries of a transient fault; the
+// dispatch after the last one that fails is a persistent fault.
+const maxRetries = 2
+
 // jitter is a tiny xorshift PRNG for backoff jitter, private to the
 // session (which runs on one goroutine), so it needs no lock.
 func (s *Session) jitter() uint64 {
@@ -280,7 +284,7 @@ func (s *Session) gpuGate(ctx context.Context, i int) (ok bool, err error) {
 			return false, ctx.Err()
 		}
 		var f *sim.Fault
-		if errors.As(derr, &f) && f.Transient() && attempt < s.maxRetries {
+		if errors.As(derr, &f) && f.Transient() && attempt < maxRetries {
 			mFaultRetries.Inc()
 			if req != nil {
 				t0 = time.Now()

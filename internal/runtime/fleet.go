@@ -125,15 +125,12 @@ type FleetOptions struct {
 	Router RouterOptions
 	// Heal schedules quarantined-replica recovery.
 	Heal HealPolicy
-	// CheckInterval is the supervisor's health-scan period (default 10ms).
-	// The supervisor only drives timed heal probes; quarantine detection
-	// also happens inline on every Run, so detection latency does not
-	// depend on it.
-	CheckInterval time.Duration
-	// DisableTelemetry turns off the fleet's metrics, health and debug
-	// registrations (the per-pool flag is separate, in ReplicaConfig.Pool).
-	DisableTelemetry bool
 }
+
+// checkInterval is the supervisor's health-scan period. The supervisor
+// only drives timed heal probes; quarantine detection also happens inline
+// on every Run, so detection latency does not depend on it.
+const checkInterval = 10 * time.Millisecond
 
 // fleetReplica is one replica plus its lifecycle state.
 type fleetReplica struct {
@@ -163,6 +160,8 @@ type fleetReplica struct {
 
 	gState *obs.Gauge   // fleet.replica.state.<name>
 	cServe *obs.Counter // fleet.served.<name>
+
+	unregister func() // takes the replica off /healthz
 }
 
 func (r *fleetReplica) observeLatency(ms float64) {
@@ -192,9 +191,7 @@ func (r *fleetReplica) percentiles() (p50, p99 float64) {
 
 func (r *fleetReplica) setState(s ReplicaState) {
 	r.state.Store(int32(s))
-	if r.gState != nil {
-		r.gState.Set(float64(s))
-	}
+	r.gState.Set(float64(s))
 }
 
 // ReplicaStats is one replica's row in Fleet.Stats.
@@ -218,7 +215,6 @@ type Fleet struct {
 	replicas []*fleetReplica
 	router   *Router
 	heal     HealPolicy
-	interval time.Duration
 
 	mu sync.Mutex // lifecycle transitions + heal bookkeeping
 
@@ -226,7 +222,7 @@ type Fleet struct {
 	stop     chan struct{}
 	done     chan struct{}
 
-	telemetry   bool
+	unregister  func() // takes the fleet off /debug/fleet
 	cFailover   *obs.Counter
 	cQuarantine *obs.Counter
 	cHeal       *obs.Counter
@@ -239,24 +235,15 @@ func NewFleet(opts FleetOptions) (*Fleet, error) {
 	if len(opts.Replicas) == 0 {
 		return nil, ErrNoReplicas
 	}
-	heal := opts.Heal.withDefaults()
-	interval := opts.CheckInterval
-	if interval <= 0 {
-		interval = 10 * time.Millisecond
-	}
 	predict := make([]float64, len(opts.Replicas))
 	f := &Fleet{
-		heal:      heal,
-		interval:  interval,
-		stop:      make(chan struct{}),
-		done:      make(chan struct{}),
-		telemetry: !opts.DisableTelemetry,
-	}
-	if f.telemetry {
-		f.cFailover = obs.DefaultRegistry.Counter("fleet.failover")
-		f.cQuarantine = obs.DefaultRegistry.Counter("fleet.quarantines")
-		f.cHeal = obs.DefaultRegistry.Counter("fleet.heals")
-		f.cProbe = obs.DefaultRegistry.Counter("fleet.probes")
+		heal:        opts.Heal.withDefaults(),
+		stop:        make(chan struct{}),
+		done:        make(chan struct{}),
+		cFailover:   obs.DefaultRegistry.Counter("fleet.failover"),
+		cQuarantine: obs.DefaultRegistry.Counter("fleet.quarantines"),
+		cHeal:       obs.DefaultRegistry.Counter("fleet.heals"),
+		cProbe:      obs.DefaultRegistry.Counter("fleet.probes"),
 	}
 	seen := make(map[string]bool, len(opts.Replicas))
 	for i, rc := range opts.Replicas {
@@ -275,37 +262,35 @@ func NewFleet(opts FleetOptions) (*Fleet, error) {
 		po.Device = name
 		pool := NewSessionPool(rc.Plan, po)
 		r := &fleetReplica{
-			name:    name,
-			pool:    pool,
-			inj:     po.Session.Faults,
-			breaker: pool.Breaker(),
+			name:       name,
+			pool:       pool,
+			inj:        po.Session.Faults,
+			breaker:    pool.Breaker(),
+			probeFeeds: make(map[string]*tensor.Tensor, len(rc.Plan.inputs)),
+			gState:     obs.DefaultRegistry.Gauge("fleet.replica.state." + name),
+			cServe:     obs.DefaultRegistry.Counter("fleet.served." + name),
 		}
-		r.probeFeeds = make(map[string]*tensor.Tensor, len(rc.Plan.inputs))
 		for _, in := range rc.Plan.inputs {
 			r.probeFeeds[in.name] = tensor.New(in.shape...)
 		}
-		if f.telemetry {
-			r.gState = obs.DefaultRegistry.Gauge("fleet.replica.state." + name)
-			r.cServe = obs.DefaultRegistry.Counter("fleet.served." + name)
-			r.gState.Set(float64(ReplicaActive))
-		}
+		r.gState.Set(float64(ReplicaActive))
 		predict[i] = rc.PredictMs
 		f.replicas = append(f.replicas, r)
 	}
 	f.router = NewRouter(predict, opts.Router)
-	if f.telemetry {
-		f.registerTelemetry()
-	}
+	f.registerTelemetry()
 	go f.supervise()
 	return f, nil
 }
 
 // registerTelemetry wires the fleet into /healthz (one source per replica)
-// and /debug/fleet (the Stats snapshot).
+// and /debug/fleet (the Stats snapshot). A later fleet with the same
+// replica names replaces the entries, and closing this one then leaves
+// them in place.
 func (f *Fleet) registerTelemetry() {
 	for i, r := range f.replicas {
 		i, r := i, r
-		obs.RegisterHealth("fleet."+r.name, func() obs.HealthStatus {
+		r.unregister = obs.RegisterHealth("fleet."+r.name, func() obs.HealthStatus {
 			st := ReplicaState(r.state.Load())
 			return obs.HealthStatus{
 				OK: st == ReplicaActive || st == ReplicaRamping,
@@ -314,7 +299,7 @@ func (f *Fleet) registerTelemetry() {
 			}
 		})
 	}
-	obs.RegisterDebug("fleet", func() any { return f.Stats() })
+	f.unregister = obs.RegisterDebug("fleet", func() any { return f.Stats() })
 }
 
 // Len returns the number of replicas.
@@ -357,9 +342,7 @@ func (f *Fleet) checkHealth(i int) {
 		r.quarantinedAt = time.Now()
 		r.lastProbe = time.Time{}
 		f.router.SetWeight(i, 0)
-		if f.cQuarantine != nil {
-			f.cQuarantine.Inc()
-		}
+		f.cQuarantine.Inc()
 	}
 	f.mu.Unlock()
 }
@@ -368,7 +351,7 @@ func (f *Fleet) checkHealth(i int) {
 // replicas once their wait elapses.
 func (f *Fleet) supervise() {
 	defer close(f.done)
-	t := time.NewTicker(f.interval)
+	t := time.NewTicker(checkInterval)
 	defer t.Stop()
 	for {
 		select {
@@ -422,9 +405,7 @@ func (f *Fleet) probe(i int) bool {
 	r.setState(ReplicaProbing)
 	r.lastProbe = time.Now()
 	f.mu.Unlock()
-	if f.cProbe != nil {
-		f.cProbe.Inc()
-	}
+	f.cProbe.Inc()
 
 	r.inj.Heal()
 	r.breaker.Expire()
@@ -446,9 +427,7 @@ func (f *Fleet) probe(i int) bool {
 	r.rampOK = 0
 	r.setState(ReplicaRamping)
 	f.router.SetWeight(i, float64(r.rampStep)/float64(f.heal.RampSteps+1))
-	if f.cHeal != nil {
-		f.cHeal.Inc()
-	}
+	f.cHeal.Inc()
 	return true
 }
 
@@ -524,17 +503,13 @@ func (f *Fleet) RunRouted(ctx context.Context, feeds map[string]*tensor.Tensor) 
 				return nil, -1, err // caller's deadline, not failover-able
 			}
 			f.checkHealth(i) // the failure may have tripped the breaker
-			if f.cFailover != nil {
-				f.cFailover.Inc()
-			}
+			f.cFailover.Inc()
 			continue
 		}
 		f.router.Observe(i, float64(elapsed.Nanoseconds())/1e6)
 		r.served.Add(1)
 		r.observeLatency(float64(elapsed.Nanoseconds()) / 1e6)
-		if r.cServe != nil {
-			r.cServe.Inc()
-		}
+		r.cServe.Inc()
 		f.onSuccess(i)
 		return outs, i, nil
 	}
@@ -573,11 +548,7 @@ func (f *Fleet) Close() {
 	<-f.done
 	for _, r := range f.replicas {
 		r.pool.Close()
+		r.unregister()
 	}
-	if f.telemetry {
-		for _, r := range f.replicas {
-			obs.UnregisterHealth("fleet." + r.name)
-		}
-		obs.UnregisterDebug("fleet")
-	}
+	f.unregister()
 }

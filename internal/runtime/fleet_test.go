@@ -3,6 +3,8 @@ package runtime_test
 import (
 	"context"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	goruntime "runtime"
 	"strconv"
@@ -11,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"unigpu/internal/obs"
 	"unigpu/internal/runtime"
 	"unigpu/internal/sim"
 	"unigpu/internal/tensor"
@@ -25,7 +28,7 @@ var healOff = runtime.HealPolicy{ProbeAfter: -1}
 // fleet, the shared feeds, and the reference outputs every replica must
 // reproduce bit-identically.
 func newTestFleet(t *testing.T, predict []float64, heal runtime.HealPolicy,
-	ropts runtime.RouterOptions, check time.Duration) (*runtime.Fleet, map[string]*tensor.Tensor, []*tensor.Tensor) {
+	ropts runtime.RouterOptions) (*runtime.Fleet, map[string]*tensor.Tensor, []*tensor.Tensor) {
 	t.Helper()
 	reps := make([]runtime.ReplicaConfig, len(predict))
 	for i := range predict {
@@ -48,10 +51,9 @@ func newTestFleet(t *testing.T, predict []float64, heal runtime.HealPolicy,
 		}
 	}
 	fleet, err := runtime.NewFleet(runtime.FleetOptions{
-		Replicas:      reps,
-		Router:        ropts,
-		Heal:          heal,
-		CheckInterval: check,
+		Replicas: reps,
+		Router:   ropts,
+		Heal:     heal,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -88,7 +90,7 @@ func outputsEqual(got, want []*tensor.Tensor) bool {
 // to the single-device reference execution.
 func TestFleetBitIdentity(t *testing.T) {
 	fleet, feeds, want := newTestFleet(t, []float64{1.2, 0.8, 2.5}, healOff,
-		runtime.RouterOptions{}, 0)
+		runtime.RouterOptions{})
 	defer fleet.Close()
 	for i := 0; i < 10; i++ {
 		got, err := fleet.Run(context.Background(), feeds)
@@ -131,7 +133,7 @@ func TestFleetBitIdentity(t *testing.T) {
 func TestFleetPlacementDeterminism(t *testing.T) {
 	script := func() ([]int, error) {
 		fleet, feeds, _ := newTestFleet(t, []float64{2.0, 1.0, 3.0}, healOff,
-			runtime.RouterOptions{EWMAAlpha: -1}, time.Hour)
+			runtime.RouterOptions{EWMAAlpha: -1})
 		defer fleet.Close()
 		var placements []int
 		for i := 0; i < 15; i++ {
@@ -178,7 +180,7 @@ func TestFleetPlacementDeterminism(t *testing.T) {
 // replica's weight drops to 0 and its state is visible in Stats.
 func TestFleetQuarantineDrains(t *testing.T) {
 	fleet, feeds, want := newTestFleet(t, []float64{1.0, 2.0, 3.0}, healOff,
-		runtime.RouterOptions{EWMAAlpha: -1}, 0)
+		runtime.RouterOptions{EWMAAlpha: -1})
 	defer fleet.Close()
 	if _, idx, err := fleet.RunRouted(context.Background(), feeds); err != nil || idx != 0 {
 		t.Fatalf("healthy placement = %d (%v), want 0", idx, err)
@@ -215,7 +217,7 @@ func TestFleetQuarantineDrains(t *testing.T) {
 func TestFleetHealRamp(t *testing.T) {
 	heal := runtime.HealPolicy{ProbeAfter: -1, RampSteps: 3, RampSuccesses: 4}
 	fleet, feeds, _ := newTestFleet(t, []float64{1.0, 10.0, 10.0}, heal,
-		runtime.RouterOptions{EWMAAlpha: -1}, 0)
+		runtime.RouterOptions{EWMAAlpha: -1})
 	defer fleet.Close()
 	fleet.Kill(0)
 	if _, _, err := fleet.RunRouted(context.Background(), feeds); err != nil {
@@ -267,7 +269,7 @@ func TestFleetAutoHeal(t *testing.T) {
 		RampSteps: 1, RampSuccesses: 1,
 	}
 	fleet, feeds, _ := newTestFleet(t, []float64{1.0, 10.0, 10.0}, heal,
-		runtime.RouterOptions{EWMAAlpha: -1}, 2*time.Millisecond)
+		runtime.RouterOptions{EWMAAlpha: -1})
 	defer fleet.Close()
 	fleet.Kill(0)
 	if _, _, err := fleet.RunRouted(context.Background(), feeds); err != nil {
@@ -309,7 +311,7 @@ func TestFleetAutoHeal(t *testing.T) {
 // re-execution, so the fleet degrades instead of failing.
 func TestFleetAllQuarantinedStillServes(t *testing.T) {
 	fleet, feeds, want := newTestFleet(t, []float64{1.0, 2.0}, healOff,
-		runtime.RouterOptions{EWMAAlpha: -1}, 0)
+		runtime.RouterOptions{EWMAAlpha: -1})
 	defer fleet.Close()
 	fleet.Kill(0)
 	fleet.Kill(1)
@@ -322,6 +324,43 @@ func TestFleetAllQuarantinedStillServes(t *testing.T) {
 		if fleet.State(i) != runtime.ReplicaQuarantined {
 			t.Fatalf("replica %d state = %v, want quarantined", i, fleet.State(i))
 		}
+	}
+}
+
+// TestFleetCloseKeepsNewerTelemetry: closing a fleet takes only its own
+// /healthz and /debug/fleet registrations away. A newer fleet with the
+// same replica names replaced them, and its entries stay until it closes
+// too.
+func TestFleetCloseKeepsNewerTelemetry(t *testing.T) {
+	older, _, _ := newTestFleet(t, []float64{1.0, 2.0}, healOff, runtime.RouterOptions{EWMAAlpha: -1})
+	newer, _, _ := newTestFleet(t, []float64{1.0, 2.0}, healOff, runtime.RouterOptions{EWMAAlpha: -1})
+	defer newer.Close()
+	newer.Kill(0)
+	older.Close()
+	debugFleet := func() int {
+		rec := httptest.NewRecorder()
+		obs.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/debug/fleet", nil))
+		return rec.Code
+	}
+	_, checks := obs.Health()
+	if st, ok := checks["fleet.dev-0"]; !ok || st.OK {
+		t.Fatalf("newer fleet's killed replica: health entry %+v (present=%v), want unhealthy", st, ok)
+	}
+	if _, ok := checks["fleet.dev-1"]; !ok {
+		t.Fatal("closing the older fleet removed the newer one's fleet.dev-1 entry")
+	}
+	if code := debugFleet(); code != http.StatusOK {
+		t.Fatalf("/debug/fleet after closing the older fleet: status %d, want 200", code)
+	}
+	newer.Close()
+	_, checks = obs.Health()
+	for _, name := range []string{"fleet.dev-0", "fleet.dev-1"} {
+		if st, ok := checks[name]; ok {
+			t.Fatalf("closed fleet still on /healthz: %s %+v", name, st)
+		}
+	}
+	if code := debugFleet(); code != http.StatusNotFound {
+		t.Fatalf("/debug/fleet after closing both fleets: status %d, want 404", code)
 	}
 }
 
@@ -347,7 +386,7 @@ func TestFleetSoak(t *testing.T) {
 	// Observation feedback off: the victim keeps the cheapest oracle, so
 	// post-heal traffic reliably reaches it even at partial ramp weight.
 	fleet, feeds, want := newTestFleet(t, []float64{1.0, 5.0, 8.0}, heal,
-		runtime.RouterOptions{EWMAAlpha: -1}, 0)
+		runtime.RouterOptions{EWMAAlpha: -1})
 	const victim = 0
 	killAt, healAt := total/3, 2*total/3
 	var (

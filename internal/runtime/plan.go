@@ -311,10 +311,6 @@ func (p *Plan) NumNodes() int { return len(p.nodes) }
 
 // SessionOptions configures one execution session.
 type SessionOptions struct {
-	// Profile enables per-node NodeProfile collection (off by default so
-	// the hot path stays allocation-free).
-	Profile bool
-
 	// Model labels this session's telemetry — profiler rows, request
 	// traces and SLO windows (default "default"). unigpu sets it to the
 	// compiled model's name.
@@ -322,7 +318,7 @@ type SessionOptions struct {
 	// Profiler receives sampled per-node timings from this session's runs
 	// (nil: none). Handles are resolved once here, so a sampled run costs
 	// two clock reads per node and no allocations. SessionPool installs
-	// obs.DefaultProfiler unless telemetry is disabled.
+	// obs.DefaultProfiler when it is nil.
 	Profiler *obs.Profiler
 
 	// Faults attaches a simulated device-fault injector: every GPU-placed
@@ -337,9 +333,6 @@ type SessionOptions struct {
 	// (SessionPool does); when nil and Faults is set, the session creates
 	// a private one with default options.
 	Breaker *Breaker
-	// MaxRetries bounds per-node dispatch retries of transient faults
-	// (0 = default 2, negative = no retries).
-	MaxRetries int
 	// RetryBackoff is the base jittered exponential backoff between
 	// retries (0 = default 200µs).
 	RetryBackoff time.Duration
@@ -357,7 +350,6 @@ type Session struct {
 	scratch []*tensor.Tensor   // per-node arena-backed operator workspace (nil when unused)
 	args    [][]*tensor.Tensor // per-node inputs; feed entries refreshed per Run
 	results []*tensor.Tensor
-	profile []NodeProfile
 
 	// Telemetry. profH holds the per-node profiler handles resolved at
 	// construction; req and profSampled are per-run state set by
@@ -370,7 +362,6 @@ type Session struct {
 	// Fault tolerance (see SessionOptions).
 	faults       *sim.FaultInjector
 	breaker      *Breaker
-	maxRetries   int
 	retryBackoff time.Duration
 	jitterState  uint64
 }
@@ -378,22 +369,16 @@ type Session struct {
 // NewSession creates a zero-allocation session with default options.
 func (p *Plan) NewSession() *Session { return p.NewSessionWith(SessionOptions{}) }
 
-// NewSessionWith creates a session with explicit options (profiling,
-// telemetry, fault tolerance).
+// NewSessionWith creates a session with explicit options (telemetry,
+// fault tolerance).
 func (p *Plan) NewSessionWith(opts SessionOptions) *Session {
 	s := &Session{
 		plan:         p,
 		arena:        tensor.NewArenaMixed(p.arenaElems, p.arenaElems16, p.arenaElems8),
 		faults:       opts.Faults,
 		breaker:      opts.Breaker,
-		maxRetries:   opts.MaxRetries,
 		retryBackoff: opts.RetryBackoff,
 		jitterState:  0x9e3779b97f4a7c15,
-	}
-	if s.maxRetries == 0 {
-		s.maxRetries = 2
-	} else if s.maxRetries < 0 {
-		s.maxRetries = 0
 	}
 	if s.retryBackoff <= 0 {
 		s.retryBackoff = 200 * time.Microsecond
@@ -447,9 +432,6 @@ func (p *Plan) NewSessionWith(opts SessionOptions) *Session {
 		s.args[i] = a
 	}
 	s.results = make([]*tensor.Tensor, len(p.outputs))
-	if opts.Profile {
-		s.profile = make([]NodeProfile, len(p.nodes))
-	}
 
 	// Telemetry: with a profiler attached, one pre-resolved handle per node
 	// so sampled runs record without a map lookup or allocation.
@@ -469,11 +451,6 @@ func (p *Plan) NewSessionWith(opts SessionOptions) *Session {
 	}
 	return s
 }
-
-// Profile returns the last Run's per-node profiles in schedule order, or
-// nil unless the session was created with Profile: true. The slice is
-// reused across Runs.
-func (s *Session) Profile() []NodeProfile { return s.profile }
 
 // validateFeeds checks every plan input against the fed tensors before
 // any kernel runs, so a mismatch surfaces as a named error instead of a
@@ -612,8 +589,7 @@ func (s *Session) runNode(i int, parent *obs.Span, traceOn bool, redo bool) (err
 			obs.KV("kind", pn.kind), obs.KV("device", pn.device.String()),
 			obs.KV(obs.LaneAttr, lane))
 	}
-	profiled := s.profile != nil
-	timed := profiled || traceOn || s.profSampled || s.req != nil
+	timed := traceOn || s.profSampled || s.req != nil
 	var start time.Time
 	if timed {
 		start = time.Now()
@@ -630,12 +606,6 @@ func (s *Session) runNode(i int, parent *obs.Span, traceOn bool, redo bool) (err
 			nsp.SetAttrs(obs.KVInt("out_bytes", pn.dtype.Size()*pn.elems))
 			nsp.End()
 			obs.Observe("exec.node_wall_ns", float64(wall.Nanoseconds()))
-		}
-		if profiled {
-			s.profile[i] = NodeProfile{
-				Name: pn.name, Kind: pn.kind, Device: pn.device,
-				Wall: wall, OutBytes: pn.dtype.Size() * pn.elems,
-			}
 		}
 		if s.profSampled {
 			s.profH[i].Record(float64(wall.Nanoseconds()))

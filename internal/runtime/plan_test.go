@@ -346,34 +346,6 @@ func TestPlanRejectsInt8ConvCarriers(t *testing.T) {
 	}
 }
 
-// TestProfileOptIn: profiling is off by default (keeping Run
-// allocation-free) and collected per node when requested.
-func TestProfileOptIn(t *testing.T) {
-	g, feeds := buildSerialOpsGraph()
-	plan, err := runtime.NewPlan(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := plan.NewSession()
-	if _, err := s.Run(feeds); err != nil {
-		t.Fatal(err)
-	}
-	if s.Profile() != nil {
-		t.Fatal("default session must not collect profiles")
-	}
-	ps := plan.NewSessionWith(runtime.SessionOptions{Profile: true})
-	if _, err := ps.Run(feeds); err != nil {
-		t.Fatal(err)
-	}
-	prof := ps.Profile()
-	if len(prof) != plan.NumNodes() {
-		t.Fatalf("profile has %d entries, want %d", len(prof), plan.NumNodes())
-	}
-	if prof[0].Kind == "" || prof[0].OutBytes == 0 {
-		t.Fatalf("profile entry not populated: %+v", prof[0])
-	}
-}
-
 // TestArenaReuseAcrossRuns: intermediates occupy the same arena storage on
 // every Run (no per-run allocation), and slot reuse makes the arena
 // strictly smaller than the sum of all intermediates.

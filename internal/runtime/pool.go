@@ -43,12 +43,9 @@ type PoolOptions struct {
 
 	// Requests assigns request IDs and samples per-request traces (default
 	// obs.DefaultRequests). SLO is the rolling health monitor (default
-	// obs.DefaultSLO). DisableTelemetry turns the pool's telemetry off
-	// entirely: no request tracking, no SLO, no profiler, no gauges, no
-	// health registration.
-	Requests         *obs.RequestTracker
-	SLO              *obs.SLOMonitor
-	DisableTelemetry bool
+	// obs.DefaultSLO).
+	Requests *obs.RequestTracker
+	SLO      *obs.SLOMonitor
 
 	// Batch enables the batching front-end: concurrent Run calls are
 	// coalesced into one execution on a plan compiled for that batch size
@@ -63,11 +60,10 @@ type PoolOptions struct {
 // ErrOverloaded otherwise (counter admission.shed), and honours request
 // deadlines while queued. All methods are safe for concurrent use.
 //
-// By default every request gets an ID (sampled ones a full trace), the
-// pooled sessions feed obs.DefaultProfiler, finished requests land in
-// obs.DefaultSLO's rolling windows, and the pool registers a /healthz
-// source reflecting breaker and occupancy state. PoolOptions.
-// DisableTelemetry opts out of all of it.
+// Every request gets an ID (sampled ones a full trace), the pooled
+// sessions feed obs.DefaultProfiler unless Session.Profiler names another,
+// finished requests land in the SLO monitor's rolling windows, and the
+// pool registers a /healthz source reflecting breaker and occupancy state.
 type SessionPool struct {
 	plan    *Plan
 	idle    chan *Session
@@ -79,10 +75,10 @@ type SessionPool struct {
 	sessOpts SessionOptions
 	batcher  *Batcher
 
-	// Telemetry (nil/zero when disabled). Gauge and histogram handles are
-	// resolved once; Registry.Reset zeroes them in place, keeping handles
-	// valid. label is model plus the optional ".<device>" suffix used in
-	// metric and health names.
+	// Telemetry. Gauge and histogram handles are resolved once;
+	// Registry.Reset zeroes them in place, keeping handles valid. label is
+	// model plus the optional ".<device>" suffix used in metric and health
+	// names; unregister takes the pool's health source off /healthz.
 	model      string
 	label      string
 	requests   *obs.RequestTracker
@@ -90,6 +86,7 @@ type SessionPool struct {
 	gInflight  *obs.Gauge
 	gWait      *obs.Gauge
 	hQueueWait *obs.Histogram
+	unregister func()
 }
 
 // NewSessionPool builds the pool and preallocates every session's arena.
@@ -110,34 +107,32 @@ func NewSessionPool(p *Plan, opts PoolOptions) *SessionPool {
 	if opts.Device != "" {
 		label = model + "." + opts.Device
 	}
-	if !opts.DisableTelemetry && so.Profiler == nil {
+	if so.Profiler == nil {
 		so.Profiler = obs.DefaultProfiler
 	}
 	sp := &SessionPool{
-		plan:     p,
-		idle:     make(chan *Session, n),
-		breaker:  so.Breaker,
-		capacity: int32(n + opts.QueueDepth),
-		model:    model,
-		label:    label,
-		sessOpts: so,
+		plan:       p,
+		idle:       make(chan *Session, n),
+		breaker:    so.Breaker,
+		capacity:   int32(n + opts.QueueDepth),
+		model:      model,
+		label:      label,
+		sessOpts:   so,
+		requests:   opts.Requests,
+		slo:        opts.SLO,
+		gInflight:  obs.DefaultRegistry.Gauge("pool.in_flight." + label),
+		gWait:      obs.DefaultRegistry.Gauge("pool.wait_queue." + label),
+		hQueueWait: obs.DefaultRegistry.Histogram("pool.queue_wait_ns"),
 	}
-	if !opts.DisableTelemetry {
-		sp.requests = opts.Requests
-		if sp.requests == nil {
-			sp.requests = obs.DefaultRequests
-		}
-		sp.slo = opts.SLO
-		if sp.slo == nil {
-			sp.slo = obs.DefaultSLO
-		}
-		sp.gInflight = obs.DefaultRegistry.Gauge("pool.in_flight." + label)
-		sp.gWait = obs.DefaultRegistry.Gauge("pool.wait_queue." + label)
-		sp.hQueueWait = obs.DefaultRegistry.Histogram("pool.queue_wait_ns")
-		sp.gInflight.Set(0)
-		sp.gWait.Set(0)
-		sp.registerHealth()
+	if sp.requests == nil {
+		sp.requests = obs.DefaultRequests
 	}
+	if sp.slo == nil {
+		sp.slo = obs.DefaultSLO
+	}
+	sp.gInflight.Set(0)
+	sp.gWait.Set(0)
+	sp.registerHealth()
 	for i := 0; i < n; i++ {
 		sp.idle <- p.NewSessionWith(so)
 	}
@@ -158,17 +153,15 @@ func (sp *SessionPool) Close() {
 	if sp.batcher != nil {
 		sp.batcher.close()
 	}
-	if sp.gInflight != nil {
-		obs.UnregisterHealth("pool." + sp.label)
-	}
+	sp.unregister()
 }
 
 // registerHealth wires the pool into /healthz: unhealthy while the shared
 // circuit breaker has the device quarantined, with breaker state and
 // occupancy in the detail either way. A later pool serving the same model
-// replaces the entry.
+// replaces the entry, and closing this one then leaves it in place.
 func (sp *SessionPool) registerHealth() {
-	obs.RegisterHealth("pool."+sp.label, func() obs.HealthStatus {
+	sp.unregister = obs.RegisterHealth("pool."+sp.label, func() obs.HealthStatus {
 		st := sp.breaker.State()
 		busy := cap(sp.idle) - len(sp.idle)
 		return obs.HealthStatus{
@@ -192,10 +185,8 @@ func (sp *SessionPool) queued() int {
 // admitted or idle — admission, a waiter leaving on its deadline, release —
 // so neither gauge can stick at a stale value.
 func (sp *SessionPool) refreshGauges() {
-	if sp.gInflight != nil {
-		sp.gInflight.Set(float64(cap(sp.idle) - len(sp.idle)))
-		sp.gWait.Set(float64(sp.queued()))
-	}
+	sp.gInflight.Set(float64(cap(sp.idle) - len(sp.idle)))
+	sp.gWait.Set(float64(sp.queued()))
 }
 
 // acquire admits the request and returns an idle session. Admission is one
@@ -226,9 +217,7 @@ func (sp *SessionPool) acquire(ctx context.Context, req *obs.ActiveRequest, batc
 		t0 := time.Now()
 		select {
 		case s = <-sp.idle:
-			if sp.hQueueWait != nil {
-				sp.hQueueWait.Observe(float64(time.Since(t0).Nanoseconds()))
-			}
+			sp.hQueueWait.Observe(float64(time.Since(t0).Nanoseconds()))
 		case <-ctx.Done():
 			sp.admitted.Add(-1)
 			sp.refreshGauges()

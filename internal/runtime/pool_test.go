@@ -238,7 +238,7 @@ func TestPoolDeviceLabels(t *testing.T) {
 	if !st.OK {
 		t.Fatalf("health entry pool.labelled.dev-a not ok: %+v", st)
 	}
-	obs.UnregisterHealth("pool.labelled.dev-a")
+	sp.Close()
 }
 
 // TestPoolCloseLeavesHealthz: a standalone pool closed while its breaker is
@@ -265,6 +265,41 @@ func TestPoolCloseLeavesHealthz(t *testing.T) {
 	_, checks = obs.Health()
 	if st, present := checks["pool.closing"]; present {
 		t.Fatalf("closed pool still on /healthz: %+v", st)
+	}
+}
+
+// TestPoolCloseKeepsNewerHealthz: closing a pool takes only its own
+// /healthz entry away. A newer pool serving the same model replaced it, and
+// that pool's entry, unhealthy while its breaker is open, stays until the
+// newer pool closes too.
+func TestPoolCloseKeepsNewerHealthz(t *testing.T) {
+	g, _ := buildSerialOpsGraph()
+	plan, err := runtime.NewPlan(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	open := func() *runtime.SessionPool {
+		so := faultSessionOpts(sim.NewFaultInjector(sim.FaultConfig{}))
+		so.Model = "twin"
+		return runtime.NewSessionPool(plan, runtime.PoolOptions{Sessions: 1, Session: so})
+	}
+	older, newer := open(), open()
+	defer newer.Close()
+	for newer.Breaker().State() != runtime.BreakerOpen {
+		newer.Breaker().Failure()
+	}
+	older.Close()
+	_, checks := obs.Health()
+	st, present := checks["pool.twin"]
+	if !present {
+		t.Fatalf("closing the older pool removed the newer one's entry; have %v", keysOf(checks))
+	}
+	if st.OK {
+		t.Fatalf("newer pool's breaker is open, entry reports healthy: %+v", st)
+	}
+	newer.Close()
+	if _, checks = obs.Health(); checks["pool.twin"] != (obs.HealthStatus{}) {
+		t.Fatalf("closed newer pool still on /healthz: %+v", checks["pool.twin"])
 	}
 }
 

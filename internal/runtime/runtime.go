@@ -21,22 +21,21 @@
 // simulated; see internal/sim for latency), but the executor honours the
 // placement structurally: device_copy nodes materialise buffer handoffs,
 // GPU-placed nodes pass through the simulated device's fault gate, and
-// per-node profiles record which device each operator was assigned to.
+// profiler rows and request traces record which device each operator was
+// assigned to.
 package runtime
 
 import (
-	"time"
-
 	"unigpu/internal/graph"
 	"unigpu/internal/tensor"
 )
 
-// NodeProfile records one executed node.
+// NodeProfile records one planned node: its name, kind, device and the
+// bytes of its output.
 type NodeProfile struct {
 	Name     string
 	Kind     string
 	Device   graph.DeviceClass
-	Wall     time.Duration
 	OutBytes int
 }
 
@@ -49,19 +48,24 @@ type Result struct {
 
 // Execute is the one-shot reference executor for tests: it runs the graph
 // on the given feeds (by input-node name) through a throwaway plan and
-// session, always collecting profiles and reporting PeakLive from the
-// reference-counted liveness analysis. Nothing in the product calls it —
-// unigpu.CompiledModel.Run goes through the model's cached plan — because
-// every call plans again and packs every conv's weights again.
+// session, profiles every node of the plan in schedule order and reports
+// PeakLive from the reference-counted liveness analysis. Nothing in the
+// product calls it — unigpu.CompiledModel.Run goes through the model's
+// cached plan — because every call plans again and packs every conv's
+// weights again.
 func Execute(g *graph.Graph, feeds map[string]*tensor.Tensor) (*Result, error) {
 	plan, err := NewPlan(g)
 	if err != nil {
 		return nil, err
 	}
-	s := plan.NewSessionWith(SessionOptions{Profile: true})
-	outs, err := s.Run(feeds)
+	outs, err := plan.NewSession().Run(feeds)
 	if err != nil {
 		return nil, err
 	}
-	return &Result{Outputs: outs, Profile: s.Profile(), PeakLive: plan.PeakLiveBytes()}, nil
+	prof := make([]NodeProfile, len(plan.nodes))
+	for i := range plan.nodes {
+		pn := &plan.nodes[i]
+		prof[i] = NodeProfile{Name: pn.name, Kind: pn.kind, Device: pn.device, OutBytes: pn.dtype.Size() * pn.elems}
+	}
+	return &Result{Outputs: outs, Profile: prof, PeakLive: plan.PeakLiveBytes()}, nil
 }

@@ -108,8 +108,8 @@ func TestRequestTraceAttributionSerial(t *testing.T) {
 	if !sawReexec {
 		t.Error("no trace attributed CPU re-execution despite scripted device loss")
 	}
-	obs.UnregisterHealth("pool.attrib")
-	obs.UnregisterHealth("pool.attrib-lost")
+	pool.Close()
+	poolLost.Close()
 }
 
 // TestPoolTelemetryWiring: the pool publishes occupancy gauges and a
@@ -144,7 +144,7 @@ func TestPoolTelemetryWiring(t *testing.T) {
 	if !st.OK {
 		t.Fatalf("fault-free pool unhealthy: %+v", st)
 	}
-	t.Cleanup(func() { obs.UnregisterHealth("pool.wiring") })
+	t.Cleanup(pool.Close)
 }
 
 // TestSessionProfilerRecords: a session with a profiler sampling every

@@ -152,12 +152,10 @@ func clamp01(x float64) float64 { return math.Max(0, math.Min(1, x)) }
 
 // access records one global-buffer load or store site.
 type access struct {
-	buffer            string
 	iters             float64 // dynamic executions of the site
 	footprintPerBlock float64 // distinct elements touched per block
 	footprintGlobal   float64 // distinct elements touched by the whole launch
 	stride            int     // flat-index stride along the coalescing axis
-	isStore           bool
 }
 
 // coalesceWaste is the traffic inflation from strided access: a stride-s
@@ -283,25 +281,23 @@ func (a *analysis) noteInnermost(frames []loopFrame) {
 func (a *analysis) recordAccesses(st *ir.Store, frames []loopFrame) {
 	iters := itersOf(frames)
 	coalesceVar := coalescingAxis(frames)
-	record := func(buf string, idx ir.Expr, isStore bool) {
+	record := func(buf string, idx ir.Expr) {
 		if !a.globalBufs[buf] {
 			return
 		}
 		a.accesses = append(a.accesses, &access{
-			buffer:            buf,
 			iters:             iters,
 			footprintPerBlock: footprint(idx, frames),
 			footprintGlobal:   footprintGlobal(idx, frames),
 			stride:            strideOf(idx, coalesceVar),
-			isStore:           isStore,
 		})
 	}
 	ir.WalkExpr(st.Value, func(e ir.Expr) {
 		if l, ok := e.(*ir.Load); ok {
-			record(l.Buffer, l.Index, false)
+			record(l.Buffer, l.Index)
 		}
 	})
-	record(st.Buffer, st.Index, true)
+	record(st.Buffer, st.Index)
 }
 
 func itersOf(frames []loopFrame) float64 {

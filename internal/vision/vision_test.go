@@ -288,17 +288,6 @@ func TestBoxNMSSuppressesOverlaps(t *testing.T) {
 	}
 }
 
-func TestBoxNMSForceSuppress(t *testing.T) {
-	dets := makeDets(
-		[6]float32{0, 0.9, 0, 0, 10, 10},
-		[6]float32{1, 0.8, 0, 0, 10, 10},
-	)
-	out := boxNMS(dets, NMSConfig{IoUThreshold: 0.5, ForceSuppress: true})
-	if out.At(0, 0, 1) != 0.9 || out.At(0, 1, 0) != -1 {
-		t.Fatal("force suppress must kill the cross-class duplicate")
-	}
-}
-
 func TestBoxNMSScoreThresholdAndMaxOutput(t *testing.T) {
 	dets := makeDets(
 		[6]float32{0, 0.9, 0, 0, 1, 1},

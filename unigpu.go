@@ -175,8 +175,6 @@ type EngineOptions struct {
 	Jobs int
 	// Budget overrides the per-layout search budget (0 = default 48).
 	Budget int
-	// Seed overrides the search RNG seed (0 = default 1).
-	Seed int64
 }
 
 // NewEngine creates an engine with default search budgets.
@@ -190,9 +188,6 @@ func NewEngineWith(opts EngineOptions) *Engine {
 	est.Jobs = opts.Jobs
 	if opts.Budget > 0 {
 		est.Budget = opts.Budget
-	}
-	if opts.Seed != 0 {
-		est.Seed = opts.Seed
 	}
 	return &Engine{est: est}
 }
@@ -216,9 +211,6 @@ type CompileOptions struct {
 	// SkipTuning compiles with the pre-tuning default schedules (the
 	// "Before" configuration of Table 5).
 	SkipTuning bool
-	// NaiveVisionOps disables the §3.1 vision-operator optimizations (the
-	// "Before" configuration of Table 4).
-	NaiveVisionOps bool
 	// FallbackNMS places box_nms (and its sorting) on the companion CPU
 	// instead of the integrated GPU (§3.1.2).
 	FallbackNMS bool
@@ -342,11 +334,8 @@ func (e *Engine) Compile(name string, p *Platform, opts CompileOptions) (*Compil
 	// Latency prediction on the simulated device.
 	psp := obs.Start("price", obs.KV("device", p.GPU.Name))
 	vis := price.Optimized
-	switch {
-	case opts.FallbackNMS:
+	if opts.FallbackNMS {
 		vis = price.Fallback
-	case opts.NaiveVisionOps:
-		vis = price.Naive
 	}
 	lat := e.est.Price(m, p, !opts.SkipTuning, vis)
 	psp.End()
@@ -425,8 +414,8 @@ func (cm *CompiledModel) NewSession() (*Session, error) {
 	return cm.NewSessionWith(SessionOptions{})
 }
 
-// NewSessionWith opens a session with explicit options (profiling,
-// telemetry, fault tolerance). When no injector is given explicitly, the
+// NewSessionWith opens a session with explicit options (telemetry, fault
+// tolerance). When no injector is given explicitly, the
 // session picks up the one attached to the platform's GPU device, so
 // faults injected at the device level reach every session automatically.
 func (cm *CompiledModel) NewSessionWith(opts SessionOptions) (*Session, error) {
